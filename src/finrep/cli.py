@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import functors as functors_mod
 from .document import Document, DocumentError, parse_document
 from .errors import BudgetError, CarrierMismatch, UnvalidatedError
+from .fset import carrier_budget
 from .hor import (
     PreorderedSet,
     check_tilde_soundness,
@@ -105,6 +105,14 @@ def _parser() -> argparse.ArgumentParser:
     laws_p.add_argument("doc", nargs="?")
 
     return parser
+
+
+def _check_scope_flags(args):
+    """Refuse scope flags below the least value that keeps a check meaningful."""
+    for dest, floor in (("probe_max", 1), ("samples", 1), ("budget", 1), ("powerset_cap", 0)):
+        value = getattr(args, dest)
+        if value is not None and value < floor:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least {floor}, got {value}")
 
 
 def _named(doc: Document, kind: str, name: str | None):
@@ -368,25 +376,16 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else int(e.code or 0)
-    old_budget = functors_mod._CARRIER_BUDGET
-    if args.budget is not None:
-        functors_mod._CARRIER_BUDGET = args.budget
     try:
-        report = _dispatch(args)
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        _check_scope_flags(args)
+        with carrier_budget(args.budget):
+            report = _dispatch(args)
     except BudgetError as e:
         print(f"error: budget exceeded: {e}", file=sys.stderr)
         return 2
-    except (CarrierMismatch, UnvalidatedError) as e:
+    except (DocumentError, CarrierMismatch, UnvalidatedError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    finally:
-        functors_mod._CARRIER_BUDGET = old_budget
     sys.stdout.write(render(report, args.format))
     return report.status
 

@@ -179,9 +179,6 @@ class _Cursor:
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def peek(self) -> Token | None:
-        return None if self.done else self.tokens[self.pos]
-
     def take(self, what: str = "token") -> Token:
         if self.done:
             raise DocumentError(f"expected {what} at end of line", self.lineno)
@@ -469,7 +466,9 @@ def _parse_probes(cur: _Cursor, doc: Document, name: str) -> Declaration:
             )
         if key.text in config:
             raise DocumentError(f"duplicate parameter {key.text!r}", key.line, key.column)
-        config[key.text] = cur.integer(f"{key.text} value")
+        value = config[key.text] = cur.integer(f"{key.text} value")
+        if key.text != "seed" and value < 1:
+            raise DocumentError(f"probe {key.text} must be at least 1", key.line, key.column)
     return Declaration("probes", name, config)
 
 

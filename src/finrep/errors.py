@@ -24,15 +24,3 @@ class TheoremInconsistencyError(AssertionError):
     itself (or the surrounding construction) is broken, not the input.
     """
 
-
-class DocumentError(ValueError):
-    """Problem in a workbench document, with position information."""
-
-    def __init__(self, message, line=None, column=None):
-        self.message = message
-        self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)

@@ -4,20 +4,22 @@ Carrier identity is object identity: two sets built independently are
 different carriers even if their labels coincide.  Derived carriers (sum,
 product, powerset, and the functor-built ones) are interned by construction
 recipe, so deriving the same thing twice returns the very same object and
-relations over it stay composable.
+relations over it stay composable.  A recipe's memo lives on the last
+carrier it names, so a derived carrier lives exactly as long as its base.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
 from .errors import BudgetError
 
 _fresh = itertools.count()
 
-# recipe tuple -> FiniteSet; guarded only by construction-time insertion,
-# values are immutable afterwards
-_interned: dict[tuple, "FiniteSet"] = {}
+_unanchored: dict[tuple, object] = {}  # memo for recipes naming no carrier
+_budget = 200_000
+_MISSING = object()
 
 
 class FiniteSet:
@@ -28,7 +30,7 @@ class FiniteSet:
     the carrier.  It is positional: payload[i] belongs to elements[i].
     """
 
-    __slots__ = ("name", "elements", "payload", "origin", "uid", "_index")
+    __slots__ = ("name", "elements", "payload", "origin", "uid", "_index", "_where", "_memo")
 
     def __init__(self, name, elements, payload=None, origin=None):
         elements = tuple(elements)
@@ -49,6 +51,8 @@ class FiniteSet:
         self.origin = origin
         self.uid = next(_fresh)
         self._index = index
+        self._where = None   # payload -> index, built on first `locate`
+        self._memo = None    # recipe -> derived value, see `intern`
 
     def __len__(self):
         return len(self.elements)
@@ -65,18 +69,56 @@ class FiniteSet:
         except KeyError:
             raise KeyError(f"{label!r} is not an element of carrier {self.name!r}") from None
 
+    def locate(self, payload, default=_MISSING):
+        """Index of the element with this payload, else `default` if given."""
+        if self._where is None:
+            self._where = {p: i for i, p in enumerate(self.payload or ())}
+        try:
+            return self._where[payload]
+        except KeyError:
+            if default is _MISSING:
+                raise KeyError(f"{payload!r} is not a payload of carrier {self.name!r}") from None
+            return default
+
     def __repr__(self):
         return f"FiniteSet({self.name!r}, {len(self)} elements)"
 
 
 def intern(recipe, build):
-    """Return the carrier for `recipe`, building it on first request."""
-    got = _interned.get(recipe)
+    """Return the value for `recipe`, building it on first request.  A
+    built carrier remembers its recipe as its origin."""
+    memo = _unanchored
+    for part in reversed(recipe):
+        if isinstance(part, FiniteSet):
+            if part._memo is None:
+                part._memo = {}
+            memo = part._memo
+            break
+    got = memo.get(recipe)
     if got is None:
         got = build()
-        got.origin = recipe
-        _interned[recipe] = got
+        if isinstance(got, FiniteSet):
+            got.origin = recipe
+        memo[recipe] = got
     return got
+
+
+@contextmanager
+def carrier_budget(limit: int | None):
+    """Run a block under carrier budget `limit`; None keeps the current one."""
+    global _budget
+    saved, _budget = _budget, _budget if limit is None else limit
+    try:
+        yield
+    finally:
+        _budget = saved
+
+
+def check_budget(total: int, what: str, *args):
+    """Refuse a construction of `total` elements over the carrier budget,
+    described as `what % args`."""
+    if total > _budget:
+        raise BudgetError(f"{what % args} has {total} elements, budget {_budget}")
 
 
 def sum_of(a: FiniteSet, b: FiniteSet) -> FiniteSet:

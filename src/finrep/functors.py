@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, CarrierMismatch
-from .fset import FiniteSet, intern, powerset_of
+from .fset import FiniteSet, check_budget, intern, powerset_of
 from .rel import FuncTable, Rel
-
-_CARRIER_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -95,35 +91,18 @@ def enumerate_terms(sig: Signature, max_depth: int, n_vars: int) -> list[Term]:
     operators, operators in signature order, children lexicographic."""
     if max_depth < 1:
         return []
-    by_depth: list[list[Term]] = [[]]
     level1 = [term_var(i) for i in range(n_vars)]
     level1 += [term_node(sym, ()) for sym, arity in sig.ops if arity == 0]
-    by_depth.append(level1)
+    by_depth = [level1]
     for d in range(2, max_depth + 1):
         shallower = [t for level in by_depth for t in level]
-        level = []
-        for sym, arity in sig.ops:
-            if arity == 0:
-                continue
-            for kids in itertools.product(shallower, repeat=arity):
-                if max(k.depth for k in kids) == d - 1:
-                    level.append(term_node(sym, kids))
-        by_depth.append(level)
-        if sum(len(lv) for lv in by_depth) > _CARRIER_BUDGET:
-            raise BudgetError(
-                f"term carrier exceeds {_CARRIER_BUDGET} elements "
-                f"at depth {d} over {n_vars} variables"
-            )
+        by_depth.append([
+            term_node(sym, kids)
+            for sym, arity in sig.ops if arity > 0
+            for kids in itertools.product(shallower, repeat=arity)
+            if max(k.depth for k in kids) == d - 1
+        ])
     return [t for level in by_depth for t in level]
-
-
-def _payload_lookup(carrier: FiniteSet) -> dict:
-    return _payload_lookup_cached(carrier.uid, carrier)
-
-
-@lru_cache(maxsize=None)
-def _payload_lookup_cached(uid: int, carrier: FiniteSet) -> dict:
-    return {p: i for i, p in enumerate(carrier.payload)}
 
 
 class Functor:
@@ -179,14 +158,13 @@ class PowersetFunctor(Functor):
     def fmap(self, f):
         pa, _ = self.carrier_masks(f.src)
         pb, _ = self.carrier_masks(f.tgt)
-        index = _payload_lookup(pb)
         table = []
         for mask in pa.payload:
             image = 0
             for i in range(len(f.src)):
                 if mask >> i & 1:
                     image |= 1 << int(f.table[i])
-            table.append(index[image])
+            table.append(pb.locate(image))
         return FuncTable(pa, pb, table)
 
     def lift(self, x):
@@ -231,14 +209,17 @@ class ListFunctor(Functor):
         self.key = ("list", max_len)
         self.name = f"list(len {max_len})"
 
+    def size(self, a) -> int:
+        """Element count of the carrier over `a`, counted before it is built
+        and refused at the first length over the budget."""
+        n, total = len(a), 0
+        for l in range(self.max_len + 1):
+            total += n ** l
+            check_budget(total, "list carrier over %r up to length %d", a.name, l)
+        return total
+
     def carrier(self, a):
         def build():
-            total = sum(len(a) ** l for l in range(self.max_len + 1))
-            if total > _CARRIER_BUDGET:
-                raise BudgetError(
-                    f"list carrier over {a.name!r} has {total} elements, "
-                    f"budget {_CARRIER_BUDGET}"
-                )
             labels, payload = [], []
             for l in range(self.max_len + 1):
                 for tup in itertools.product(range(len(a)), repeat=l):
@@ -246,13 +227,13 @@ class ListFunctor(Functor):
                     payload.append(tup)
             return FiniteSet(f"list{self.max_len}({a.name})", labels, payload)
 
+        self.size(a)
         return intern(("list", self.max_len, a), build)
 
     def fmap(self, f):
         la = self.carrier(f.src)
         lb = self.carrier(f.tgt)
-        index = _payload_lookup(lb)
-        table = [index[tuple(int(f.table[i]) for i in tup)] for tup in la.payload]
+        table = [lb.locate(tuple(int(f.table[i]) for i in tup)) for tup in la.payload]
         return FuncTable(la, lb, table)
 
     def lift(self, x):
@@ -282,6 +263,24 @@ class TermFunctor(Functor):
         self.key = ("term", sig.ops, max_depth)
         self.name = f"term({dict(sig.ops)}, depth {max_depth})"
 
+    def size(self, a) -> int:
+        """Element count of the carrier over `a`, counted before it is built
+        and refused at the first depth over the budget: T(1) = V + C and
+        T(d) = V + C + the sum of T(d-1)^k over operators of arity k >= 1."""
+        leaves = len(a)
+        for _, arity in self.sig.ops:
+            if arity == 0:
+                leaves += 1
+        total = leaves
+        for d in range(1, self.max_depth + 1):
+            if d > 1:
+                prev, total = total, leaves
+                for _, arity in self.sig.ops:
+                    if arity:
+                        total += prev ** arity
+            check_budget(total, "term carrier over %r up to depth %d", a.name, d)
+        return total
+
     def carrier(self, a):
         def build():
             terms = enumerate_terms(self.sig, self.max_depth, len(a))
@@ -291,19 +290,19 @@ class TermFunctor(Functor):
                 f"term{self.max_depth}({a.name})", labels, terms
             )
 
+        self.size(a)
         return intern(("term", self.sig.ops, self.max_depth, a), build)
 
     def fmap(self, f):
         ta = self.carrier(f.src)
         tb = self.carrier(f.tgt)
-        index = _payload_lookup(tb)
 
         def rename(t: Term) -> Term:
             if t.op is None:
                 return term_var(int(f.table[t.var]))
             return Term(t.op, None, tuple(rename(c) for c in t.children), t.depth)
 
-        return FuncTable(ta, tb, [index[rename(t)] for t in ta.payload])
+        return FuncTable(ta, tb, [tb.locate(rename(t)) for t in ta.payload])
 
     def lift(self, x):
         ta = self.carrier(x.src)

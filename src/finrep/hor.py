@@ -379,7 +379,7 @@ def mon_congruence_closure(term_carrier: FiniteSet) -> Rel:
     """Independent oracle: the least congruence containing associativity
     and the unit laws, closed inside the bounded carrier."""
     terms = term_carrier.payload
-    index = {t: i for i, t in enumerate(terms)}
+    locate = term_carrier.locate
     parent = list(range(len(terms)))
 
     def find(i):
@@ -403,16 +403,16 @@ def mon_congruence_closure(term_carrier: FiniteSet) -> Rel:
             u, v = t.children
             # unit laws
             if v.op == "one":
-                join(index[t], index[u])
+                join(locate(t), locate(u))
             if u.op == "one":
-                join(index[t], index[v])
+                join(locate(t), locate(v))
             # associativity, when the rebracketing stays in the carrier
             if v.op == "mul":
                 v1, v2 = v.children
                 other = term_node("mul", (term_node("mul", (u, v1)), v2))
-                if other in index:
-                    join(index[t], index[other])
-    muls = [(i, index[t.children[0]], index[t.children[1]]) for i, t in enumerate(terms) if t.op == "mul"]
+                if locate(other, None) is not None:
+                    join(locate(t), locate(other))
+    muls = [(i, locate(t.children[0]), locate(t.children[1])) for i, t in enumerate(terms) if t.op == "mul"]
     while changed:
         changed = False
         for i, ui, vi in muls:
@@ -431,17 +431,15 @@ def tilde_mon_rule_check(p: PreorderedSet, depth: int = 2) -> LawReport:
     lifted = tilde_lift(h, p).leq
     term_carrier = h.e_functor.carrier(p.carrier)
     terms = term_carrier.payload
-    index = {t: i for i, t in enumerate(terms)}
+    locate = term_carrier.locate
 
     m = samevars_family(MON_SIG, depth).rel_at(p.carrier).m.copy()
-    for i in range(len(p.carrier)):
-        for j in range(len(p.carrier)):
-            if p.order.m[i, j]:
-                m[index[term_var(i)], index[term_var(j)]] = True
+    for i, j in np.argwhere(p.order.m):
+        m[locate(term_var(int(i))), locate(term_var(int(j)))] = True
 
     muls = [i for i, t in enumerate(terms) if t.op == "mul"]
-    lefts = np.array([index[terms[i].children[0]] for i in muls], dtype=np.int64)
-    rights = np.array([index[terms[i].children[1]] for i in muls], dtype=np.int64)
+    lefts = np.array([locate(terms[i].children[0]) for i in muls], dtype=np.int64)
+    rights = np.array([locate(terms[i].children[1]) for i in muls], dtype=np.int64)
     mul_ix = np.array(muls, dtype=np.int64)
     while True:
         before = m.copy()

@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import functors as _functors
 from .errors import BudgetError
-from .fset import FiniteSet, intern
+from .fset import FiniteSet, check_budget, intern
 from .functors import Functor, ListFunctor
 from .hor import HOR
 from .rel import FuncTable, Rel, star, union
 from .verdict import LawReport, Verdict
 
 _WORD_BITS = 64
-
-_language_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -82,55 +79,51 @@ class RegexFunctor(Functor):
     """Expressions of bounded node count; renaming maps letters."""
 
     def __init__(self, size_cap: int):
-        assert size_cap >= 1
+        if size_cap < 1:
+            raise ValueError("expression size bound must be at least 1")
         self.size_cap = size_cap
         self.key = ("reg", size_cap)
         self.name = f"regex(size {size_cap})"
 
+    def size(self, a: FiniteSet) -> int:
+        """Element count of the carrier over `a`, counted before it is built
+        and refused at the first size over the budget: the letters, 0 and 1
+        at size 1; a star adds one node, + and . join two subtrees."""
+        by_size, total = [0, len(a) + 2], 0
+        for s in range(1, self.size_cap + 1):
+            if s > 1:
+                joins = sum([by_size[i] * by_size[s - 1 - i] for i in range(1, s - 1)])
+                by_size.append(by_size[s - 1] + 2 * joins)
+            total += by_size[s]
+            check_budget(total, "expression carrier over %r up to size %d", a.name, s)
+        return total
+
     def carrier(self, a: FiniteSet) -> FiniteSet:
         def build():
-            by_size = {}
-            total = 0
-            for s in range(1, self.size_cap + 1):
-                level = []
-                if s == 1:
-                    level.extend(re_letter(i) for i in range(len(a)))
-                    level.append(re_zero())
-                    level.append(re_eps())
-                else:
-                    level.extend(re_star(e) for e in by_size[s - 1])
-                    for op in (re_plus, re_cat):
-                        for i in range(1, s - 1):
-                            for e in by_size[i]:
-                                for f in by_size[s - 1 - i]:
-                                    level.append(op(e, f))
-                total += len(level)
-                if total > _functors._CARRIER_BUDGET:
-                    raise BudgetError(
-                        f"expression carrier over budget at size {s}: "
-                        f"{total} > {_functors._CARRIER_BUDGET}"
-                    )
-                by_size[s] = level
-            exprs = [e for s in range(1, self.size_cap + 1) for e in by_size[s]]
-            return FiniteSet(
-                f"reg{self.size_cap}({a.name})",
-                [regex_label(e, a) for e in exprs],
-                payload=tuple(exprs),
-                origin=("reg", self.size_cap, a),
-            )
+            # by_size[s]: the expressions of exactly s nodes, in carrier order
+            by_size = [[], [re_letter(i) for i in range(len(a))] + [re_zero(), re_eps()]]
+            for s in range(2, self.size_cap + 1):
+                level = [re_star(e) for e in by_size[s - 1]]
+                for op in (re_plus, re_cat):
+                    level += [op(e, f) for i in range(1, s - 1)
+                              for e in by_size[i] for f in by_size[s - 1 - i]]
+                by_size.append(level)
+            exprs = [e for level in by_size for e in level]
+            labels = [regex_label(e, a) for e in exprs]
+            return FiniteSet(f"reg{self.size_cap}({a.name})", labels, payload=tuple(exprs))
 
+        self.size(a)
         return intern(("reg", self.size_cap, a), build)
 
     def fmap(self, f: FuncTable) -> FuncTable:
         ca, cb = self.carrier(f.src), self.carrier(f.tgt)
-        index = {e: i for i, e in enumerate(cb.payload)}
 
         def rename(e: RegExpr) -> RegExpr:
             if e.kind == "letter":
                 return re_letter(int(f.table[e.letter]))
             return RegExpr(e.kind, None, tuple(rename(c) for c in e.children))
 
-        return FuncTable(ca, cb, [index[rename(e)] for e in ca.payload])
+        return FuncTable(ca, cb, [cb.locate(rename(e)) for e in ca.payload])
 
     def lift(self, x: Rel) -> Rel:
         ca, cb = self.carrier(x.src), self.carrier(x.tgt)
@@ -157,23 +150,21 @@ def language_table(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int):
     """Bounded language of every expression in the carrier, as bit masks
     over the word carrier.  Truncation applies at every concatenation and
     star step, so the result is exactly the bounded words of the language."""
-    key = ("ka-langs", expr_size_cap, word_len_cap, alphabet)
-    got = _language_cache.get(key)
-    if got is not None:
-        return got
+    # checked on every request: a memoized table must not outlive a lower budget
+    RegexFunctor(expr_size_cap).size(alphabet)
+    ListFunctor(word_len_cap).size(alphabet)
 
     def build():
         exprs = RegexFunctor(expr_size_cap).carrier(alphabet)
         words = word_carrier(alphabet, word_len_cap)
         if len(words) > _WORD_BITS:
             raise BudgetError(f"word carrier too large for masks: {len(words)} > {_WORD_BITS}")
-        windex = {w: i for i, w in enumerate(words.payload)}
         n = len(words)
         cat_table = np.full((n, n), -1, dtype=np.int64)
         for i, u in enumerate(words.payload):
             for j, v in enumerate(words.payload):
                 if len(u) + len(v) <= word_len_cap:
-                    cat_table[i, j] = windex[u + v]
+                    cat_table[i, j] = words.locate(u + v)
 
         def cat_mask(m1: int, m2: int) -> int:
             out = 0
@@ -192,18 +183,18 @@ def language_table(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int):
             if got is not None:
                 return got
             if e.kind == "letter":
-                out = 1 << windex[(e.letter,)]
+                out = 1 << words.locate((e.letter,))
             elif e.kind == "zero":
                 out = 0
             elif e.kind == "eps":
-                out = 1 << windex[()]
+                out = 1 << words.locate(())
             elif e.kind == "plus":
                 out = lang(e.children[0]) | lang(e.children[1])
             elif e.kind == "cat":
                 out = cat_mask(lang(e.children[0]), lang(e.children[1]))
             else:
                 body = lang(e.children[0])
-                out = 1 << windex[()]
+                out = 1 << words.locate(())
                 while True:
                     grown = out | cat_mask(out, body)
                     if grown == out:
@@ -215,9 +206,7 @@ def language_table(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int):
         masks = np.array([lang(e) for e in exprs.payload], dtype=np.uint64)
         return exprs, words, masks
 
-    got = build()
-    _language_cache[key] = got
-    return got
+    return intern(("ka-langs", expr_size_cap, word_len_cap, alphabet), build)
 
 
 def _bits(mask: int):
@@ -232,11 +221,7 @@ def _bits(mask: int):
 def bounded_language(alphabet: FiniteSet, e, word_len_cap: int, expr_size_cap: int = 7) -> frozenset:
     """Set of word labels matched within the length bound."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
-    if isinstance(e, str):
-        idx = exprs.index(e)
-    else:
-        idx = exprs.payload.index(e)
-    mask = int(masks[idx])
+    mask = int(masks[exprs.index(e) if isinstance(e, str) else exprs.locate(e)])
     return frozenset(words.elements[i] for i in _bits(mask))
 
 
@@ -263,17 +248,16 @@ def generate_axiom_instances(alphabet: FiniteSet, expr_size_cap: int) -> list[tu
     only exists when both sides are in the carrier, so matching one side
     and looking up the rewritten partner finds every instance."""
     exprs = RegexFunctor(expr_size_cap).carrier(alphabet)
-    index = {e: i for i, e in enumerate(exprs.payload)}
     pairs = set()
 
     def eq(a: RegExpr, b: RegExpr):
-        ia, ib = index.get(a), index.get(b)
+        ia, ib = exprs.locate(a, None), exprs.locate(b, None)
         if ia is not None and ib is not None:
             pairs.add((ia, ib))
             pairs.add((ib, ia))
 
     def le(a: RegExpr, b: RegExpr):
-        ia, ib = index.get(a), index.get(b)
+        ia, ib = exprs.locate(a, None), exprs.locate(b, None)
         if ia is not None and ib is not None:
             pairs.add((ia, ib))
 
@@ -338,7 +322,8 @@ def ka_hor(
     axioms=None,
 ) -> HOR:
     """Words against expressions, polymorphic in the alphabet."""
-    assert leq_mode in ("semantic", "axiomatic")
+    if leq_mode not in ("semantic", "axiomatic"):
+        raise ValueError(f"ka order mode must be semantic or axiomatic, got {leq_mode!r}")
     if axioms is None:
         axioms = generate_axiom_instances
 

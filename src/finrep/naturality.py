@@ -378,8 +378,7 @@ def powerset_unit(cap: int = 4) -> IndexedFunction:
 
     def at(a):
         p = powerset_of(a, cap)
-        index = {mask: i for i, mask in enumerate(p.payload)}
-        return FuncTable(a, p, [index[1 << i] for i in range(len(a))])
+        return FuncTable(a, p, [p.locate(1 << i) for i in range(len(a))])
 
     return IndexedFunction("singleton", IdentityFunctor(), pf, at)
 
@@ -391,14 +390,13 @@ def powerset_union(cap: int = 4, outer_cap: int = 16) -> IndexedFunction:
     def at(a):
         p = powerset_of(a, cap)
         pp = powerset_of(p, outer_cap)
-        index = {mask: i for i, mask in enumerate(p.payload)}
         table = []
         for mm in pp.payload:
             flat = 0
             for i in range(len(p)):
                 if mm >> i & 1:
                     flat |= p.payload[i]
-            table.append(index[flat])
+            table.append(p.locate(flat))
         return FuncTable(pp, p, table)
 
     return IndexedFunction(
@@ -411,8 +409,7 @@ def term_unit(sig: Signature, depth: int) -> IndexedFunction:
 
     def at(a):
         t = tf.carrier(a)
-        index = {term: i for i, term in enumerate(t.payload)}
-        return FuncTable(a, t, [index[term_var(i)] for i in range(len(a))])
+        return FuncTable(a, t, [t.locate(term_var(i)) for i in range(len(a))])
 
     return IndexedFunction("term-unit", IdentityFunctor(), tf, at)
 
@@ -427,14 +424,13 @@ def term_flatten(sig: Signature, depth: int) -> IndexedFunction:
         ta = inner.carrier(a)
         tta = inner.carrier(ta)
         out = target.carrier(a)
-        index = {term: i for i, term in enumerate(out.payload)}
 
         def subst(t: Term) -> Term:
             if t.op is None:
                 return ta.payload[t.var]
             return term_node(t.op, tuple(subst(c) for c in t.children))
 
-        return FuncTable(tta, out, [index[subst(t)] for t in tta.payload])
+        return FuncTable(tta, out, [out.locate(subst(t)) for t in tta.payload])
 
     return IndexedFunction(
         "term-flatten", ComposedFunctor(inner, inner), target, at
@@ -453,8 +449,7 @@ def varlist_family(sig: Signature, depth: int) -> IndexedFunction:
     def at(a):
         t = tf.carrier(a)
         l = lf.carrier(a)
-        index = {tup: i for i, tup in enumerate(l.payload)}
-        return FuncTable(t, l, [index[var_list(term)] for term in t.payload])
+        return FuncTable(t, l, [l.locate(var_list(term)) for term in t.payload])
 
     return IndexedFunction("variable-list", tf, lf, at)
 

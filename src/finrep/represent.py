@@ -126,14 +126,8 @@ def interpret(rep: Representation, e: str) -> tuple[str, ...]:
 def check_interpretation_identity(rep: Representation, cap: int = 4) -> Verdict:
     """Satisfaction must factor through membership in the interpretation table."""
     p = powerset_of(rep.traces, cap)
-    mask_index = {mask: i for i, mask in enumerate(p.payload)}
-    table = []
-    for j in range(len(rep.exprs)):
-        mask = 0
-        for i in np.flatnonzero(rep.models.m[:, j]):
-            mask |= 1 << int(i)
-        table.append(mask_index[mask])
-    interp = FuncTable(rep.exprs, p, table)
+    masks = [sum(1 << int(i) for i in np.flatnonzero(col)) for col in rep.models.m.T]
+    interp = FuncTable(rep.exprs, p, [p.locate(mask) for mask in masks])
     lhs = compose(membership_rel(rep.traces, cap), cograph(interp))
     return equal_verdict(lhs, rep.models, "interpretation-identity")
 

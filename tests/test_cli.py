@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from finrep import fset
 from finrep.cli import main
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def doc(name: str) -> str:
@@ -207,6 +212,53 @@ def test_budget_exceeded_exits_2(capsys):
     )
     assert rc == 2
     assert "budget exceeded" in err and "10" in err
+    fset.check_budget(200_000, "a carrier at the default budget")  # restored after the run
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "linearity", doc("families.doc"), "--family", "member_of", "--probe-max", "-1"],
+        ["check", "naturality", doc("families.doc"), "--family", "member_of", "--probe-max", "0"],
+        ["laws", "relcore", "--samples", "-5"],
+        ["laws", "relcore", "--samples", "0"],
+        ["hor", "instantiate", doc("ka.doc"), "--budget", "0"],
+        ["build", "membership", doc("membership2.doc"), "--set", "S", "--powerset-cap", "-1"],
+    ],
+)
+def test_vacuous_scope_flags_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --") and "must be at least" in err
+
+
+@pytest.mark.parametrize("decl", ["max 0", "samples -3 seed 0"])
+def test_vacuous_probes_declaration_exits_2(capsys, tmp_path, decl):
+    bad = tmp_path / "probes.doc"
+    bad.write_text(
+        "signature S = mul:2 one:0\n"
+        "family f = builtin membership cap 2\n"
+        f"probes P = {decl}\n"
+    )
+    rc, out, err = run(capsys, "check", "naturality", str(bad), "--family", "f")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: line 3") and "must be at least 1" in err
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+def test_empty_expression_bound_exits_2_with_and_without_asserts(tmp_path, optimize):
+    bad = tmp_path / "ka0.doc"
+    bad.write_text("set A = a b\nhor h = builtin ka size 0\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "finrep.cli", "hor", "instantiate", str(bad)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_unknown_subcommand_exits_2(capsys):

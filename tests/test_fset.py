@@ -5,6 +5,8 @@ import pytest
 from finrep.errors import BudgetError
 from finrep.fset import (
     FiniteSet,
+    carrier_budget,
+    check_budget,
     powerset_of,
     product_of,
     subset_members,
@@ -73,3 +75,38 @@ def test_rederiving_from_distinct_bases_differs():
     a1 = FiniteSet("A", ["a"])
     a2 = FiniteSet("A", ["a"])
     assert powerset_of(a1) is not powerset_of(a2)
+
+
+def test_locate_finds_payloads_and_names_the_carrier():
+    a = FiniteSet("A", ["a", "b", "c"])
+    p = powerset_of(a)
+    for i, mask in enumerate(p.payload):
+        assert p.locate(mask) == i
+    assert p.locate(1 << 5, None) is None
+    with pytest.raises(KeyError, match="carrier 'P\\(A\\)'"):
+        p.locate(1 << 5)
+    with pytest.raises(KeyError, match="carrier 'A'"):
+        a.locate(0)
+
+
+def test_derived_carriers_live_on_their_base():
+    a, b = FiniteSet("A", ["a"]), FiniteSet("B", ["b"])
+    s = sum_of(a, b)
+    assert s.origin == ("sum", a, b)
+    assert b._memo[("sum", a, b)] is s
+    assert a._memo is None
+
+
+def test_carrier_budget_is_scoped():
+    check_budget(200_000, "anything")
+    with carrier_budget(10):
+        check_budget(10, "ten")
+        with pytest.raises(BudgetError, match="eleven has 11 elements, budget 10"):
+            check_budget(11, "eleven")
+        with carrier_budget(None):
+            with pytest.raises(BudgetError):
+                check_budget(11, "eleven")
+    with pytest.raises(RuntimeError):
+        with carrier_budget(5):
+            raise RuntimeError
+    check_budget(200_000, "anything")

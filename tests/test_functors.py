@@ -1,10 +1,11 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from finrep.errors import BudgetError
-from finrep.fset import FiniteSet, powerset_of, subset_members
+from finrep.fset import FiniteSet, carrier_budget, powerset_of, subset_members
 from finrep.functors import (
     ComposedFunctor,
     IdentityFunctor,
@@ -99,6 +100,37 @@ def test_carrier_budget_guard():
         ListFunctor(8).carrier(big)
     with pytest.raises(BudgetError):
         TermFunctor(SIG, 5).carrier(big)
+
+
+def test_budget_checked_on_every_request():
+    a = FiniteSet("abc", ["a", "b", "c"])
+    assert len(ListFunctor(9).carrier(a)) == 29524
+    with carrier_budget(1000):
+        with pytest.raises(BudgetError, match="up to length 6 has 1093 elements, budget 1000"):
+            ListFunctor(9).carrier(a)
+    assert len(ListFunctor(9).carrier(a)) == 29524
+
+
+def test_term_budget_refuses_before_building():
+    big = FiniteSet("big5", [f"e{i}" for i in range(5)])
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match="up to depth 4 has 3132906 elements"):
+        TermFunctor(SIG, 5).carrier(big)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
+def test_closed_form_counts_match_carriers(n_vars):
+    base = FiniteSet(f"v{n_vars}", [f"x{i}" for i in range(n_vars)])
+    wide = Signature.of({"f": 1, "g": 2, "c": 0, "d": 0})
+    for sig, depth in [(SIG, 3), (wide, 2)]:
+        for d in range(1, depth + 1):
+            assert TermFunctor(sig, d).size(base) == len(enumerate_terms(sig, d, n_vars))
+            assert TermFunctor(sig, d).size(base) == len(TermFunctor(sig, d).carrier(base))
+    for l in range(5):
+        assert ListFunctor(l).size(base) == len(ListFunctor(l).carrier(base))
+    if n_vars == 2:
+        assert [TermFunctor(SIG, d).size(base) for d in (1, 2, 3)] == [3, 12, 147]
 
 
 def test_powerset_fmap_is_direct_image():

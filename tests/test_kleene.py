@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finrep.errors import BudgetError
-from finrep.fset import FiniteSet
+from finrep.fset import FiniteSet, carrier_budget
 from finrep.hor import hor_arrow, instantiate, validate_hor
 from finrep.kleene import (
     RegexFunctor,
@@ -45,6 +45,23 @@ def test_carrier_counts_and_order():
     assert len(RegexFunctor(1).carrier(one)) == 3
 
 
+def test_closed_form_counts_match_carriers():
+    assert [RegexFunctor(cap).size(AB) for cap in range(1, 8)] == [
+        4, 8, 44, 144, 852, 3736, 22140
+    ]
+    for letters, cap in [(1, 5), (2, 5), (3, 4)]:
+        alphabet = FiniteSet(f"l{letters}", [f"c{i}" for i in range(letters)])
+        for size in range(1, cap + 1):
+            assert RegexFunctor(size).size(alphabet) == len(RegexFunctor(size).carrier(alphabet))
+
+
+def test_bad_size_bound_or_order_mode_is_a_value_error():
+    with pytest.raises(ValueError):
+        RegexFunctor(0)
+    with pytest.raises(ValueError):
+        ka_hor(3, 2, leq_mode="bogus")
+
+
 def test_carrier_interned_and_size_closed():
     c = RegexFunctor(3).carrier(AB)
     assert RegexFunctor(3).carrier(AB) is c
@@ -68,6 +85,11 @@ def test_budget_guard():
         RegexFunctor(9).carrier(AB)
     with pytest.raises(BudgetError):
         language_table(AB, 2, 6)
+    # a table built under the default budget is refused under a lower one
+    fresh = FiniteSet("ab", ["a", "b"])
+    language_table(fresh, 3, 2)
+    with carrier_budget(40), pytest.raises(BudgetError, match="up to size 3"):
+        language_table(fresh, 3, 2)
 
 
 def test_bounded_language_examples():
