@@ -20,7 +20,6 @@ from .hor import (
     hor_arrow,
     instantiate,
     mon_hor,
-    validate_hor,
 )
 from .kleene import ka_hor
 from .laws import LawConfig, relation_law_suite

@@ -3,7 +3,9 @@
 Four kinds: identity, powerset (capped), lists up to a length bound, and
 terms over a signature up to a depth bound.  Each functor produces interned
 carriers, maps functions, and lifts relations; composition chains two
-functors.  Bounds fail loudly, nothing truncates.
+functors.  Lists and terms, like the kleene module's expressions, are
+containers sharing one shape-grouped `fmap` and `lift`.  Bounds fail
+loudly, nothing truncates.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TheoremInconsistencyError
 from .fset import FiniteSet, check_budget, intern, powerset_of
 from .rel import FuncTable, Rel
 
@@ -76,14 +79,23 @@ def term_label(t: Term, base: FiniteSet, nullary: frozenset = frozenset()) -> st
     return f"{t.op}({','.join(term_label(c, base, nullary) for c in t.children)})"
 
 
+def split_tree(node, head: str, leaf: str):
+    """Shape and left-to-right positions of a tree whose set `leaf` fields mark positions."""
+    positions = []
+
+    def walk(n):
+        i = getattr(n, leaf)
+        if i is not None:
+            positions.append(i)
+            return None
+        return (getattr(n, head), *[walk(c) for c in n.children])
+
+    return walk(node), tuple(positions)
+
+
 def var_list(t: Term) -> tuple[int, ...]:
     """Variable indices in left-to-right leaf order."""
-    if t.op is None:
-        return (t.var,)
-    out = []
-    for c in t.children:
-        out.extend(var_list(c))
-    return tuple(out)
+    return split_tree(t, "op", "var")[1]
 
 
 def enumerate_terms(sig: Signature, max_depth: int, n_vars: int) -> list[Term]:
@@ -198,7 +210,57 @@ class PowersetFunctor(Functor):
         return Rel(pa, pb, fwd & bwd)
 
 
-class ListFunctor(Functor):
+class ContainerFunctor(Functor):
+    """A shape filled with base elements (a container, after Abbott,
+    Altenkirch and Ghani), read by `split(payload) -> (shape, positions)`.
+    Arrows rename positions; the Barr lifting relates equal shapes pointwise."""
+
+    def shapes(self, a):
+        """The carrier over `a` and its table, built once per carrier: shape ->
+        (k, elements in code order; a code reads the k positions in base |a|).
+        Bounds limit shapes only, so each shape has all |a|^k fillings."""
+        c = self.carrier(a)
+
+        def build():
+            groups = {}
+            for i, (shape, positions) in enumerate(map(self.split, c.payload)):
+                groups.setdefault(shape, []).append((i, *positions))
+            table = {}
+            for shape, rows in groups.items():
+                rows = np.array(rows, dtype=np.int64)
+                ix, pos, k = rows[:, 0], rows[:, 1:], rows.shape[1] - 1
+                if len(ix) != len(a) ** k:
+                    raise TheoremInconsistencyError(
+                        f"shape {shape!r} of carrier {c.name!r} has {len(ix)} of {len(a) ** k} fillings")
+                table[shape] = (k, ix[np.argsort(pos @ len(a) ** np.arange(k - 1, -1, -1))])
+            return table
+
+        return c, intern(("shapes", c), build)
+
+    def fmap(self, f):
+        (ca, sa), (cb, sb) = self.shapes(f.src), self.shapes(f.tgt)
+        table = np.empty(len(ca), dtype=np.int64)
+        image = [np.zeros(1, dtype=np.int64)]  # image[k]: target codes in source code order
+        for shape, (k, where) in sa.items():
+            while len(image) <= k:
+                image.append((image[-1][:, None] * len(f.tgt) + f.table).ravel())
+            table[where] = sb[shape][1][image[k]]
+        return FuncTable(ca, cb, table)
+
+    def lift(self, x):
+        (ca, sa), (cb, sb) = self.shapes(x.src), self.shapes(x.tgt)
+        m = np.zeros((len(ca), len(cb)), dtype=bool)
+        power = [np.ones((1, 1), dtype=bool)]  # power[k]: k-fold Kronecker power of x
+        for shape in sa.keys() & sb.keys():
+            (k, wa), (_, wb) = sa[shape], sb[shape]
+            while len(power) <= k:
+                p = power[-1][:, None, :, None] & x.m[None, :, None, :]
+                power.append(p.reshape(p.shape[0] * p.shape[1], p.shape[2] * p.shape[3]))
+            m[wa[:, None], wb] = power[k]
+        return Rel(ca, cb, m)
+
+
+class ListFunctor(ContainerFunctor):
     """Lists up to a fixed length; arrows map elementwise and the lifting
     relates only equal-length pointwise-related lists."""
 
@@ -230,28 +292,14 @@ class ListFunctor(Functor):
         self.size(a)
         return intern(("list", self.max_len, a), build)
 
-    def fmap(self, f):
-        la = self.carrier(f.src)
-        lb = self.carrier(f.tgt)
-        table = [lb.locate(tuple(int(f.table[i]) for i in tup)) for tup in la.payload]
-        return FuncTable(la, lb, table)
+    def split(self, tup):
+        return len(tup), tup
 
-    def lift(self, x):
-        la = self.carrier(x.src)
-        lb = self.carrier(x.tgt)
-        m = np.zeros((len(la), len(lb)), dtype=bool)
-        by_len: dict[int, list[int]] = {}
-        for j, tup in enumerate(lb.payload):
-            by_len.setdefault(len(tup), []).append(j)
-        for i, s in enumerate(la.payload):
-            for j in by_len.get(len(s), ()):
-                t = lb.payload[j]
-                if all(x.m[a, b] for a, b in zip(s, t)):
-                    m[i, j] = True
-        return Rel(la, lb, m)
+    # own names on the class, where the benchmark tracer rebinds them
+    fmap, lift = ContainerFunctor.fmap, ContainerFunctor.lift
 
 
-class TermFunctor(Functor):
+class TermFunctor(ContainerFunctor):
     """Terms over a signature up to a depth bound; arrows rename variables
     and the lifting relates same-shaped terms with related variables."""
 
@@ -293,34 +341,11 @@ class TermFunctor(Functor):
         self.size(a)
         return intern(("term", self.sig.ops, self.max_depth, a), build)
 
-    def fmap(self, f):
-        ta = self.carrier(f.src)
-        tb = self.carrier(f.tgt)
+    def split(self, t):
+        return split_tree(t, "op", "var")
 
-        def rename(t: Term) -> Term:
-            if t.op is None:
-                return term_var(int(f.table[t.var]))
-            return Term(t.op, None, tuple(rename(c) for c in t.children), t.depth)
-
-        return FuncTable(ta, tb, [tb.locate(rename(t)) for t in ta.payload])
-
-    def lift(self, x):
-        ta = self.carrier(x.src)
-        tb = self.carrier(x.tgt)
-
-        def related(s: Term, t: Term) -> bool:
-            if s.op is None and t.op is None:
-                return bool(x.m[s.var, t.var])
-            if s.op != t.op or len(s.children) != len(t.children):
-                return False
-            return all(related(a, b) for a, b in zip(s.children, t.children))
-
-        m = np.zeros((len(ta), len(tb)), dtype=bool)
-        for i, s in enumerate(ta.payload):
-            for j, t in enumerate(tb.payload):
-                if s.depth == t.depth and related(s, t):
-                    m[i, j] = True
-        return Rel(ta, tb, m)
+    # own names on the class, where the benchmark tracer rebinds them
+    fmap, lift = ContainerFunctor.fmap, ContainerFunctor.lift
 
 
 class ComposedFunctor(Functor):

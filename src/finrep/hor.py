@@ -42,6 +42,7 @@ from .rel import (
     equal_verdict,
     is_included,
     is_preorder,
+    on_carriers,
     star,
     under,
     union,
@@ -58,7 +59,7 @@ class PreorderedSet:
     order: Rel
 
     def __post_init__(self):
-        assert self.order.src is self.carrier and self.order.tgt is self.carrier
+        on_carriers(self.order, self.carrier, self.carrier, "order off its carrier %s", self.carrier.name)
         report = is_preorder(self.order)
         if not report.passed:
             raise ValueError(f"order is not a preorder: {report.first_failure.describe()}")
@@ -76,16 +77,12 @@ class HOR:
     relational: bool = True
 
     def models_at(self, a: FiniteSet) -> Rel:
-        r = self.models_gen(a)
-        assert r.src is self.t_functor.carrier(a)
-        assert r.tgt is self.e_functor.carrier(a)
-        return r
+        return on_carriers(self.models_gen(a), self.t_functor.carrier(a), self.e_functor.carrier(a),
+                           "satisfaction of %s off its carriers at %s", self.name, a.name)
 
     def leq_at(self, a: FiniteSet) -> Rel:
-        r = self.leq_gen(a)
-        assert r.src is self.e_functor.carrier(a)
-        assert r.tgt is self.e_functor.carrier(a)
-        return r
+        return on_carriers(self.leq_gen(a), self.e_functor.carrier(a), self.e_functor.carrier(a),
+                           "order of %s off its carriers at %s", self.name, a.name)
 
     def models_family(self) -> IndexedRelation:
         return IndexedRelation(
@@ -198,9 +195,8 @@ def check_relational_hor_conditions(
     report = LawReport(subject="relational trace-functor conditions")
 
     def models_at(a):
-        r = models_gen(a)
-        assert r.src is t_obj(a) and r.tgt is e_functor.carrier(a)
-        return r
+        return on_carriers(models_gen(a), t_obj(a), e_functor.carrier(a),
+                           "satisfaction off its carriers at %s", a.name)
 
     bad = None
     for a in probes.carriers():
@@ -227,7 +223,7 @@ def check_relational_hor_conditions(
             arrow = t_rel(f)
         except KeyError as exc:
             raise ValueError(f"missing trace table for a probe function: {exc}") from exc
-        assert arrow.src is t_obj(b) and arrow.tgt is t_obj(a), "trace table off its carriers"
+        on_carriers(arrow, t_obj(b), t_obj(a), "trace table off its carriers")
         got = equal_verdict(
             compose(arrow, models_at(a)),
             compose(models_at(b), cograph(e_functor.fmap(f))),

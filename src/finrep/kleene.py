@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import BudgetError
 from .fset import FiniteSet, check_budget, intern
-from .functors import Functor, ListFunctor
+from .functors import ContainerFunctor, ListFunctor, split_tree
 from .hor import HOR
-from .rel import FuncTable, Rel, star, union
+from .rel import Rel, star, union
 from .verdict import LawReport, Verdict
 
 _WORD_BITS = 64
@@ -75,7 +75,7 @@ def regex_label(e: RegExpr, alphabet: FiniteSet) -> str:
     return f"{regex_label(e.children[0], alphabet)}*"
 
 
-class RegexFunctor(Functor):
+class RegexFunctor(ContainerFunctor):
     """Expressions of bounded node count; renaming maps letters."""
 
     def __init__(self, size_cap: int):
@@ -115,31 +115,8 @@ class RegexFunctor(Functor):
         self.size(a)
         return intern(("reg", self.size_cap, a), build)
 
-    def fmap(self, f: FuncTable) -> FuncTable:
-        ca, cb = self.carrier(f.src), self.carrier(f.tgt)
-
-        def rename(e: RegExpr) -> RegExpr:
-            if e.kind == "letter":
-                return re_letter(int(f.table[e.letter]))
-            return RegExpr(e.kind, None, tuple(rename(c) for c in e.children))
-
-        return FuncTable(ca, cb, [cb.locate(rename(e)) for e in ca.payload])
-
-    def lift(self, x: Rel) -> Rel:
-        ca, cb = self.carrier(x.src), self.carrier(x.tgt)
-
-        def related(e: RegExpr, f: RegExpr) -> bool:
-            if e.kind != f.kind:
-                return False
-            if e.kind == "letter":
-                return bool(x.m[e.letter, f.letter])
-            return all(related(c, d) for c, d in zip(e.children, f.children))
-
-        m = np.zeros((len(ca), len(cb)), dtype=bool)
-        for i, e in enumerate(ca.payload):
-            for j, f in enumerate(cb.payload):
-                m[i, j] = related(e, f)
-        return Rel(ca, cb, m)
+    def split(self, e: RegExpr):
+        return split_tree(e, "kind", "letter")
 
 
 def word_carrier(alphabet: FiniteSet, word_len_cap: int) -> FiniteSet:

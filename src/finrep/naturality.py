@@ -40,6 +40,7 @@ from .rel import (
     inter,
     is_included,
     membership_rel,
+    on_carriers,
     union,
 )
 from .verdict import LawReport, Verdict
@@ -122,11 +123,8 @@ class IndexedRelation:
     at: "callable[[FiniteSet], Rel]" = field(repr=False, default=None)
 
     def rel_at(self, a: FiniteSet) -> Rel:
-        r = self.at(a)
-        fa = self.source.carrier(a)
-        ga = self.target.carrier(a)
-        assert r.src is fa and r.tgt is ga, f"family {self.name} off its carriers at {a.name}"
-        return r
+        return on_carriers(self.at(a), self.source.carrier(a), self.target.carrier(a),
+                           "family %s off its carriers at %s", self.name, a.name)
 
 
 @dataclass
@@ -139,11 +137,8 @@ class IndexedFunction:
     at: "callable[[FiniteSet], FuncTable]" = field(repr=False, default=None)
 
     def func_at(self, a: FiniteSet) -> FuncTable:
-        f = self.at(a)
-        fa = self.source.carrier(a)
-        ga = self.target.carrier(a)
-        assert f.src is fa and f.tgt is ga, f"family {self.name} off its carriers at {a.name}"
-        return f
+        return on_carriers(self.at(a), self.source.carrier(a), self.target.carrier(a),
+                           "family %s off its carriers at %s", self.name, a.name)
 
     def graph_family(self) -> IndexedRelation:
         return IndexedRelation(

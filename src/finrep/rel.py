@@ -131,6 +131,13 @@ class FuncTable:
         return f"FuncTable({self.src.name!r} -> {self.tgt.name!r})"
 
 
+def on_carriers(x, src: FiniteSet, tgt: FiniteSet, what: str, *args):
+    """`x` (a relation or function table) if it runs from `src` to `tgt`."""
+    if x.src is not src or x.tgt is not tgt:
+        raise CarrierMismatch(what % args)
+    return x
+
+
 def compose_func(outer: FuncTable, inner: FuncTable) -> FuncTable:
     """outer after inner."""
     if inner.tgt is not outer.src:

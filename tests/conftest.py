@@ -1,0 +1,31 @@
+"""Shared fixtures."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from finrep.fset import FiniteSet
+from finrep.rel import FuncTable, Rel
+
+
+@pytest.fixture(scope="session")
+def differential_cases():
+    """Relations and functions between distinct carriers of sizes 0-3: all
+    16 relations on 2x2, random 3x2 and 1x3 relations, relations with an
+    empty side, every function 3->2 and the empty function 0->2."""
+    none = FiniteSet("none", [])
+    one = FiniteSet("o", ["o"])
+    ab = FiniteSet("ab", ["a", "b"])
+    uv = FiniteSet("uv", ["u", "v"])
+    abc = FiniteSet("abc", ["a", "b", "c"])
+    pqr = FiniteSet("pqr", ["p", "q", "r"])
+    rng = np.random.default_rng(5)
+    rels = [Rel(ab, uv, np.array([[mask >> (2 * i + j) & 1 for j in range(2)] for i in range(2)]))
+            for mask in range(16)]
+    rels += [Rel(abc, uv, rng.random((3, 2)) < 0.6) for _ in range(4)]
+    rels += [Rel(one, pqr, rng.random((1, 3)) < 0.6) for _ in range(2)]
+    rels += [Rel.empty(none, uv), Rel.empty(ab, none)]
+    funcs = [FuncTable(abc, uv, t) for t in itertools.product(range(2), repeat=3)]
+    funcs += [FuncTable(none, uv, []), FuncTable(one, pqr, [2])]
+    return rels, funcs

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from finrep.errors import BudgetError
+from finrep.errors import BudgetError, TheoremInconsistencyError
 from finrep.fset import FiniteSet, carrier_budget, powerset_of, subset_members
 from finrep.functors import (
     ComposedFunctor,
@@ -12,6 +12,7 @@ from finrep.functors import (
     ListFunctor,
     PowersetFunctor,
     Signature,
+    Term,
     TermFunctor,
     enumerate_terms,
     term_label,
@@ -19,9 +20,11 @@ from finrep.functors import (
     term_var,
     var_list,
 )
+from finrep.kleene import RegexFunctor
 from finrep.rel import FuncTable, Rel, compose_func, graph
 
 SIG = Signature.of({"mul": 2, "one": 0})
+WIDE = Signature.of({"f": 1, "h": 3, "c": 0})
 
 
 def test_signature_validation():
@@ -251,3 +254,89 @@ def test_fmap_respects_composition_spot_check():
     g = FuncTable(b, c, [2, 0])
     for fun in [PowersetFunctor(4), ListFunctor(3), TermFunctor(SIG, 2)]:
         assert fun.fmap(compose_func(g, f)) == compose_func(fun.fmap(g), fun.fmap(f))
+
+
+# The pointwise readings that the shape-grouped arrow map and lifting
+# replaced: rename every position of every element and look the result
+# up, and compare every pair of elements recursively.
+
+
+def _pointwise_fmap(fun, f):
+    if isinstance(fun, ComposedFunctor):
+        return _pointwise_fmap(fun.outer, _pointwise_fmap(fun.inner, f))
+    ca, cb = fun.carrier(f.src), fun.carrier(f.tgt)
+
+    def rename(t):
+        if isinstance(fun, ListFunctor):
+            return tuple(int(f.table[i]) for i in t)
+        if t.op is None:
+            return term_var(int(f.table[t.var]))
+        return Term(t.op, None, tuple(rename(c) for c in t.children), t.depth)
+
+    return FuncTable(ca, cb, [cb.locate(rename(t)) for t in ca.payload])
+
+
+def _pointwise_lift(fun, x):
+    if isinstance(fun, ComposedFunctor):
+        return _pointwise_lift(fun.outer, _pointwise_lift(fun.inner, x))
+    ca, cb = fun.carrier(x.src), fun.carrier(x.tgt)
+
+    def related(s, t):
+        if isinstance(fun, ListFunctor):
+            return len(s) == len(t) and all(x.m[a, b] for a, b in zip(s, t))
+        if s.op is None and t.op is None:
+            return bool(x.m[s.var, t.var])
+        if s.op != t.op or len(s.children) != len(t.children):
+            return False
+        return all(related(a, b) for a, b in zip(s.children, t.children))
+
+    m = np.array([[related(s, t) for t in cb.payload] for s in ca.payload], dtype=bool)
+    return Rel(ca, cb, m.reshape(len(ca), len(cb)))
+
+
+@pytest.mark.parametrize(
+    "fun",
+    [ListFunctor(n) for n in range(4)]
+    + [TermFunctor(SIG, d) for d in (1, 2, 3)]
+    + [TermFunctor(WIDE, d) for d in (1, 2)]
+    + [ComposedFunctor(ListFunctor(2), TermFunctor(SIG, 2))],
+    ids=lambda fun: fun.name,
+)
+def test_container_fmap_and_lift_match_pointwise_readings(fun, differential_cases):
+    rels, funcs = differential_cases
+    for f in funcs:
+        assert fun.fmap(f) == _pointwise_fmap(fun, f), (f.src.name, list(f.table))
+    for x in rels:
+        assert fun.lift(x) == _pointwise_lift(fun, x), x.m.tolist()
+
+
+@pytest.mark.parametrize(
+    "fun",
+    [ListFunctor(3), TermFunctor(SIG, 3), TermFunctor(WIDE, 2), RegexFunctor(4)],
+    ids=lambda fun: fun.name,
+)
+def test_every_shape_holds_all_fillings(fun):
+    # the bounds limit shapes only: one shape per element of F(1), and
+    # each shape with k positions comes with all |A|^k fillings
+    shapes_of_one = len(fun.carrier(FiniteSet("one", ["o"])))
+    for n in (1, 2, 3):
+        c, table = fun.shapes(FiniteSet(f"fill{n}", [f"x{i}" for i in range(n)]))
+        assert len(table) == shapes_of_one
+        for k, where in table.values():
+            assert len(where) == n ** k
+        assert sorted(np.concatenate([where for _, where in table.values()])) == list(range(len(c)))
+
+
+class _DropsAFilling(ListFunctor):
+    """Lists whose carrier has lost its last element, a filling of the
+    longest shape."""
+
+    def carrier(self, a):
+        full = super().carrier(a)
+        return FiniteSet(f"dropped({full.name})", full.elements[:-1], full.payload[:-1])
+
+
+def test_missing_filling_is_an_inconsistency_not_a_wrong_table():
+    ab, uv = FiniteSet("ab", ["a", "b"]), FiniteSet("uv", ["u", "v"])
+    with pytest.raises(TheoremInconsistencyError, match="has 3 of 4 fillings"):
+        _DropsAFilling(2).fmap(FuncTable(ab, uv, [1, 0]))

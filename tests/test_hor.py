@@ -1,9 +1,11 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from finrep.errors import UnvalidatedError
+from finrep.errors import CarrierMismatch, UnvalidatedError
 from finrep.fset import FiniteSet
 from finrep.functors import IdentityFunctor, term_node, term_var
 from finrep.hor import (
@@ -252,6 +254,41 @@ def test_relational_hor_conditions_from_own_tables():
         "satisfaction-absorbs-order",
         "arrow-exchange",
     ]
+
+
+def test_foreign_order_is_a_carrier_mismatch_with_and_without_asserts():
+    pq, rs = FiniteSet("pq", ["p", "q"]), FiniteSet("rs", ["r", "s"])
+    with pytest.raises(CarrierMismatch, match="order off its carrier pq"):
+        PreorderedSet(pq, Rel.identity(rs))
+    code = (
+        "from finrep.errors import CarrierMismatch\n"
+        "from finrep.fset import FiniteSet\n"
+        "from finrep.hor import PreorderedSet\n"
+        "from finrep.rel import Rel\n"
+        "try:\n"
+        "    PreorderedSet(FiniteSet('pq', ['p']), Rel.identity(FiniteSet('rs', ['r'])))\n"
+        "except CarrierMismatch as e:\n"
+        "    print('refused:', e)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.stdout == "refused: order off its carrier pq\n", out.stderr
+
+
+def test_structure_off_its_carriers_is_a_carrier_mismatch():
+    h = mon_hor(2)
+    stray = HOR("stray", h.t_functor, h.e_functor, models_gen=h.leq_gen, leq_gen=h.models_gen)
+    a = probe_carrier(1)
+    with pytest.raises(CarrierMismatch, match="satisfaction of stray off its carriers at probe1"):
+        stray.models_at(a)
+    with pytest.raises(CarrierMismatch, match="order of stray off its carriers at probe1"):
+        stray.leq_at(a)
+    t_obj, t_rel = hor_trace_tables(h)
+    with pytest.raises(CarrierMismatch, match="satisfaction off its carriers at probe0"):
+        check_relational_hor_conditions(t_obj, t_rel, h.e_functor, h.leq_gen, h.leq_gen, P1)
+    with pytest.raises(CarrierMismatch, match="trace table off its carriers"):
+        check_relational_hor_conditions(
+            t_obj, lambda f: Rel.identity(t_obj(f.src)), h.e_functor, h.models_gen, h.leq_gen, P2
+        )
 
 
 def test_conditions_reject_non_preorder():

@@ -9,6 +9,7 @@ from finrep.errors import BudgetError
 from finrep.fset import FiniteSet, carrier_budget
 from finrep.hor import hor_arrow, instantiate, validate_hor
 from finrep.kleene import (
+    RegExpr,
     RegexFunctor,
     axiomatic_leq,
     bounded_language,
@@ -29,7 +30,7 @@ from finrep.kleene import (
     word_carrier,
 )
 from finrep.naturality import ProbeUniverse, check_functor_laws, probe_carrier
-from finrep.rel import FuncTable, graph, under
+from finrep.rel import FuncTable, Rel, graph, under
 from finrep.represent import is_exact, validate_representation
 
 AB = FiniteSet("ab", ["a", "b"])
@@ -170,6 +171,45 @@ def test_lift_of_graph_is_graph_of_fmap():
     fun = RegexFunctor(3)
     ba = FuncTable(AB, AB, [1, 0])
     assert (fun.lift(graph(ba)).m == graph(fun.fmap(ba)).m).all()
+
+
+def _pointwise_fmap(fun, f):
+    """The reading the shape-grouped arrow map replaced: rename every
+    letter of every expression and look the result up."""
+    ca, cb = fun.carrier(f.src), fun.carrier(f.tgt)
+
+    def rename(e):
+        if e.kind == "letter":
+            return re_letter(int(f.table[e.letter]))
+        return RegExpr(e.kind, None, tuple(rename(c) for c in e.children))
+
+    return FuncTable(ca, cb, [cb.locate(rename(e)) for e in ca.payload])
+
+
+def _pointwise_lift(fun, x):
+    """The reading the shape-grouped lifting replaced: compare every pair
+    of expressions node by node."""
+    ca, cb = fun.carrier(x.src), fun.carrier(x.tgt)
+
+    def related(e, f):
+        if e.kind != f.kind:
+            return False
+        if e.kind == "letter":
+            return bool(x.m[e.letter, f.letter])
+        return all(related(c, d) for c, d in zip(e.children, f.children))
+
+    m = np.array([[related(e, f) for f in cb.payload] for e in ca.payload], dtype=bool)
+    return Rel(ca, cb, m.reshape(len(ca), len(cb)))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_fmap_and_lift_match_pointwise_readings(cap, differential_cases):
+    fun = RegexFunctor(cap)
+    rels, funcs = differential_cases
+    for f in funcs:
+        assert fun.fmap(f) == _pointwise_fmap(fun, f), (f.src.name, list(f.table))
+    for x in rels:
+        assert fun.lift(x) == _pointwise_lift(fun, x), x.m.tolist()
 
 
 def test_semantic_exactness_small_caps():

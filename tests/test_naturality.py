@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finrep.errors import TheoremInconsistencyError
+from finrep.errors import CarrierMismatch, TheoremInconsistencyError
 from finrep.fset import FiniteSet, subset_members
 from finrep.functors import (
     ComposedFunctor,
@@ -72,6 +72,19 @@ def test_functor_laws_hold(fun, probes):
         "lifting-functorial",
     ]
     assert "probe carriers" in report.scope
+
+
+def test_family_off_its_carriers_is_a_carrier_mismatch():
+    # a family whose component lies over other carriers is refused even
+    # when asserts are stripped
+    foreign = FiniteSet("foreign", ["z"])
+    lf = ListFunctor(1)
+    rel = IndexedRelation("stray", lf, lf, lambda a: Rel.identity(lf.carrier(foreign)))
+    with pytest.raises(CarrierMismatch, match="family stray off its carriers at probe1"):
+        rel.rel_at(probe_carrier(1))
+    fun = IndexedFunction("stray", lf, lf, lambda a: FuncTable.identity(lf.carrier(foreign)))
+    with pytest.raises(CarrierMismatch, match="family stray off its carriers at probe1"):
+        fun.func_at(probe_carrier(1))
 
 
 def test_functor_law_check_catches_broken_lifting():
