@@ -48,7 +48,7 @@ from .rel import (
     union,
 )
 from .represent import Representation, validate_representation
-from .verdict import LawReport, Verdict
+from .verdict import LawReport, Verdict, first_violation
 
 MON_SIG = Signature.of({"mul": 2, "one": 0})
 
@@ -123,56 +123,53 @@ def _interpretation_sets(rep: Representation) -> list[frozenset]:
     return [frozenset(np.flatnonzero(rep.models.m[:, j])) for j in range(len(rep.exprs))]
 
 
+def _arrow_note(f: FuncTable) -> str:
+    return f"{f.src.name}->{f.tgt.name}"
+
+
 def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     report = LawReport(subject=f"higher-order structure {h.name}")
 
-    bad = None
-    count = 0
-    for a in probes.carriers():
+    def representation_at(a):
         rep = instantiate(h, a)
-        count += 1
-        if not rep.validated:
-            inner = validate_representation(rep)
-            bad = Verdict(
-                "per-set-representations",
-                False,
-                inner.first_failure.witness,
-                note=f"at carrier {a.name}: {inner.first_failure.law}",
-            )
-            break
-    report.add(bad or Verdict("per-set-representations", True, note=f"{count} carriers"))
+        outcome = rep.validated or validate_representation(rep).first_failure
+        return outcome, (a, outcome)
+
+    carriers = probes.carriers()
+    report.add(first_violation(
+        "per-set-representations",
+        map(representation_at, carriers),
+        lambda case: f"at carrier {case[0].name}: {case[1].law}",
+        note=f"{len(carriers)} carriers",
+    ))
 
     rl = linearity_check(h.models_family(), probes, side="right", mode="relations").verdicts[0]
-    report.add(Verdict("satisfaction-right-linear", rl.ok, rl.witness, rl.note))
+    satisfaction = Verdict("satisfaction-right-linear", rl.ok, rl.witness, rl.note)
+    report.add(satisfaction)
 
     nat = is_natural_relation(h.leq_family(), probes)
     report.add(Verdict("order-natural", nat.ok, nat.witness, nat.note if not nat.ok else ""))
 
     # e -> I(e) into subsets of traces must commute with renaming; this is
     # the same statement as right-linearity, so the two verdicts must agree
-    bad = None
-    for a, b, f in probes.functions():
-        ra, rb = instantiate(h, a), instantiate(h, b)
-        tf = h.t_functor.fmap(f)
-        ef = h.e_functor.fmap(f)
+    def interpretation_commutes(f):
+        ra, rb = instantiate(h, f.src), instantiate(h, f.tgt)
+        tf, ef = h.t_functor.fmap(f), h.e_functor.fmap(f)
         ia, ib = _interpretation_sets(ra), _interpretation_sets(rb)
-        for j in range(len(ra.exprs)):
-            image = frozenset(tf.table[t] for t in ia[j])
-            if image != ib[ef.table[j]]:
-                bad = Verdict(
-                    "interpretation-naturality",
-                    False,
-                    witness=(ra.exprs.elements[j],),
-                    note=f"{f.src.name}->{f.tgt.name}",
-                )
-                break
-        if bad:
-            break
-    report.add(bad or Verdict("interpretation-naturality", True))
+        moved = next((e for e, traces, k in zip(ra.exprs.elements, ia, ef.table)
+                      if frozenset(tf.table[t] for t in traces) != ib[k]), None)
+        return moved is None or Verdict("interpretation-naturality", False, (moved,))
+
+    interpretation = first_violation(
+        "interpretation-naturality",
+        ((interpretation_commutes(f), f) for _, _, f in probes.functions()),
+        _arrow_note,
+    )
+    report.add(interpretation)
     report.add(
         Verdict(
             "interpretation-matches-right-linearity",
-            report.verdicts[1].ok == report.verdicts[3].ok,
+            satisfaction.ok == interpretation.ok,
             note="the two readings of the satisfaction condition must agree",
         )
     )
@@ -198,41 +195,34 @@ def check_relational_hor_conditions(
         return on_carriers(models_gen(a), t_obj(a), e_functor.carrier(a),
                            "satisfaction off its carriers at %s", a.name)
 
-    bad = None
-    for a in probes.carriers():
+    def self_residual(a):
         leq = leq_gen(a)
-        got = equal_verdict(leq, under(leq, leq), "order-self-residual")
-        if not got.ok:
-            bad = Verdict(got.law, False, got.witness, note=f"at carrier {a.name}")
-            break
-    report.add(bad or Verdict("order-self-residual", True))
+        return equal_verdict(leq, under(leq, leq))
 
-    bad = None
-    for a in probes.carriers():
-        got = is_included(
-            compose(models_at(a), leq_gen(a)), models_at(a), "satisfaction-absorbs-order"
-        )
-        if not got.ok:
-            bad = Verdict(got.law, False, got.witness, note=f"at carrier {a.name}")
-            break
-    report.add(bad or Verdict("satisfaction-absorbs-order", True))
-
-    bad = None
-    for a, b, f in probes.functions():
+    def exchange(f):
         try:
             arrow = t_rel(f)
         except KeyError as exc:
             raise ValueError(f"missing trace table for a probe function: {exc}") from exc
-        on_carriers(arrow, t_obj(b), t_obj(a), "trace table off its carriers")
-        got = equal_verdict(
-            compose(arrow, models_at(a)),
-            compose(models_at(b), cograph(e_functor.fmap(f))),
-            "arrow-exchange",
-        )
-        if not got.ok:
-            bad = Verdict(got.law, False, got.witness, note=f"{f.src.name}->{f.tgt.name}")
-            break
-    report.add(bad or Verdict("arrow-exchange", True))
+        on_carriers(arrow, t_obj(f.tgt), t_obj(f.src), "trace table off its carriers")
+        lhs = compose(arrow, models_at(f.src))
+        return equal_verdict(lhs, compose(models_at(f.tgt), cograph(e_functor.fmap(f))))
+
+    def at_carrier(a):
+        return f"at carrier {a.name}"
+
+    carriers = probes.carriers()
+    report.add(first_violation(
+        "order-self-residual", ((self_residual(a), a) for a in carriers), at_carrier
+    ))
+    report.add(first_violation(
+        "satisfaction-absorbs-order",
+        ((is_included(compose(models_at(a), leq_gen(a)), models_at(a)), a) for a in carriers),
+        at_carrier,
+    ))
+    report.add(first_violation(
+        "arrow-exchange", ((exchange(f), f) for _, _, f in probes.functions()), _arrow_note
+    ))
     report.scope = probes.scope
     return report
 

@@ -87,37 +87,21 @@ def _function_residual_holds(f: FuncTable, g: FuncTable, x: Rel, y: Rel) -> bool
     return equal_verdict(lhs, rhs).ok
 
 
-def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
-    """Adjunction and function-residual laws, exhaustive then sampled."""
-    top = max(config.exhaustive_max, config.sample_size)
-    sets = {n: FiniteSet(f"law{n}", [f"x{i}" for i in range(n)]) for n in range(top + 1)}
-    report = LawReport(subject="relation-algebra laws")
-
-    sizes = range(config.exhaustive_max + 1)
-    checked = 0
-    witness = None
+def _adjunction_instances(sets, sizes):
+    """(y ⊆ x\\z iff x;y ⊆ z, sizes) for every x, y, z over these sizes."""
     for na, nb, nc in itertools.product(sizes, repeat=3):
         sa, sb, sc = sets[na], sets[nb], sets[nc]
-        xs = list(all_relations(sa, sb))
         ys = list(all_relations(sb, sc))
         zs = list(all_relations(sa, sc))
-        for x in xs:
+        for x in all_relations(sa, sb):
             for z in zs:
                 u = under(x, z)
                 for y in ys:
-                    checked += 1
-                    if is_included(y, u).ok != is_included(compose(x, y), z).ok:
-                        witness = f"sizes ({na},{nb},{nc})"
-    report.add(
-        Verdict(
-            "residual-adjunction-exhaustive",
-            witness is None,
-            note=witness or f"{checked} instances",
-        )
-    )
+                    yield is_included(y, u).ok == is_included(compose(x, y), z).ok, (na, nb, nc)
 
-    checked = 0
-    witness = None
+
+def _function_residual_instances(sets, sizes):
+    """(the two residual routes agree, sizes) for every x, y, f, g."""
     for n0, na, nb, nc0, nd in itertools.product(sizes, repeat=5):
         s0, sa, sb, sc0, sd = sets[n0], sets[na], sets[nb], sets[nc0], sets[nd]
         fs = list(all_functions(sa, sb))
@@ -131,18 +115,31 @@ def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
                     left_part = compose(graph(f), u)
                     xf = compose(x, cograph(f))
                     for g in gs:
-                        checked += 1
                         lhs = compose(left_part, cograph(g))
                         rhs = under(xf, compose(y, cograph(g)))
-                        if not equal_verdict(lhs, rhs).ok:
-                            witness = f"sizes ({n0},{na},{nb},{nc0},{nd})"
-    report.add(
-        Verdict(
-            "function-residual-exhaustive",
-            witness is None,
-            note=witness or f"{checked} instances",
-        )
-    )
+                        yield equal_verdict(lhs, rhs).ok, (n0, na, nb, nc0, nd)
+
+
+def _exhaustive(law: str, instances) -> Verdict:
+    """The first failing sizes among (holds, sizes) instances, in order,
+    else a pass noted with the number of instances checked."""
+    checked = 0
+    for holds, sizes in instances:
+        if not holds:
+            return Verdict(law, False, note=f"sizes ({','.join(map(str, sizes))})")
+        checked += 1
+    return Verdict(law, True, note=f"{checked} instances")
+
+
+def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
+    """Adjunction and function-residual laws, exhaustive then sampled."""
+    top = max(config.exhaustive_max, config.sample_size)
+    sets = {n: FiniteSet(f"law{n}", [f"x{i}" for i in range(n)]) for n in range(top + 1)}
+    report = LawReport(subject="relation-algebra laws")
+
+    sizes = range(config.exhaustive_max + 1)
+    report.add(_exhaustive("residual-adjunction-exhaustive", _adjunction_instances(sets, sizes)))
+    report.add(_exhaustive("function-residual-exhaustive", _function_residual_instances(sets, sizes)))
 
     rng = np.random.default_rng(config.seed)
     s = sets[config.sample_size]

@@ -7,12 +7,12 @@ order, and satisfaction in the target factors through the trace relation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CarrierMismatch, UnvalidatedError
+from .laws import all_functions, all_relations
 from .rel import (
     FuncTable,
     Rel,
@@ -169,17 +169,8 @@ def product_universal(
     total = phi_count * psi_count
     if total <= budget:
         matches = 0
-        for table in itertools.product(range(len(rp.exprs)), repeat=len(r.exprs)):
-            phi = FuncTable(r.exprs, rp.exprs, table)
-            for mask in range(psi_count):
-                m = np.zeros(cells, dtype=bool)
-                rest, i = mask, 0
-                while rest:
-                    if rest & 1:
-                        m[i] = True
-                    rest >>= 1
-                    i += 1
-                psi = Rel(rp.traces, r.traces, m.reshape(len(rp.traces), len(r.traces)))
+        for phi in all_functions(r.exprs, rp.exprs):
+            for psi in all_relations(rp.traces, r.traces):
                 cand = Morphism(r, rp, phi, psi)
                 if not validate_morphism(cand).passed:
                     continue

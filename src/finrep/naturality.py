@@ -8,6 +8,7 @@ pairs) or sampled with a seed.  Every verdict states that scope.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .functors import (
     term_var,
     var_list,
 )
-from .laws import all_relations
+from .laws import all_functions, all_relations
 from .rel import (
     FuncTable,
     Rel,
@@ -43,7 +44,7 @@ from .rel import (
     on_carriers,
     union,
 )
-from .verdict import LawReport, Verdict
+from .verdict import LawReport, Verdict, first_violation
 
 _REL_EXHAUSTIVE_CELLS = 6
 
@@ -66,10 +67,8 @@ class ProbeUniverse:
     def functions(self):
         for a in self.carriers():
             for b in self.carriers():
-                if len(b) == 0 and len(a) > 0:
-                    continue
-                for table in itertools.product(range(len(b)), repeat=len(a)):
-                    yield a, b, FuncTable(a, b, table)
+                for f in all_functions(a, b):
+                    yield a, b, f
 
     def relations(self):
         for a in self.carriers():
@@ -151,144 +150,103 @@ class IndexedFunction:
 
 def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
     report = LawReport(subject=f"functor laws for {fun.name}")
+    carriers = probes.carriers()
 
-    bad = None
-    for a in probes.carriers():
-        fa = fun.carrier(a)
-        if fun.fmap(FuncTable.identity(a)) != FuncTable.identity(fa):
-            bad = f"at {a.name}"
-    report.add(Verdict("preserves-identity", bad is None, note=bad or ""))
+    def at(a):
+        return f"at {a.name}"
 
-    bad = None
+    report.add(first_violation(
+        "preserves-identity",
+        ((fun.fmap(FuncTable.identity(a)) == FuncTable.identity(fun.carrier(a)), a) for a in carriers),
+        at,
+    ))
+
     funcs = list(probes.functions())
-    for a, b, f in funcs:
-        for b2, c, g in funcs:
-            if b2 is not b:
-                continue
-            if fun.fmap(compose_func(g, f)) != compose_func(fun.fmap(g), fun.fmap(f)):
-                bad = f"{_func_note(f)} then {_func_note(g)}"
-                break
-        if bad:
-            break
-    report.add(Verdict("preserves-composition", bad is None, note=bad or ""))
+    composable = ((f, g) for _, b, f in funcs for b2, _, g in funcs if b2 is b)
+    report.add(first_violation(
+        "preserves-composition",
+        ((fun.fmap(compose_func(g, f)) == compose_func(fun.fmap(g), fun.fmap(f)), (f, g))
+         for f, g in composable),
+        lambda fg: f"{_func_note(fg[0])} then {_func_note(fg[1])}",
+    ))
+    report.add(first_violation(
+        "lifting-extends-arrows",
+        ((equal_verdict(fun.lift(graph(f)), graph(fun.fmap(f))), f) for _, _, f in funcs),
+        _func_note,
+    ))
+    report.add(first_violation(
+        "lifting-identity",
+        ((fun.lift(Rel.identity(a)) == Rel.identity(fun.carrier(a)), a) for a in carriers),
+        at,
+    ))
 
-    verdict = Verdict("lifting-extends-arrows", True)
-    for a, b, f in funcs:
-        got = equal_verdict(fun.lift(graph(f)), graph(fun.fmap(f)), "lifting-extends-arrows")
-        if not got.ok:
-            verdict = Verdict(got.law, False, got.witness, note=_func_note(f))
-            break
-    report.add(verdict)
-
-    bad = None
-    for a in probes.carriers():
-        fa = fun.carrier(a)
-        if fun.lift(Rel.identity(a)) != Rel.identity(fa):
-            bad = f"at {a.name}"
-    report.add(Verdict("lifting-identity", bad is None, note=bad or ""))
-
-    verdict = Verdict("lifting-monotone", True)
-    for a in probes.carriers():
-        for b in probes.carriers():
+    def monotone():
+        for a, b in itertools.product(carriers, repeat=2):
             rels = list(probes.relations_between(a, b))
             for u, v in zip(rels, rels[1:]):
-                small, big = inter(u, v), union(u, v)
-                got = is_included(fun.lift(small), fun.lift(big), "lifting-monotone")
-                if not got.ok:
-                    verdict = Verdict(got.law, False, got.witness, note=_rel_note(small))
-                    break
-            if not verdict.ok:
-                break
-        if not verdict.ok:
-            break
-    report.add(verdict)
+                small = inter(u, v)
+                yield is_included(fun.lift(small), fun.lift(union(u, v))), small
 
-    verdict = Verdict("lifting-functorial", True)
-    for a in probes.carriers():
-        for b in probes.carriers():
-            for c in probes.carriers():
-                xs = list(probes.relations_between(a, b))
-                ys = list(probes.relations_between(b, c))
-                for x, y in zip(xs, ys):
-                    got = equal_verdict(
-                        fun.lift(compose(x, y)),
-                        compose(fun.lift(x), fun.lift(y)),
-                        "lifting-functorial",
-                    )
-                    if not got.ok:
-                        verdict = Verdict(
-                            got.law, False, got.witness,
-                            note=f"{_rel_note(x)} ; {_rel_note(y)}",
-                        )
-                        break
-                if not verdict.ok:
-                    break
-            if not verdict.ok:
-                break
-        if not verdict.ok:
-            break
-    report.add(verdict)
+    report.add(first_violation("lifting-monotone", monotone(), _rel_note))
+
+    def functorial():
+        for a, b, c in itertools.product(carriers, repeat=3):
+            xs = list(probes.relations_between(a, b))
+            ys = list(probes.relations_between(b, c))
+            for x, y in zip(xs, ys):
+                yield equal_verdict(fun.lift(compose(x, y)), compose(fun.lift(x), fun.lift(y))), (x, y)
+
+    report.add(first_violation(
+        "lifting-functorial", functorial(), lambda xy: f"{_rel_note(xy[0])} ; {_rel_note(xy[1])}"
+    ))
     report.scope = probes.scope
     return report
 
 
+def _squares(rho: IndexedRelation, arrows, side: str, mode: str):
+    """The two paths (F x ; rho_t, rho_s ; G x) round each probe arrow.
+
+    `arrows` yields (a, b, arrow).  In relations mode x is the probe
+    relation a ⇸ b itself, lifted, and both sides read this one square.
+    In functions mode x is the graph of the probe function (left, s = a,
+    t = b) or its cograph (right, s = b, t = a).  Yields the two paths
+    and the probe arrow; each family component is looked up once per
+    carrier.
+    """
+    at = functools.cache(rho.rel_at)
+    for a, b, arrow in arrows:
+        if mode == "relations":
+            fx, gx = rho.source.lift(arrow), rho.target.lift(arrow)
+        elif side == "left":
+            fx, gx = graph(rho.source.fmap(arrow)), graph(rho.target.fmap(arrow))
+        else:
+            fx, gx = cograph(rho.source.fmap(arrow)), cograph(rho.target.fmap(arrow))
+            a, b = b, a
+        yield compose(fx, at(b)), compose(at(a), gx), arrow
+
+
+def _linearity(rho: IndexedRelation, probes: ProbeUniverse, side: str, mode: str) -> Verdict:
+    """Functions mode asks each square to commute; relations mode asks
+    for one inclusion, F x ; rho_b ⊆ rho_a ; G x on the left and the
+    converse on the right."""
+    if mode == "functions":
+        arrows, holds, note = probes.functions(), equal_verdict, _func_note
+    else:
+        arrows, note = probes.relations(), _rel_note
+        holds = is_included if side == "left" else lambda lhs, rhs: is_included(rhs, lhs)
+    squares = _squares(rho, arrows, side, mode)
+    return first_violation(
+        f"{side}-linear-{mode}", ((holds(lhs, rhs), x) for lhs, rhs, x in squares), note
+    )
+
+
 def is_natural_relation(rho: IndexedRelation, probes: ProbeUniverse) -> Verdict:
     """Pulling back along any probe function keeps the family related."""
-    for a, b, f in probes.functions():
-        lhs = compose(cograph(rho.source.fmap(f)), rho.rel_at(a))
-        rhs = compose(rho.rel_at(b), cograph(rho.target.fmap(f)))
-        got = is_included(lhs, rhs, "natural-relation")
-        if not got.ok:
-            return Verdict(got.law, False, got.witness, note=_func_note(f))
-    return Verdict("natural-relation", True, note=probes.scope)
-
-
-def _left_functions(rho, probes):
-    for a, b, f in probes.functions():
-        got = equal_verdict(
-            compose(graph(rho.source.fmap(f)), rho.rel_at(b)),
-            compose(rho.rel_at(a), graph(rho.target.fmap(f))),
-            "left-linear-functions",
-        )
-        if not got.ok:
-            return Verdict(got.law, False, got.witness, note=_func_note(f))
-    return Verdict("left-linear-functions", True)
-
-
-def _right_functions(rho, probes):
-    for a, b, f in probes.functions():
-        got = equal_verdict(
-            compose(cograph(rho.source.fmap(f)), rho.rel_at(a)),
-            compose(rho.rel_at(b), cograph(rho.target.fmap(f))),
-            "right-linear-functions",
-        )
-        if not got.ok:
-            return Verdict(got.law, False, got.witness, note=_func_note(f))
-    return Verdict("right-linear-functions", True)
-
-
-def _left_relations(rho, probes):
-    for a, b, x in probes.relations():
-        got = is_included(
-            compose(rho.source.lift(x), rho.rel_at(b)),
-            compose(rho.rel_at(a), rho.target.lift(x)),
-            "left-linear-relations",
-        )
-        if not got.ok:
-            return Verdict(got.law, False, got.witness, note=_rel_note(x))
-    return Verdict("left-linear-relations", True)
-
-
-def _right_relations(rho, probes):
-    for a, b, x in probes.relations():
-        got = is_included(
-            compose(rho.rel_at(a), rho.target.lift(x)),
-            compose(rho.source.lift(x), rho.rel_at(b)),
-            "right-linear-relations",
-        )
-        if not got.ok:
-            return Verdict(got.law, False, got.witness, note=_rel_note(x))
-    return Verdict("right-linear-relations", True)
+    squares = _squares(rho, probes.functions(), "right", "functions")
+    return first_violation(
+        "natural-relation", ((is_included(lhs, rhs), f) for lhs, rhs, f in squares),
+        _func_note, probes.scope,
+    )
 
 
 def linearity_check(
@@ -300,15 +258,8 @@ def linearity_check(
     """Linearity means the family commutes with lifted relations; the
     functions mode checks the equivalent equational form on graphs."""
     report = LawReport(subject=f"linearity of {rho.name}")
-    runners = {
-        ("left", "functions"): _left_functions,
-        ("right", "functions"): _right_functions,
-        ("left", "relations"): _left_relations,
-        ("right", "relations"): _right_relations,
-    }
-    sides = ("left", "right") if side == "both" else (side,)
-    for s in sides:
-        report.add(runners[(s, mode)](rho, probes))
+    for s in ("left", "right") if side == "both" else (side,):
+        report.add(_linearity(rho, probes, s, mode))
     report.scope = probes.scope
     return report
 
@@ -316,13 +267,14 @@ def linearity_check(
 def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport:
     """Both sides in both modes, plus naturality and mode agreement."""
     report = LawReport(subject=f"linearity classification of {rho.name}")
-    lf = _left_functions(rho, probes)
-    rf = _right_functions(rho, probes)
-    lr = _left_relations(rho, probes)
-    rr = _right_relations(rho, probes)
+    lf, rf, lr, rr = (
+        _linearity(rho, probes, side, mode)
+        for mode in ("functions", "relations")
+        for side in ("left", "right")
+    )
     nat = is_natural_relation(rho, probes)
     for v in (lf, rf, lr, rr):
-        report.add(Verdict(v.law, v.ok, v.witness, v.note))
+        report.add(v)
     report.add(Verdict("natural-relation", nat.ok, nat.witness))
     report.add(
         Verdict(
@@ -336,21 +288,18 @@ def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport
 
 
 def is_natural_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> Verdict:
-    for a, b, f in probes.functions():
-        left = compose_func(phi.target.fmap(f), phi.func_at(a))
-        right = compose_func(phi.func_at(b), phi.source.fmap(f))
-        if left != right:
-            x = next(
-                (lab for lab in left.src.elements if left(lab) != right(lab)),
-                None,
-            )
-            return Verdict(
-                "natural-transformation",
-                False,
-                witness=(x,) if x else None,
-                note=_func_note(f),
-            )
-    return Verdict("natural-transformation", True, note=probes.scope)
+    def square(f):
+        left = compose_func(phi.target.fmap(f), phi.func_at(f.src))
+        right = compose_func(phi.func_at(f.tgt), phi.source.fmap(f))
+        if left == right:
+            return True
+        x = next((lab for lab in left.src.elements if left(lab) != right(lab)), None)
+        return Verdict("natural-transformation", False, (x,) if x else None)
+
+    return first_violation(
+        "natural-transformation", ((square(f), f) for _, _, f in probes.functions()),
+        _func_note, probes.scope,
+    )
 
 
 def is_linear_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> LawReport:
@@ -468,35 +417,22 @@ def mu_p_counterexample_search(max_size: int = 3) -> dict:
     checked = 0
     for na in range(2, max_size + 1):
         for nb in range(2, max_size + 1):
-            a = probe_carrier(na)
-            b = probe_carrier(nb)
-            cap = max(4, len(a), len(b))
-            outer_cap = 1 << cap
-            mu = powerset_union(cap, outer_cap)
-            rho_a = graph(mu.func_at(a))
-            rho_b = graph(mu.func_at(b))
-            for x in all_relations(a, b):
+            a, b = probe_carrier(na), probe_carrier(nb)
+            cap = max(4, na, nb)
+            mu = powerset_union(cap, 1 << cap).graph_family()
+            arrows = ((a, b, x) for x in all_relations(a, b))
+            for lhs, rhs, x in _squares(mu, arrows, "left", "relations"):
                 checked += 1
-                fx = mu.source.lift(x)
-                gx = mu.target.lift(x)
-                left = is_included(compose(fx, rho_b), compose(rho_a, gx), "left")
-                if not left.ok:
-                    return {
-                        "found": True,
-                        "side": "left",
-                        "sizes": (na, nb),
-                        "relation": sorted(x.pairs()),
-                        "witness": left.witness,
-                    }
-                right = is_included(compose(rho_a, gx), compose(fx, rho_b), "right")
-                if not right.ok:
-                    return {
-                        "found": True,
-                        "side": "right",
-                        "sizes": (na, nb),
-                        "relation": sorted(x.pairs()),
-                        "witness": right.witness,
-                    }
+                for side, small, big in (("left", lhs, rhs), ("right", rhs, lhs)):
+                    got = is_included(small, big)
+                    if not got.ok:
+                        return {
+                            "found": True,
+                            "side": side,
+                            "sizes": (na, nb),
+                            "relation": sorted(x.pairs()),
+                            "witness": got.witness,
+                        }
     raise TheoremInconsistencyError(
         f"union-family linearity search exhausted {checked} relations "
         f"over probe sizes 2..{max_size} without a violation"

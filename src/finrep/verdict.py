@@ -27,6 +27,23 @@ class Verdict:
         return out
 
 
+def first_violation(law: str, cases, describe, note: str = "") -> Verdict:
+    """The first failing case of `law`, else a pass noted `note`.
+
+    `cases` yields `(outcome, case)` pairs in search order and is read no
+    further than its first failure.  An outcome is a bool or a verdict,
+    whose witness the violation keeps; the violation is noted
+    `describe(case)`.
+    """
+    for outcome, case in cases:
+        if isinstance(outcome, Verdict):
+            if not outcome.ok:
+                return Verdict(law, False, outcome.witness, describe(case))
+        elif not outcome:
+            return Verdict(law, False, note=describe(case))
+    return Verdict(law, True, note=note)
+
+
 @dataclass
 class LawReport:
     subject: str

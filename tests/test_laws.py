@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from finrep import laws
 from finrep.fset import FiniteSet
 from finrep.laws import (
     LawConfig,
@@ -51,6 +52,26 @@ def test_law_suite_passes():
 def test_law_suite_deterministic_for_fixed_seed():
     cfg = LawConfig(exhaustive_max=1, sample_size=3, samples=50, seed=11)
     assert relation_law_suite(cfg).describe() == relation_law_suite(cfg).describe()
+
+
+@pytest.mark.parametrize(
+    "name,stub,verdicts",
+    [
+        # a residual that is always full breaks the adjunction first at
+        # one-element carriers, where x;y can leave z
+        ("under", lambda x, z: Rel.full(x.tgt, z.tgt),
+         ["VIOLATION  [sizes (1,1,1)]", "ok  [16971 instances]", "VIOLATION  [sample 0]"]),
+        # an empty graph leaves the composite route empty while the
+        # residual over an empty source is full
+        ("graph", lambda f: Rel.empty(f.src, f.tgt),
+         ["ok  [5053 instances]", "VIOLATION  [sizes (0,1,1,1,1)]", "ok  [1000 samples at size 4]"]),
+    ],
+    ids=["under", "graph"],
+)
+def test_law_suite_reports_first_failing_sizes(monkeypatch, name, stub, verdicts):
+    monkeypatch.setattr(laws, name, stub)
+    report = relation_law_suite()
+    assert [v.describe().split(": ", 1)[1] for v in report.verdicts[:3]] == verdicts
 
 
 def _square_rels(n):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finrep import naturality
 from finrep.errors import CarrierMismatch, TheoremInconsistencyError
 from finrep.fset import FiniteSet, subset_members
 from finrep.functors import (
@@ -100,6 +101,23 @@ def test_functor_law_check_catches_broken_lifting():
     assert report.first_failure.law == "lifting-extends-arrows"
 
 
+def test_identity_laws_report_the_first_failing_carrier():
+    class Collapsed(ListFunctor):
+        # every arrow collapses onto one list and every relation lifts to
+        # the full one: both identity laws hold at probe0 only
+        def fmap(self, f):
+            out = super().fmap(f)
+            return FuncTable(out.src, out.tgt, [0] * len(out.src))
+
+        def lift(self, x):
+            out = super().lift(x)
+            return Rel.full(out.src, out.tgt)
+
+    verdicts = {v.law: v for v in check_functor_laws(Collapsed(2), P2).verdicts}
+    assert verdicts["preserves-identity"].describe() == "preserves-identity: VIOLATION  [at probe1]"
+    assert verdicts["lifting-identity"].describe() == "lifting-identity: VIOLATION  [at probe1]"
+
+
 # ------------------------------------------------------- linearity verdicts
 
 def test_membership_is_right_but_not_left_linear():
@@ -123,6 +141,47 @@ def test_membership_left_failure_has_concrete_witness():
     assert v is not None and v.law == "left-linear-functions"
     assert v.witness is not None
     assert "probe" in v.note
+
+
+_P2_SCOPE = (
+    "  scope: probe carriers of sizes 0..2, all functions, relations exhaustive "
+    "up to 6 cells then 25 samples (seed 0)"
+)
+_PINNED = {
+    "membership": {
+        "left-linear-functions": "VIOLATION at (x0, {x0,x1})  [probe1->probe2 [x0>x0]]",
+        "right-linear-functions": "ok",
+        "left-linear-relations": "VIOLATION at (x0, {x0,x1})  [probe1-|probe2 {(x0,x0)}]",
+        "right-linear-relations": "ok",
+    },
+    "singleton-graph": {
+        "left-linear-functions": "ok",
+        "right-linear-functions": "VIOLATION at (x0, {x0,x1})  [probe2->probe1 [x0>x0,x1>x0]]",
+        "left-linear-relations": "ok",
+        "right-linear-relations": "VIOLATION at (x0, {x0,x1})  [probe1-|probe2 {(x0,x0),(x0,x1)}]",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "family", [membership_family(), powerset_unit().graph_family()], ids=lambda f: f.name
+)
+def test_linearity_reports_are_pinned(family):
+    # the full reports, witnesses and first failing probe arrows included
+    lines = {law: f"  {law}: {got}" for law, got in _PINNED[family.name].items()}
+    assert classify_linearity(family, P2).describe() == "\n".join(
+        [f"linearity classification of {family.name}: FAIL", *lines.values(),
+         "  natural-relation: ok",
+         "  modes-agree: ok  [the equational and relational readings must classify alike]",
+         _P2_SCOPE]
+    )
+    for mode in ("functions", "relations"):
+        for side, laws in (("left", ["left"]), ("right", ["right"]), ("both", ["left", "right"])):
+            got = [lines[f"{s}-linear-{mode}"] for s in laws]
+            verdict = "FAIL" if any("VIOLATION" in line for line in got) else "pass"
+            assert linearity_check(family, P2, side, mode).describe() == "\n".join(
+                [f"linearity of {family.name}: {verdict}", *got, _P2_SCOPE]
+            )
 
 
 def test_singleton_unit_is_left_but_not_right_linear():
@@ -286,7 +345,7 @@ def test_union_counterexample_search_exhausts_and_alarms():
         mu_p_counterexample_search(max_size=3)
 
 
-def test_search_reports_witness_when_family_is_dented():
+def test_search_reports_witness_when_family_is_dented(monkeypatch):
     # sanity check of the hunt itself: the singleton family genuinely
     # fails right linearity, so a search over the same probes finds it
     a = probe_carrier(1)
@@ -296,3 +355,7 @@ def test_search_reports_witness_when_family_is_dented():
     lhs = graph(eta.func_at(a)).m @ eta.target.lift(x).m
     rhs = eta.source.lift(x).m @ graph(eta.func_at(b)).m
     assert (lhs & ~rhs).any()
+    monkeypatch.setattr(naturality, "powerset_union", lambda cap, outer: powerset_unit(cap))
+    found = mu_p_counterexample_search(max_size=3)
+    assert found["found"] and found["side"] == "right" and found["sizes"] == (2, 2)
+    assert found["witness"] == ("x0", "{x0,x1}")
