@@ -2,7 +2,8 @@
 
 Every command reads a document, runs one checker or builder, prints one
 report to standard output, and exits 0 when every verdict passed, 1 when
-a violation was found, 2 on input errors.  Diagnostics go to stderr.
+a violation was found, 2 on input errors, 3 when a cross-check that a
+proved statement guarantees failed.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from .document import Document, DocumentError, parse_document
-from .errors import BudgetError, CarrierMismatch, UnvalidatedError
+from .errors import BudgetError, CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
 from .fset import carrier_budget
 from .hor import (
     PreorderedSet,
@@ -42,6 +43,7 @@ from .naturality import IndexedFunction
 from .reduction import compose_reductions, validate_reduction, validate_syntactic_closure
 from .report import Report, from_law_report, from_verdicts, render
 from .represent import (
+    exactness_finding,
     is_exact,
     membership_representation,
     trivial_representation,
@@ -196,16 +198,6 @@ def _carrier_scope(*sets) -> str:
     return f"exhaustive over declared carriers ({inside})"
 
 
-def _exactness_finding(rep) -> Verdict:
-    sem = is_exact(rep)
-    return Verdict(
-        "exactness-finding",
-        True,
-        witness=sem.witness,
-        note="exact at this instance" if sem.ok else "not exact at this instance",
-    )
-
-
 def _cmd_check(args, doc: Document) -> Report:
     command = f"check {args.what}"
     if args.what == "rep":
@@ -313,7 +305,7 @@ def _cmd_hor(args, doc: Document) -> Report:
         a = _named(doc, "set", args.set_name)
         rep = instantiate(h, a)
         verdicts = list(validate_representation(rep).verdicts)
-        verdicts.append(_exactness_finding(rep))
+        verdicts.append(exactness_finding(rep))
         return from_verdicts(
             command, f"representation {rep.name!r}", verdicts,
             scope=_carrier_scope(rep.traces, rep.exprs),
@@ -385,6 +377,10 @@ def main(argv=None) -> int:
     except (DocumentError, CarrierMismatch, UnvalidatedError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except TheoremInconsistencyError as e:
+        first_line = str(e).partition("\n")[0]
+        print(f"error: inconsistency: {first_line}", file=sys.stderr)
+        return 3
     sys.stdout.write(render(report, args.format))
     return report.status
 

@@ -10,6 +10,7 @@ regular-expression built-in lives in the kleene module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ from .rel import (
     under,
     union,
 )
-from .represent import Representation, validate_representation
+from .represent import Representation, exactness_finding, validate_representation
 from .verdict import LawReport, Verdict, first_violation
 
 MON_SIG = Signature.of({"mul": 2, "one": 0})
@@ -129,9 +130,10 @@ def _arrow_note(f: FuncTable) -> str:
 
 def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     report = LawReport(subject=f"higher-order structure {h.name}")
+    instance = functools.cache(lambda a: instantiate(h, a))
 
     def representation_at(a):
-        rep = instantiate(h, a)
+        rep = instance(a)
         outcome = rep.validated or validate_representation(rep).first_failure
         return outcome, (a, outcome)
 
@@ -153,7 +155,7 @@ def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     # e -> I(e) into subsets of traces must commute with renaming; this is
     # the same statement as right-linearity, so the two verdicts must agree
     def interpretation_commutes(f):
-        ra, rb = instantiate(h, f.src), instantiate(h, f.tgt)
+        ra, rb = instance(f.src), instance(f.tgt)
         tf, ef = h.t_functor.fmap(f), h.e_functor.fmap(f)
         ia, ib = _interpretation_sets(ra), _interpretation_sets(rb)
         moved = next((e for e, traces, k in zip(ra.exprs.elements, ia, ef.table)
@@ -257,19 +259,17 @@ def check_tilde_soundness(h: HOR, p: PreorderedSet) -> LawReport:
     inclusions that drive its soundness argument."""
     rep = tilde_lift(h, p)
     report = validate_representation(rep)
-    a = p.carrier
-    lifted_models = compose(h.t_functor.lift(p.order), h.models_at(a))
     report.add(
         is_included(
-            compose(lifted_models, h.e_functor.lift(p.order)),
-            lifted_models,
+            compose(rep.models, h.e_functor.lift(p.order)),
+            rep.models,
             "absorbs-lifted-order",
         )
     )
     report.add(
         is_included(
-            compose(lifted_models, h.leq_at(a)),
-            lifted_models,
+            compose(rep.models, h.leq_at(p.carrier)),
+            rep.models,
             "absorbs-base-order",
         )
     )
@@ -298,16 +298,7 @@ def hat_report(h: HOR, r: Representation) -> tuple[Representation, LawReport]:
     never asserted: lifting does not preserve it in general."""
     rep = hat_lift(h, r)
     report = validate_representation(rep)
-    sem = under(rep.models, rep.models)
-    missing = np.argwhere(sem.m & ~rep.leq.m)
-    if len(missing) == 0:
-        note = "exact at this instance"
-        witness = None
-    else:
-        i, j = missing[0]
-        note = "not exact at this instance"
-        witness = (rep.exprs.elements[i], rep.exprs.elements[j])
-    report.add(Verdict("exactness-finding", True, witness, note))
+    report.add(exactness_finding(rep))
     return rep, report
 
 

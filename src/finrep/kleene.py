@@ -17,8 +17,8 @@ from .errors import BudgetError
 from .fset import FiniteSet, check_budget, intern
 from .functors import ContainerFunctor, ListFunctor, split_tree
 from .hor import HOR
-from .rel import Rel, star, union
-from .verdict import LawReport, Verdict
+from .rel import Rel, column_classes, star, under, union
+from .verdict import LawReport, Verdict, first_violation
 
 _WORD_BITS = 64
 
@@ -321,30 +321,27 @@ def ka_hor(
     )
 
 
-def ka_semantic_exactness(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int, block: int = 2048) -> Verdict:
+def ka_semantic_exactness(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) -> Verdict:
     """Semantic containment must equal the semantic order cell for cell.
-    Containment is recomputed from the satisfaction matrix, the order from
-    the language masks, so the two sides are independent routes."""
+    Containment is the residual of the satisfaction matrix, the order comes
+    from the language masks, so the two sides are independent routes.  Both
+    are read on the classes of expressions that share their satisfaction
+    column and their mask: each side is constant on such a class, so the
+    first disagreement, lowest row then lowest column, lies between the
+    lowest members of two classes."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
     models = models_matrix(alphabet, expr_size_cap, word_len_cap).m
-    not_models = ~models
-    n = len(exprs)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        containment = ~(models[:, lo:hi].T @ not_models)
-        order = (masks[lo:hi, None] & ~masks[None, :]) == 0
-        if not (containment == order).all():
-            i, j = np.argwhere(containment != order)[0]
-            return Verdict(
-                "semantic-exactness",
-                False,
-                witness=(exprs.elements[lo + i], exprs.elements[j]),
-            )
-    return Verdict(
-        "semantic-exactness",
-        True,
-        note=f"{n} expressions, {len(words)} words",
-    )
+    mask_bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8),
+                              axis=1, count=len(words), bitorder="little").T
+    first, _ = column_classes(np.vstack([models, mask_bits.astype(bool)]))
+    reps = FiniteSet(f"classes({exprs.name})", [exprs.elements[i] for i in first])
+    sat = Rel(words, reps, models[:, first])
+    rep_masks = masks[first]
+    differ = under(sat, sat).m != ((rep_masks[:, None] & ~rep_masks[None, :]) == 0)
+    if differ.any():
+        i, j = divmod(int(np.argmax(differ)), len(first))
+        return Verdict("semantic-exactness", False, witness=(reps.elements[i], reps.elements[j]))
+    return Verdict("semantic-exactness", True, note=f"{len(exprs)} expressions, {len(words)} words")
 
 
 def _derivable_from(src: int, adjacency: dict) -> set:
@@ -373,39 +370,21 @@ def ka_completeness_report(
         axioms = generate_axiom_instances
     pairs = axioms(alphabet, expr_size_cap)
     report = LawReport(subject=f"axiomatic order over {len(exprs)} expressions")
-    if not pairs:
-        report.add(
-            Verdict(
-                "axiom-instances-sound",
-                True,
-                note="no axiom instances supplied: the generated order is syntactic identity",
-            )
-        )
-        report.scope = "degenerate instance list"
-
     mask_ints = [int(m) for m in masks]
     full = (1 << len(words)) - 1
-    bad = None
-    for i, j in pairs:
-        if mask_ints[i] & ~mask_ints[j] & full:
-            bad = Verdict(
-                "axiom-instances-sound",
-                False,
-                witness=(exprs.elements[i], exprs.elements[j]),
-            )
-            break
-    if pairs:
-        report.add(
-            bad
-            or Verdict(
-                "axiom-instances-sound",
-                True,
-                note=(
-                    f"{len(pairs)} instances semantically valid; the closure stays "
-                    "below the semantic order because that order is reflexive and transitive"
-                ),
-            )
-        )
+    law = "axiom-instances-sound"
+    report.add(first_violation(
+        law,
+        (((mask_ints[i] & ~mask_ints[j] & full) == 0
+          or Verdict(law, False, (exprs.elements[i], exprs.elements[j])), None) for i, j in pairs),
+        lambda _: "",
+        note=(
+            f"{len(pairs)} instances semantically valid; the closure stays "
+            "below the semantic order because that order is reflexive and transitive"
+        ) if pairs else "no axiom instances supplied: the generated order is syntactic identity",
+    ))
+    if not pairs:
+        report.scope = "degenerate instance list"
 
     adjacency: dict[int, list] = {}
     for i, j in pairs:

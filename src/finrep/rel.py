@@ -175,6 +175,19 @@ def _unpack_rows(p: np.ndarray, cols: int) -> np.ndarray:
     return bits[:, :cols].astype(bool)
 
 
+def column_classes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of identical columns of a bool matrix.  `first` holds the
+    lowest column of each class in ascending order, `cls` the class of
+    every column, so column j equals column first[cls[j]]."""
+    packed = _pack_rows(m.T)
+    if packed.shape[1] == 0:          # no rows: every column is the same
+        packed = np.zeros((packed.shape[0], 1), dtype=np.uint64)
+    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    return first[by_first], np.argsort(by_first)[inverse]
+
+
 def _bool_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix product, switching representation by estimated cost."""
     n, k = a.shape

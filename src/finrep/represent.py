@@ -117,6 +117,14 @@ def is_exact(rep: Representation) -> Verdict:
     return is_included(semantic_containment(rep), rep.leq, "exactness")
 
 
+def exactness_finding(rep: Representation) -> Verdict:
+    """Exactness reported, never asserted: a passing verdict that names the
+    first containment the order misses, if there is one."""
+    sem = is_exact(rep)
+    note = "exact at this instance" if sem.ok else "not exact at this instance"
+    return Verdict("exactness-finding", True, sem.witness, note)
+
+
 def interpret(rep: Representation, e: str) -> tuple[str, ...]:
     """Satisfying traces of one expression, in trace-carrier order."""
     col = rep.models.m[:, rep.exprs.index(e)]

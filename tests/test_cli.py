@@ -8,6 +8,7 @@ import pytest
 
 from finrep import fset
 from finrep.cli import main
+from finrep.errors import TheoremInconsistencyError
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -213,6 +214,16 @@ def test_budget_exceeded_exits_2(capsys):
     assert rc == 2
     assert "budget exceeded" in err and "10" in err
     fset.check_budget(200_000, "a carrier at the default budget")  # restored after the run
+
+
+def test_inconsistency_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(r):
+        raise TheoremInconsistencyError("exactness transfer disagrees\nsecond route: ok")
+
+    monkeypatch.setattr("finrep.cli.validate_reduction", broken)
+    rc, out, err = run(capsys, "check", "reduction", doc("closure-two-elt.doc"))
+    assert (rc, out) == (3, "")
+    assert err == "error: inconsistency: exactness transfer disagrees\n"
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import finrep.hor as hor_module
 from finrep.errors import CarrierMismatch, UnvalidatedError
 from finrep.fset import FiniteSet
 from finrep.functors import IdentityFunctor, term_node, term_var
@@ -53,6 +54,18 @@ def test_validate_hor_mon():
         "interpretation-matches-right-linearity",
     ]
     assert "probe carriers" in report.scope
+
+
+def test_validate_hor_validates_each_probe_instance_once(monkeypatch):
+    validated, real = [], hor_module.validate_representation
+
+    def counting(rep):
+        validated.append(rep.name)
+        return real(rep)
+
+    monkeypatch.setattr(hor_module, "validate_representation", counting)
+    assert validate_hor(mon_hor(3), ProbeUniverse(2)).passed
+    assert len(validated) == 3
 
 
 def test_instantiate_frozen_sizes():

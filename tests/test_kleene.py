@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finrep.errors import BudgetError
+from finrep import kleene
 from finrep.fset import FiniteSet, carrier_budget
 from finrep.hor import hor_arrow, instantiate, validate_hor
 from finrep.kleene import (
@@ -32,6 +33,7 @@ from finrep.kleene import (
 from finrep.naturality import ProbeUniverse, check_functor_laws, probe_carrier
 from finrep.rel import FuncTable, Rel, graph, under
 from finrep.represent import is_exact, validate_representation
+from finrep.verdict import Verdict
 
 AB = FiniteSet("ab", ["a", "b"])
 
@@ -220,10 +222,50 @@ def test_semantic_exactness_small_caps():
         assert is_exact(r).ok
 
 
-def test_blockwise_matches_dense():
-    # tiny block size forces the block loop through many rounds
-    v = ka_semantic_exactness(AB, 3, 2, block=7)
-    assert v.ok and "44 expressions" in v.note
+def _dense_exactness(alphabet, cap, k):
+    """Reference: containment from the whole satisfaction matrix in one
+    dense product, compared with the mask order cell for cell."""
+    exprs, words, masks = kleene.language_table(alphabet, cap, k)
+    models = kleene.models_matrix(alphabet, cap, k).m
+    containment = ~(models.T @ ~models)
+    order = (masks[:, None] & ~masks[None, :]) == 0
+    if (containment == order).all():
+        return Verdict("semantic-exactness", True, note=f"{len(exprs)} expressions, {len(words)} words")
+    i, j = np.argwhere(containment != order)[0]
+    return Verdict("semantic-exactness", False, witness=(exprs.elements[i], exprs.elements[j]))
+
+
+def _later_duplicates(m):
+    """Columns equal to an earlier column, found without column classes."""
+    same = (m.T[:, None, :] == m.T[None, :, :]).all(axis=2)
+    return np.flatnonzero(np.tril(same, -1).any(axis=1))
+
+
+@pytest.mark.parametrize("change", ["none", "models-cell", "mask-bit"])
+@pytest.mark.parametrize("letters, cap, k", [
+    (0, 3, 2), (1, 4, 3), (1, 5, 2), (2, 3, 2), (2, 4, 3), (2, 5, 3), (3, 3, 2), (3, 4, 2),
+])
+def test_exactness_on_classes_matches_dense(letters, cap, k, change, monkeypatch):
+    alphabet = FiniteSet(f"l{letters}", [f"c{i}" for i in range(letters)])
+    rng = np.random.default_rng([letters, cap, k])
+    exprs, words, masks = language_table(alphabet, cap, k)
+    models = models_matrix(alphabet, cap, k)
+    # a change in a column that equals an earlier one: a class map read off
+    # one side only would carry the change away with that column
+    j = rng.choice(_later_duplicates(models.m))
+    t = rng.integers(len(words))
+    if change == "models-cell":
+        flipped = models.m.copy()
+        flipped[t, j] = ~flipped[t, j]
+        monkeypatch.setattr(kleene, "models_matrix", lambda *_: Rel(words, exprs, flipped))
+    elif change == "mask-bit":
+        flipped = masks.copy()
+        flipped[j] ^= np.uint64(1) << np.uint64(t)
+        monkeypatch.setattr(kleene, "models_matrix", lambda *_: models)
+        monkeypatch.setattr(kleene, "language_table", lambda *_: (exprs, words, flipped))
+    want = _dense_exactness(alphabet, cap, k)
+    assert want.ok == (change == "none")
+    assert ka_semantic_exactness(alphabet, cap, k) == want
 
 
 def test_validate_hor_semantic():
@@ -302,6 +344,14 @@ def test_completeness_report_degenerate():
     assert report.passed
     assert "syntactic identity" in report.verdicts[0].note
     assert report.scope == "degenerate instance list"
+
+
+def test_completeness_report_names_the_first_unsound_instance():
+    c = RegexFunctor(2).carrier(AB)
+    pairs = [(c.index(lo), c.index(hi)) for lo, hi in [("a", "a*"), ("a*", "a"), ("b", "a")]]
+    report = ka_completeness_report(AB, 2, 2, axioms=lambda a, cap: pairs)
+    assert not report.passed and report.scope == ""
+    assert report.verdicts[0].describe() == "axiom-instances-sound: VIOLATION at (a*, a)"
 
 
 def test_cap7_exactness_and_gap():

@@ -239,6 +239,22 @@ def test_matrices_are_immutable():
         x.m[0, 0] = True
 
 
+@pytest.mark.parametrize("rows, cols, kinds", [
+    (5, 40, 6), (70, 30, 30), (3, 8, 1), (0, 4, 1), (4, 0, 0), (130, 12, 4),
+])
+def test_column_classes(rows, cols, kinds):
+    rng = np.random.default_rng([rows, cols])
+    pool = rng.random((rows, max(kinds, 1))) < 0.5
+    m = pool[:, rng.integers(kinds, size=cols)] if kinds else np.zeros((rows, 0), dtype=bool)
+    first, cls = relmod.column_classes(m)
+    assert list(first) == sorted(first) and len(cls) == cols
+    assert list(cls[first]) == list(range(len(first)))
+    for j in range(cols):
+        assert (m[:, j] == m[:, first[cls[j]]]).all()
+        # a class starts at the first column that equals no earlier one
+        assert (j in first) == all((m[:, j] != m[:, i]).any() for i in range(j))
+
+
 # ------------------------------------------------- algebraic properties
 
 def _rel_of_mask(src, tgt, mask):
