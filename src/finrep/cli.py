@@ -48,6 +48,7 @@ from .represent import (
     membership_representation,
     trivial_representation,
     validate_representation,
+    validation_report,
 )
 from .verdict import Verdict
 
@@ -304,7 +305,7 @@ def _cmd_hor(args, doc: Document) -> Report:
     if args.what == "instantiate":
         a = _named(doc, "set", args.set_name)
         rep = instantiate(h, a)
-        verdicts = list(validate_representation(rep).verdicts)
+        verdicts = validation_report(rep).verdicts
         verdicts.append(exactness_finding(rep))
         return from_verdicts(
             command, f"representation {rep.name!r}", verdicts,

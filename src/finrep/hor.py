@@ -48,7 +48,12 @@ from .rel import (
     under,
     union,
 )
-from .represent import Representation, exactness_finding, validate_representation
+from .represent import (
+    Representation,
+    exactness_finding,
+    validate_representation,
+    validation_report,
+)
 from .verdict import LawReport, Verdict, first_violation
 
 MON_SIG = Signature.of({"mul": 2, "one": 0})
@@ -134,7 +139,7 @@ def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
 
     def representation_at(a):
         rep = instance(a)
-        outcome = rep.validated or validate_representation(rep).first_failure
+        outcome = rep.validated or validation_report(rep).first_failure
         return outcome, (a, outcome)
 
     carriers = probes.carriers()
@@ -258,7 +263,7 @@ def check_tilde_soundness(h: HOR, p: PreorderedSet) -> LawReport:
     """Validation of the lifted representation plus the two absorption
     inclusions that drive its soundness argument."""
     rep = tilde_lift(h, p)
-    report = validate_representation(rep)
+    report = validation_report(rep)
     report.add(
         is_included(
             compose(rep.models, h.e_functor.lift(p.order)),
@@ -297,7 +302,7 @@ def hat_report(h: HOR, r: Representation) -> tuple[Representation, LawReport]:
     """Exactness of the lifted representation is reported as a finding,
     never asserted: lifting does not preserve it in general."""
     rep = hat_lift(h, r)
-    report = validate_representation(rep)
+    report = validation_report(rep)
     report.add(exactness_finding(rep))
     return rep, report
 

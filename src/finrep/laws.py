@@ -2,7 +2,9 @@
 
 The suite runs every law exhaustively over small carriers, then resamples
 at a larger size with a seeded generator.  Exhaustive outcomes do not
-depend on the seed; only the sampled portion does.
+depend on the seed; only the sampled portion does.  Both portions run on
+stacks of matrices through the kernel's own array formulas
+(`rel.product`, `rel.residual`, `rel.included`, `rel.gather`).
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from .fset import FiniteSet
 from .rel import (
     FuncTable,
     Rel,
-    cograph,
-    compose,
-    equal_verdict,
-    graph,
-    is_included,
+    gather,
+    included,
     is_preorder,
+    product,
+    residual,
     star,
     under,
 )
@@ -36,28 +37,35 @@ class LawConfig:
     seed: int = 0
 
 
+# samples evaluated per stacked kernel call
+_SAMPLE_BLOCK = 256
+# cells a stacked temporary of the exhaustive laws aims to stay under
+_STACK_CELLS = 1 << 16
+_SAMPLED = ("residual-adjunction-sampled", "function-residual-sampled")
+
+
+def relation_stack(rows: int, cols: int) -> np.ndarray:
+    """Every rows x cols bool matrix, stacked in mask order (row-major cell k is bit k)."""
+    cells = rows * cols
+    bits = np.arange(1 << cells)[:, None] >> np.arange(cells) & 1
+    return bits.astype(bool).reshape(1 << cells, rows, cols)
+
+
+def function_stack(rows: int, cols: int) -> np.ndarray:
+    """Every function table rows -> cols, stacked in product order."""
+    tables = list(itertools.product(range(cols), repeat=rows))
+    return np.array(tables, dtype=np.int64).reshape(cols ** rows, rows)
+
+
 def all_relations(src: FiniteSet, tgt: FiniteSet):
     """Every relation src ⇸ tgt, in mask order.  Exponential; small use only."""
-    cells = len(src) * len(tgt)
-    for mask in range(1 << cells):
-        m = np.zeros(cells, dtype=bool)
-        rest, i = mask, 0
-        while rest:
-            if rest & 1:
-                m[i] = True
-            rest >>= 1
-            i += 1
-        yield Rel(src, tgt, m.reshape(len(src), len(tgt)))
+    for m in relation_stack(len(src), len(tgt)):
+        yield Rel(src, tgt, m)
 
 
 def all_functions(src: FiniteSet, tgt: FiniteSet):
     """Every total function src -> tgt."""
-    if len(src) == 0:
-        yield FuncTable(src, tgt, [])
-        return
-    if len(tgt) == 0:
-        return
-    for table in itertools.product(range(len(tgt)), repeat=len(src)):
+    for table in function_stack(len(src), len(tgt)):
         yield FuncTable(src, tgt, table)
 
 
@@ -74,104 +82,89 @@ def random_func(rng: np.random.Generator, src: FiniteSet, tgt: FiniteSet) -> Fun
     return FuncTable(src, tgt, table)
 
 
-def _galois_holds(x: Rel, y: Rel, z: Rel) -> bool:
-    lhs = is_included(y, under(x, z)).ok
-    rhs = is_included(compose(x, y), z).ok
-    return lhs == rhs
+def _adjunction(x, y, z) -> np.ndarray:
+    """y ⊆ x\\z iff x;y ⊆ z, per broadcast batch index."""
+    return included(y, residual(x, z)) == included(product(x, y), z)
 
 
-def _function_residual_holds(f: FuncTable, g: FuncTable, x: Rel, y: Rel) -> bool:
-    # f and g frame the residual of x against y; both routes must agree
-    lhs = compose(graph(f), compose(under(x, y), cograph(g)))
-    rhs = under(compose(x, cograph(f)), compose(y, cograph(g)))
-    return equal_verdict(lhs, rhs).ok
+def _function_residual(f, g, x, y) -> np.ndarray:
+    """graph(f);(x\\y);cograph(g) = (x;cograph(f))\\(y;cograph(g)), and
+    the kernel's x\\y equal to its pointwise ∀/∃ reading, which uses
+    neither `rel` nor a matrix product; per broadcast batch index."""
+    u = residual(x, y)
+    oracle = np.all(~x[..., :, :, None] | y[..., :, None, :], axis=-3)
+    lhs = gather(gather(u, f, -2), g, -1)
+    rhs = residual(gather(x, f, -1), gather(y, g, -1))
+    return (u == oracle).all(axis=(-2, -1)) & included(lhs, rhs) & included(rhs, lhs)
 
 
-def _adjunction_instances(sets, sizes):
-    """(y ⊆ x\\z iff x;y ⊆ z, sizes) for every x, y, z over these sizes."""
-    for na, nb, nc in itertools.product(sizes, repeat=3):
-        sa, sb, sc = sets[na], sets[nb], sets[nc]
-        ys = list(all_relations(sb, sc))
-        zs = list(all_relations(sa, sc))
-        for x in all_relations(sa, sb):
-            for z in zs:
-                u = under(x, z)
-                for y in ys:
-                    yield is_included(y, u).ok == is_included(compose(x, y), z).ok, (na, nb, nc)
+def _x_blocks(xs: np.ndarray, cells_per_x: int):
+    """Consecutive blocks of the leading relations xs, small enough that a
+    stacked temporary stays near _STACK_CELLS cells (one x at the least)."""
+    step = max(1, _STACK_CELLS // max(cells_per_x, 1))
+    return (xs[lo:lo + step] for lo in range(0, len(xs), step))
 
 
-def _function_residual_instances(sets, sizes):
-    """(the two residual routes agree, sizes) for every x, y, f, g."""
-    for n0, na, nb, nc0, nd in itertools.product(sizes, repeat=5):
-        s0, sa, sb, sc0, sd = sets[n0], sets[na], sets[nb], sets[nc0], sets[nd]
-        fs = list(all_functions(sa, sb))
-        gs = list(all_functions(sd, sc0))
-        if not fs or not gs:
-            continue
-        for x in all_relations(s0, sb):
-            for y in all_relations(s0, sc0):
-                u = under(x, y)
-                for f in fs:
-                    left_part = compose(graph(f), u)
-                    xf = compose(x, cograph(f))
-                    for g in gs:
-                        lhs = compose(left_part, cograph(g))
-                        rhs = under(xf, compose(y, cograph(g)))
-                        yield equal_verdict(lhs, rhs).ok, (n0, na, nb, nc0, nd)
+def _adjunction_at(na, nb, nc):
+    """The adjunction for every x: na ⇸ nb, y: nb ⇸ nc and z: na ⇸ nc, a
+    block of x at a time; results index (x, z, y)."""
+    xs, ys, zs = relation_stack(na, nb), relation_stack(nb, nc), relation_stack(na, nc)
+    for x in _x_blocks(xs, len(ys) * len(zs) * (na + nb) * nc):
+        yield _adjunction(x[:, None, None], ys, zs[:, None])
 
 
-def _exhaustive(law: str, instances) -> Verdict:
-    """The first failing sizes among (holds, sizes) instances, in order,
-    else a pass noted with the number of instances checked."""
+def _function_residual_at(n0, na, nb, nc, nd):
+    """The function residual for every x: n0 ⇸ nb, y: n0 ⇸ nc, f: na -> nb
+    and g: nd -> nc, a block of x at a time; results index (x, y, f, g)."""
+    fs, gs = function_stack(na, nb), function_stack(nd, nc)
+    if not (len(fs) and len(gs)):
+        return
+    xs, ys = relation_stack(n0, nb), relation_stack(n0, nc)
+    for x in _x_blocks(xs, len(ys) * (len(fs) * len(gs) * na * nd + n0 * nb * nc)):
+        yield _function_residual(fs[:, None], gs, x[:, None, None, None], ys[:, None, None])
+
+
+def _by_sizes(law: str, check, sizes, arity: int) -> Verdict:
+    """The first size tuple, in product order, at which a result array of
+    `check(*sizes)` holds a failing instance, else a pass noted with the
+    instances checked."""
     checked = 0
-    for holds, sizes in instances:
-        if not holds:
-            return Verdict(law, False, note=f"sizes ({','.join(map(str, sizes))})")
-        checked += 1
+    for case in itertools.product(sizes, repeat=arity):
+        for holds in check(*case):
+            if not holds.all():
+                return Verdict(law, False, note=f"sizes ({','.join(map(str, case))})")
+            checked += holds.size
     return Verdict(law, True, note=f"{checked} instances")
 
 
 def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
     """Adjunction and function-residual laws, exhaustive then sampled."""
-    top = max(config.exhaustive_max, config.sample_size)
-    sets = {n: FiniteSet(f"law{n}", [f"x{i}" for i in range(n)]) for n in range(top + 1)}
     report = LawReport(subject="relation-algebra laws")
-
     sizes = range(config.exhaustive_max + 1)
-    report.add(_exhaustive("residual-adjunction-exhaustive", _adjunction_instances(sets, sizes)))
-    report.add(_exhaustive("function-residual-exhaustive", _function_residual_instances(sets, sizes)))
+    report.add(_by_sizes("residual-adjunction-exhaustive", _adjunction_at, sizes, 3))
+    report.add(_by_sizes("function-residual-exhaustive", _function_residual_at, sizes, 5))
 
     rng = np.random.default_rng(config.seed)
-    s = sets[config.sample_size]
-    galois_witness = None
-    residual_witness = None
-    for i in range(config.samples):
-        x = random_rel(rng, s, s)
-        y = random_rel(rng, s, s)
-        z = random_rel(rng, s, s)
-        if galois_witness is None and not _galois_holds(x, y, z):
-            galois_witness = f"sample {i}"
-        f = random_func(rng, s, s)
-        g = random_func(rng, s, s)
-        if residual_witness is None and not _function_residual_holds(f, g, x, y):
-            residual_witness = f"sample {i}"
-    report.add(
-        Verdict(
-            "residual-adjunction-sampled",
-            galois_witness is None,
-            note=galois_witness or f"{config.samples} samples at size {config.sample_size}",
-        )
-    )
-    report.add(
-        Verdict(
-            "function-residual-sampled",
-            residual_witness is None,
-            note=residual_witness or f"{config.samples} samples at size {config.sample_size}",
-        )
-    )
+    n = config.sample_size
+    s = FiniteSet(f"law{n}", [f"x{i}" for i in range(n)])
+    witness = {}
+    for lo in range(0, config.samples, _SAMPLE_BLOCK):
+        # drawn sample by sample in the order x, y, z, f, g, so a sample's
+        # index does not depend on the block size
+        draws = [
+            [random_rel(rng, s, s).m for _ in "xyz"] + [random_func(rng, s, s).table for _ in "fg"]
+            for _ in range(min(_SAMPLE_BLOCK, config.samples - lo))
+        ]
+        x, y, z, f, g = map(np.stack, zip(*draws))
+        for law, ok in zip(_SAMPLED, (_adjunction(x, y, z), _function_residual(f, g, x, y))):
+            if not ok.all():
+                witness.setdefault(law, f"sample {lo + np.argmin(ok)}")
+    for law in _SAMPLED:
+        note = witness.get(law, f"{config.samples} samples at size {n}")
+        report.add(Verdict(law, law not in witness, note=note))
     report.scope = (
         f"exhaustive to size {config.exhaustive_max}, "
-        f"{config.samples} samples at size {config.sample_size}, seed {config.seed}"
+        f"{config.samples} samples at size {n}, seed {config.seed}"
     )
     return report
 

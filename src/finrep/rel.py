@@ -1,10 +1,12 @@
 """Relations between finite carriers, stored as dense boolean matrices.
 
-The public operator set is negation-free (residuals are computed by a
-direct forall/exists scan); complement shows up only as an internal bit
-trick.  Matrices are immutable after construction.  Operations that would
-touch more cells than a dense pass can afford switch to packed 64-bit row
-arithmetic with duplicate-row sharing, which keeps the same answers exact.
+The public operator set is negation-free; complement shows up only as an
+internal bit trick (the residual is the complement of a product with a
+complement).  The dense formulas also take stacks of matrices, so the law
+suite checks many relations per call through the same code.  Matrices are
+immutable after construction.  Operations that would touch more cells
+than a dense pass can afford switch to packed 64-bit row arithmetic with
+duplicate-row sharing, which keeps the same answers exact.
 """
 
 from __future__ import annotations
@@ -188,13 +190,49 @@ def column_classes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[by_first], np.argsort(by_first)[inverse]
 
 
+# ------------------------------------------------- dense array formulas
+# Each takes bool matrices with any leading batch axes, which broadcast;
+# the operators below call them on plain 2-D matrices.
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product a ; b."""
+    return a @ b
+
+
+def residual(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Left residual x\\z: the complement of xᵀ ; (not z)."""
+    return ~(np.swapaxes(x, -1, -2) @ ~z)
+
+
+def excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cells of a that b lacks."""
+    return a & ~b
+
+
+def included(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether a lies inside b, one answer per batch index."""
+    return ~excess(a, b).any(axis=(-2, -1))
+
+
+def gather(m: np.ndarray, table: np.ndarray, axis: int) -> np.ndarray:
+    """Composition with a function graph as an index gather: axis -2 gives
+    graph(f) ; m (row i is row f(i) of m), axis -1 gives m ; cograph(f)
+    (column i is column f(i)).  Leading axes of the table broadcast
+    against those of m."""
+    idx = table[..., :, None] if axis == -2 else table[..., None, :]
+    lead = max(m.ndim, idx.ndim)
+    return np.take_along_axis(
+        m[(None,) * (lead - m.ndim)], idx[(None,) * (lead - idx.ndim)], axis
+    )
+
+
 def _bool_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix product, switching representation by estimated cost."""
     n, k = a.shape
     k2, c = b.shape
     assert k == k2
     if n * k * c <= _DENSE_COST_LIMIT:
-        return a @ b
+        return product(a, b)
     bp = _pack_rows(b)
     w = bp.shape[1]
     out = np.zeros((n, w), dtype=np.uint64)
@@ -245,7 +283,7 @@ def under(x: Rel, z: Rel) -> Rel:
         raise CarrierMismatch("residual under(x, z) needs a shared source carrier")
     nb, nc, na = len(x.tgt), len(z.tgt), len(x.src)
     if nb * nc * max(na, 1) <= _DENSE_COST_LIMIT:
-        return Rel(x.tgt, z.tgt, ~(x.m.T @ ~z.m))
+        return Rel(x.tgt, z.tgt, residual(x.m, z.m))
     xp = _pack_rows(x.m.T)            # (B, W) bits over the shared source
     zp = _pack_rows(z.m.T)            # (C, W)
     w = max(xp.shape[1], 1)
@@ -287,7 +325,7 @@ def star(x: Rel) -> Rel:
 def is_included(x: Rel, y: Rel, law: str = "inclusion") -> Verdict:
     """Pointwise inclusion with the row-major first violation as witness."""
     _same_carriers(x, y)
-    viol = x.m & ~y.m
+    viol = excess(x.m, y.m)
     if not viol.any():
         return Verdict(law, True)
     flat = int(np.argmax(viol))

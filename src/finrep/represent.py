@@ -9,7 +9,7 @@ separate verdict because many useful representations are sound but inexact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,8 @@ class Representation:
     models: Rel  # traces ⇸ exprs
     leq: Rel  # square on exprs
     validated: bool = False
+    # the report of the last validate_representation run on this object
+    validation: LawReport | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.models.src is not self.traces or self.models.tgt is not self.exprs:
@@ -98,7 +100,16 @@ def validate_representation(rep: Representation) -> LawReport:
         )
     report.add(sound)
     rep.validated = report.passed
+    rep.validation = LawReport(report.subject, list(report.verdicts))
     return report
+
+
+def validation_report(rep: Representation) -> LawReport:
+    """The report of the representation's last validation, validating it
+    now only if it has none; a fresh copy the caller may extend."""
+    if rep.validation is None:
+        return validate_representation(rep)
+    return LawReport(rep.validation.subject, list(rep.validation.verdicts))
 
 
 def semantic_containment(rep: Representation) -> Rel:

@@ -1,11 +1,15 @@
 import itertools
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finrep.cli as cli_module
 import finrep.hor as hor_module
+import finrep.represent as represent_module
+from finrep.cli import main as cli_main
 from finrep.errors import CarrierMismatch, UnvalidatedError
 from finrep.fset import FiniteSet
 from finrep.functors import IdentityFunctor, term_node, term_var
@@ -34,6 +38,7 @@ from finrep.rel import FuncTable, Rel, compose_func, star, union
 from finrep.represent import membership_representation, trivial_representation
 from finrep.verdict import LawReport
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 P1 = ProbeUniverse(max_size=1)
 P2 = ProbeUniverse(max_size=2)
 
@@ -66,6 +71,24 @@ def test_validate_hor_validates_each_probe_instance_once(monkeypatch):
     monkeypatch.setattr(hor_module, "validate_representation", counting)
     assert validate_hor(mon_hor(3), ProbeUniverse(2)).passed
     assert len(validated) == 3
+
+
+@pytest.mark.parametrize("run", [
+    lambda: hat_report(mon_hor(3), membership_representation(FiniteSet("one", ["o"]))),
+    lambda: check_tilde_soundness(mon_hor(2), _pq_chain()),
+    lambda: cli_main(["hor", "instantiate", str(CORPUS / "ka.doc"), "--set", "A"]),
+], ids=["hat-report", "tilde-soundness", "cli-instantiate"])
+def test_each_lift_is_validated_once(monkeypatch, run):
+    validated, real = [], represent_module.validate_representation
+
+    def counting(rep):
+        validated.append(rep.name)
+        return real(rep)
+
+    for module in (hor_module, represent_module, cli_module):
+        monkeypatch.setattr(module, "validate_representation", counting)
+    run()
+    assert len(validated) == 1, validated
 
 
 def test_instantiate_frozen_sizes():

@@ -5,17 +5,19 @@ import itertools
 import numpy as np
 import pytest
 
-from finrep import laws
+from finrep import laws, rel
 from finrep.fset import FiniteSet
 from finrep.laws import (
     LawConfig,
     all_functions,
     all_relations,
     preorder_characterizations,
+    random_func,
     random_rel,
     relation_law_suite,
+    relation_stack,
 )
-from finrep.rel import Rel
+from finrep.rel import Rel, gather
 
 
 def test_all_relations_count():
@@ -25,6 +27,21 @@ def test_all_relations_count():
     assert len(rels) == 2 ** 6
     assert rels[0].count() == 0
     assert rels[-1].count() == 6
+
+
+@pytest.mark.parametrize("rows,cols", list(itertools.product(range(3), repeat=2)))
+def test_relation_stack_is_mask_order(rows, cols):
+    # reference: the per-mask bit loop, cell k row-major is bit k
+    cells = rows * cols
+    masks = [[bool(mask >> k & 1) for k in range(cells)] for mask in range(1 << cells)]
+    stack = relation_stack(rows, cols)
+    assert stack.shape == (1 << cells, rows, cols)
+    assert [m.ravel().tolist() for m in stack] == masks
+    a = FiniteSet("a", [f"a{i}" for i in range(rows)])
+    b = FiniteSet("b", [f"b{i}" for i in range(cols)])
+    rels = list(all_relations(a, b))
+    assert len(rels) == len(stack)
+    assert all(np.array_equal(r.m, m) for r, m in zip(rels, stack))
 
 
 def test_all_functions_count_and_empty_cases():
@@ -54,16 +71,28 @@ def test_law_suite_deterministic_for_fixed_seed():
     assert relation_law_suite(cfg).describe() == relation_law_suite(cfg).describe()
 
 
+def _full_residual(x, z):
+    batch = np.broadcast_shapes(x.shape[:-2], z.shape[:-2])
+    return np.ones(batch + (x.shape[-1], z.shape[-1]), dtype=bool)
+
+
+def _empty_graph_gather(m, table, axis):
+    # graph(f) ; m comes out empty, m ; cograph(f) stays right
+    out = gather(m, table, axis)
+    return np.zeros_like(out) if axis == -2 else out
+
+
 @pytest.mark.parametrize(
     "name,stub,verdicts",
     [
         # a residual that is always full breaks the adjunction first at
-        # one-element carriers, where x;y can leave z
-        ("under", lambda x, z: Rel.full(x.tgt, z.tgt),
-         ["VIOLATION  [sizes (1,1,1)]", "ok  [16971 instances]", "VIOLATION  [sample 0]"]),
-        # an empty graph leaves the composite route empty while the
+        # one-element carriers, where x;y can leave z, and disagrees with
+        # the pointwise residual first where x = {(0,0)} and y is empty
+        ("residual", _full_residual,
+         ["VIOLATION  [sizes (1,1,1)]", "VIOLATION  [sizes (1,0,1,1,0)]", "VIOLATION  [sample 0]"]),
+        # an empty graph side leaves the composite route empty while the
         # residual over an empty source is full
-        ("graph", lambda f: Rel.empty(f.src, f.tgt),
+        ("gather", _empty_graph_gather,
          ["ok  [5053 instances]", "VIOLATION  [sizes (0,1,1,1,1)]", "ok  [1000 samples at size 4]"]),
     ],
     ids=["under", "graph"],
@@ -72,6 +101,40 @@ def test_law_suite_reports_first_failing_sizes(monkeypatch, name, stub, verdicts
     monkeypatch.setattr(laws, name, stub)
     report = relation_law_suite()
     assert [v.describe().split(": ", 1)[1] for v in report.verdicts[:3]] == verdicts
+
+
+def test_sampled_laws_name_a_failing_sample_past_the_first_block(monkeypatch):
+    # replay the suite's draws to find sample k, then make the residual
+    # full at that sample alone
+    k = laws._SAMPLE_BLOCK + 37
+    rng = np.random.default_rng(5)
+    s = FiniteSet("law4", [f"x{i}" for i in range(4)])
+    for _ in range(k + 1):
+        x_k = random_rel(rng, s, s).m
+        random_rel(rng, s, s), random_rel(rng, s, s), random_func(rng, s, s), random_func(rng, s, s)
+
+    def residual(x, z):
+        out = rel.residual(x, z)
+        if x.shape[-2:] != x_k.shape:
+            return out
+        return out | np.all(x == x_k, axis=(-2, -1))[..., None, None]
+
+    monkeypatch.setattr(laws, "residual", residual)
+    report = relation_law_suite(LawConfig(samples=k + 100, seed=5))
+    assert [v.describe().split(": ", 1)[1] for v in report.verdicts] == [
+        "ok  [5053 instances]", "ok  [16971 instances]",
+        f"VIOLATION  [sample {k}]", f"VIOLATION  [sample {k}]",
+    ]
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_law_suite_notes_at_zero_and_one_sample(samples):
+    report = relation_law_suite(LawConfig(samples=samples))
+    assert [v.describe().split(": ", 1)[1] for v in report.verdicts] == [
+        "ok  [5053 instances]", "ok  [16971 instances]",
+        f"ok  [{samples} samples at size 4]", f"ok  [{samples} samples at size 4]",
+    ]
+    assert report.scope == f"exhaustive to size 2, {samples} samples at size 4, seed 0"
 
 
 def _square_rels(n):

@@ -255,6 +255,48 @@ def test_column_classes(rows, cols, kinds):
         assert (j in first) == all((m[:, j] != m[:, i]).any() for i in range(j))
 
 
+# ------------------------------------------ batched formulas and gathers
+
+def _sized(n, tag):
+    return FiniteSet(f"batch{tag}{n}", [f"{tag}{i}" for i in range(n)])
+
+
+def _table(rng, batch, rows, cols):
+    return rng.integers(0, cols, size=batch + (rows,)) if cols else np.zeros(batch + (rows,), int)
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=["plain", "n", "n-m"])
+@pytest.mark.parametrize("a, b, c", [
+    (2, 3, 2), (1, 4, 3), (0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 0), (0, 3, 0),
+])
+def test_batched_formulas_match_per_matrix_operators(batch, a, b, c):
+    rng = np.random.default_rng([a, b, c, len(batch)])
+    sa, sb, sc = _sized(a, "a"), _sized(b, "b"), _sized(c, "c")
+    x = rng.random(batch + (a, b)) < 0.5
+    y = rng.random(batch + (b, c)) < 0.5
+    z = rng.random(batch + (a, c)) < 0.5
+    inside = x & (rng.random(batch + (a, b)) < 0.7)
+    prod, res = relmod.product(x, y), relmod.residual(x, z)
+    inc = relmod.included(inside, x), relmod.included(z, relmod.product(x, y))
+    functions = (a == 0 or b > 0) and (c == 0 or b > 0)
+    if functions:
+        f, h = _table(rng, batch, a, b), _table(rng, batch, c, b)
+        shared = _table(rng, (), a, b)
+        rows, cols = relmod.gather(y, f, -2), relmod.gather(x, h, -1)
+        rows_shared = relmod.gather(y, shared, -2)
+    for i in np.ndindex(*batch):
+        X, Y, Z = Rel(sa, sb, x[i]), Rel(sb, sc, y[i]), Rel(sa, sc, z[i])
+        assert np.array_equal(prod[i], compose(X, Y).m)
+        assert np.array_equal(res[i], under(X, Z).m)
+        assert inc[0][i] == is_included(Rel(sa, sb, inside[i]), X).ok
+        assert inc[1][i] == is_included(Z, compose(X, Y)).ok
+        if functions:
+            F, H = FuncTable(sa, sb, f[i]), FuncTable(sc, sb, h[i])
+            assert np.array_equal(rows[i], compose(graph(F), Y).m)
+            assert np.array_equal(cols[i], compose(X, cograph(H)).m)
+            assert np.array_equal(rows_shared[i], compose(graph(FuncTable(sa, sb, shared)), Y).m)
+
+
 # ------------------------------------------------- algebraic properties
 
 def _rel_of_mask(src, tgt, mask):
