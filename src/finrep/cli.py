@@ -59,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
         description="finite checkers for representations, reductions, and liftings",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--probe-max", type=int, default=None, help="largest probe carrier (default 3)")
+    common.add_argument("--probe-max", type=int, default=None, help="largest probe carrier (default 3; 2 for laws relcore)")
     common.add_argument("--powerset-cap", type=int, default=None, help="subset bound for powerset builders (default 4)")
     common.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
     common.add_argument("--samples", type=int, default=None, help="sampled relations per carrier pair")

@@ -36,7 +36,7 @@ from .fset import FiniteSet
 from .functors import Signature
 from .morphism import Morphism
 from .reduction import Reduction
-from .rel import FuncTable, Rel
+from .rel import FuncTable, Rel, is_preorder
 from .represent import Representation
 
 
@@ -285,19 +285,14 @@ def _parse_preorder(cur: _Cursor, doc: Document, name: str) -> Declaration:
     s = doc.lookup("set", cur.label("set name"), cur.lineno)
     cur.expect("=")
     r = Rel(s, s, _pair_list(cur, s, s))
-    missing = ~np.diag(r.m)
-    if missing.any():
-        lab = s.elements[int(np.flatnonzero(missing)[0])]
-        raise DocumentError(
-            f"preorder {name!r} is missing the reflexive pair ({lab}, {lab})",
-            cur.lineno,
+    bad = is_preorder(r).first_failure
+    if bad is not None:
+        i, j = bad.witness
+        problem = (
+            "is missing the reflexive pair" if bad.law == "reflexivity"
+            else "is not transitive: missing"
         )
-    if ((r.m @ r.m) & ~r.m).any():
-        i, j = np.argwhere((r.m @ r.m) & ~r.m)[0]
-        raise DocumentError(
-            f"preorder {name!r} is not transitive: missing ({s.elements[i]}, {s.elements[j]})",
-            cur.lineno,
-        )
+        raise DocumentError(f"preorder {name!r} {problem} ({i}, {j})", cur.lineno)
     return Declaration("preorder", name, r)
 
 

@@ -44,6 +44,7 @@ from .rel import (
     is_included,
     is_preorder,
     on_carriers,
+    product,
     star,
     under,
     union,
@@ -425,7 +426,7 @@ def tilde_mon_rule_check(p: PreorderedSet, depth: int = 2) -> LawReport:
     mul_ix = np.array(muls, dtype=np.int64)
     while True:
         before = m.copy()
-        m |= m @ m
+        m |= product(m, m)
         if len(muls):
             cong = m[np.ix_(lefts, lefts)] & m[np.ix_(rights, rights)]
             m[np.ix_(mul_ix, mul_ix)] |= cong

@@ -4,9 +4,9 @@ The public operator set is negation-free; complement shows up only as an
 internal bit trick (the residual is the complement of a product with a
 complement).  The dense formulas also take stacks of matrices, so the law
 suite checks many relations per call through the same code.  Matrices are
-immutable after construction.  Operations that would touch more cells
-than a dense pass can afford switch to packed 64-bit row arithmetic with
-duplicate-row sharing, which keeps the same answers exact.
+immutable after construction.  Every relational product, and so every
+composition and residual, goes through the one boolean product
+`product`, a float32 BLAS product that stays exact at every size.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ import numpy as np
 from .errors import CarrierMismatch
 from .fset import FiniteSet, powerset_of, product_of, sum_of
 from .verdict import LawReport, Verdict
-
-# beyond this estimated cell count, compose/under leave the plain dense path
-_DENSE_COST_LIMIT = 100_000_000
-# target size (in uint64 elements) for blocked temporaries
-_BLOCK_ELEMS = 8_000_000
 
 
 class Rel:
@@ -170,13 +165,6 @@ def _pack_rows(m: np.ndarray) -> np.ndarray:
     return packed8.view(np.uint64)
 
 
-def _unpack_rows(p: np.ndarray, cols: int) -> np.ndarray:
-    if cols == 0:
-        return np.zeros((p.shape[0], 0), dtype=bool)
-    bits = np.unpackbits(p.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :cols].astype(bool)
-
-
 def column_classes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classes of identical columns of a bool matrix.  `first` holds the
     lowest column of each class in ascending order, `cls` the class of
@@ -195,13 +183,21 @@ def column_classes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the operators below call them on plain 2-D matrices.
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product a ; b."""
-    return a @ b
+    """Boolean matrix product a ; b, the kernel's only one.
+
+    Each cell of the float32 product is a sum of 0/1 terms, which is zero
+    only when every term is: nonnegative terms cannot cancel and float32
+    cannot overflow on them, so `> 0` is exact at every size.  BLAS makes
+    it far faster than numpy's bool matmul on large matrices.  The cast
+    costs a transient ~4 bytes per cell for each operand and for the
+    float32 result.
+    """
+    return np.matmul(a, b, dtype=np.float32) > 0
 
 
 def residual(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Left residual x\\z: the complement of xᵀ ; (not z)."""
-    return ~(np.swapaxes(x, -1, -2) @ ~z)
+    return ~product(np.swapaxes(x, -1, -2), ~z)
 
 
 def excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,30 +222,6 @@ def gather(m: np.ndarray, table: np.ndarray, axis: int) -> np.ndarray:
     )
 
 
-def _bool_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product, switching representation by estimated cost."""
-    n, k = a.shape
-    k2, c = b.shape
-    assert k == k2
-    if n * k * c <= _DENSE_COST_LIMIT:
-        return product(a, b)
-    bp = _pack_rows(b)
-    w = bp.shape[1]
-    out = np.zeros((n, w), dtype=np.uint64)
-    ap = _pack_rows(a)
-    seen: dict[bytes, np.ndarray] = {}
-    zero = np.zeros(w, dtype=np.uint64)
-    for i in range(n):
-        key = ap[i].tobytes()
-        row = seen.get(key)
-        if row is None:
-            sel = np.flatnonzero(a[i])
-            row = np.bitwise_or.reduce(bp[sel], axis=0) if sel.size else zero
-            seen[key] = row
-        out[i] = row
-    return _unpack_rows(out, c)
-
-
 # ------------------------------------------------------------- operators
 
 def compose(x: Rel, y: Rel) -> Rel:
@@ -257,7 +229,7 @@ def compose(x: Rel, y: Rel) -> Rel:
         raise CarrierMismatch(
             f"cannot compose {x.src.name}->{x.tgt.name} with {y.src.name}->{y.tgt.name}"
         )
-    return Rel(x.src, y.tgt, _bool_mm(x.m, y.m))
+    return Rel(x.src, y.tgt, product(x.m, y.m))
 
 
 def converse(x: Rel) -> Rel:
@@ -281,20 +253,7 @@ def under(x: Rel, z: Rel) -> Rel:
     """
     if x.src is not z.src:
         raise CarrierMismatch("residual under(x, z) needs a shared source carrier")
-    nb, nc, na = len(x.tgt), len(z.tgt), len(x.src)
-    if nb * nc * max(na, 1) <= _DENSE_COST_LIMIT:
-        return Rel(x.tgt, z.tgt, residual(x.m, z.m))
-    xp = _pack_rows(x.m.T)            # (B, W) bits over the shared source
-    zp = _pack_rows(z.m.T)            # (C, W)
-    w = max(xp.shape[1], 1)
-    out = np.empty((nb, nc), dtype=bool)
-    chunk = max(1, _BLOCK_ELEMS // max(1, nc * w))
-    notz = ~zp
-    for lo in range(0, nb, chunk):
-        hi = min(nb, lo + chunk)
-        viol = np.any(xp[lo:hi, None, :] & notz[None, :, :], axis=2)
-        out[lo:hi] = ~viol
-    return Rel(x.tgt, z.tgt, out)
+    return Rel(x.tgt, z.tgt, residual(x.m, z.m))
 
 
 def over(z: Rel, y: Rel) -> Rel:
@@ -308,18 +267,12 @@ def star(x: Rel) -> Rel:
         raise CarrierMismatch("closure needs a square relation")
     n = len(x.src)
     m = x.m | np.eye(n, dtype=bool)
-    if n <= 1024:
-        for k in range(n):
-            col = m[:, k].copy()
-            col[k] = False
-            if col.any():
-                m[col] |= m[k]
-        return Rel(x.src, x.tgt, m)
-    while True:
-        grown = _bool_mm(m, m) | m
-        if np.array_equal(grown, m):
-            return Rel(x.src, x.tgt, m)
-        m = grown
+    for k in range(n):
+        col = m[:, k].copy()
+        col[k] = False
+        if col.any():
+            m[col] |= m[k]
+    return Rel(x.src, x.tgt, m)
 
 
 def is_included(x: Rel, y: Rel, law: str = "inclusion") -> Verdict:

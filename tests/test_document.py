@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,16 @@ def test_preorder_declarations_validated():
         parse_document(
             "set A = a b c\n"
             "preorder p : A = (a, a) (b, b) (c, c) (a, b) (b, c)"
+        )
+    # two violations of one kind: the row-major first is the witness
+    with pytest.raises(DocumentError, match=re.escape("missing the reflexive pair (b, b)")):
+        parse_document("set A = a b c d\npreorder p : A = (d, a) (c, c) (a, a)")
+    # gaps (c, d) and (b, e): row-major gives (b, e), column-major would give (c, d)
+    with pytest.raises(DocumentError, match=re.escape("not transitive: missing (b, e)")):
+        parse_document(
+            "set A = a b c d e f\n"
+            "preorder p : A = (a, a) (b, b) (c, c) (d, d) (e, e) (f, f)"
+            " (c, a) (a, d) (b, f) (f, e)"
         )
 
 

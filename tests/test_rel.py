@@ -133,30 +133,6 @@ def test_star_on_empty_carrier():
     assert star(Rel.empty(E, E)).count() == 0
 
 
-def test_packed_paths_match_dense(monkeypatch):
-    # force the packed code paths and compare against the dense answers
-    rng = random.Random(10)
-    big = FiniteSet("rbig", [f"n{i}" for i in range(70)])
-    xp = random_pairs(rng, big, big, p=0.1)
-    yp = random_pairs(rng, big, big, p=0.1)
-    x, y = rel_from(big, big, xp), rel_from(big, big, yp)
-    dense_comp = compose(x, y)
-    dense_under = under(x, y)
-    dense_star = star(x)
-    monkeypatch.setattr(relmod, "_DENSE_COST_LIMIT", 1)
-    monkeypatch.setattr(relmod, "_BLOCK_ELEMS", 64)
-    assert compose(x, y) == dense_comp
-    assert under(x, y) == dense_under
-    # drive the iterative star branch too
-    m = x.m | np.eye(len(big), dtype=bool)
-    while True:
-        grown = relmod._bool_mm(m, m) | m
-        if np.array_equal(grown, m):
-            break
-        m = grown
-    assert np.array_equal(m, dense_star.m)
-
-
 def test_is_included_first_witness_row_major():
     x = rel_from(A, B, {("a1", "b1"), ("a2", "b0")})
     v = is_included(x, Rel.empty(A, B))
@@ -295,6 +271,59 @@ def test_batched_formulas_match_per_matrix_operators(batch, a, b, c):
             assert np.array_equal(rows[i], compose(graph(F), Y).m)
             assert np.array_equal(cols[i], compose(X, cograph(H)).m)
             assert np.array_equal(rows_shared[i], compose(graph(FuncTable(sa, sb, shared)), Y).m)
+
+
+# ------------------------------------ the float32 product against references
+# The references are numpy's bool matmul (the kernel's former dense path)
+# and the pointwise readings: (a;b)(i, k) iff some j has a(i, j) and b(j, k);
+# (x\z)(j, k) iff every i with x(i, j) has z(i, k).
+
+def _exists_product(a, b):
+    return (a[..., :, :, None] & b[..., None, :, :]).any(axis=-2)
+
+
+def _forall_residual(x, z):
+    return (~x[..., :, :, None] | z[..., :, None, :]).all(axis=-3)
+
+
+def _bool_residual(x, z):
+    return ~np.matmul(np.swapaxes(x, -1, -2), ~z)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0], ids=["empty", "sparse", "half", "full"])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=["plain", "n", "n-m"])
+@pytest.mark.parametrize("a, b, c", [(4, 5, 3), (0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)])
+def test_product_matches_bool_matmul_and_pointwise(density, batch, a, b, c):
+    rng = np.random.default_rng([a, b, c, len(batch), int(density * 100)])
+    x = rng.random(batch + (a, b)) < density
+    y = rng.random(batch + (b, c)) < density
+    z = rng.random(batch + (a, c)) < density
+    prod, res = relmod.product(x, y), relmod.residual(x, z)
+    assert prod.dtype == bool and prod.shape == batch + (a, c)
+    assert res.dtype == bool and res.shape == batch + (b, c)
+    assert np.array_equal(prod, np.matmul(x, y))
+    assert np.array_equal(prod, _exists_product(x, y))
+    assert np.array_equal(res, _bool_residual(x, z))
+    assert np.array_equal(res, _forall_residual(x, z))
+    sa, sb, sc = _sized(a, "a"), _sized(b, "b"), _sized(c, "c")
+    for i in np.ndindex(*batch):
+        assert np.array_equal(compose(Rel(sa, sb, x[i]), Rel(sb, sc, y[i])).m, prod[i])
+        assert np.array_equal(under(Rel(sa, sb, x[i]), Rel(sa, sc, z[i])).m, res[i])
+
+
+def test_product_exact_on_block_chain_past_the_old_packed_limit():
+    # 500 x 500 x 500 products (1.25e8 cells, where the packed path used to
+    # run): a block-chain order composes and divides to itself
+    n, block = 500, 20
+    idx, start = np.arange(n), np.arange(n) // block
+    leq = (start[:, None] == start[None, :]) & (idx[:, None] <= idx[None, :])
+    models = np.random.default_rng(12).random((n, n)) < 0.01
+    s = _sized(n, "chain")
+    order, sat = Rel(s, s, leq), Rel(s, s, models)
+    assert compose(order, order) == order
+    assert under(order, order) == order
+    assert np.array_equal(compose(sat, order).m, np.matmul(models, leq))
+    assert np.array_equal(under(sat, sat).m, _bool_residual(models, models))
 
 
 # ------------------------------------------------- algebraic properties
