@@ -19,6 +19,7 @@ _fresh = itertools.count()
 
 _unanchored: dict[tuple, object] = {}  # memo for recipes naming no carrier
 _budget = 200_000
+_CELLS_PER_ELEMENT = 100  # a generated relation's cells per budgeted element
 _MISSING = object()
 
 
@@ -119,6 +120,15 @@ def check_budget(total: int, what: str, *args):
     described as `what % args`."""
     if total > _budget:
         raise BudgetError(f"{what % args} has {total} elements, budget {_budget}")
+
+
+def check_cells(rows: int, cols: int, what: str, *args):
+    """Refuse a generated relation of `rows` x `cols` cells, described as
+    `what % args`, over the cell budget: 100 cells per element of the
+    carrier budget, checked before the matrix is allocated."""
+    limit = _CELLS_PER_ELEMENT * _budget
+    if rows * cols > limit:
+        raise BudgetError(f"{what % args} has {rows} x {cols} = {rows * cols} cells, budget {limit}")
 
 
 def sum_of(a: FiniteSet, b: FiniteSet) -> FiniteSet:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnvalidatedError
-from .fset import FiniteSet
+from .fset import FiniteSet, check_cells
 from .functors import (
     Functor,
     ListFunctor,
@@ -84,11 +84,15 @@ class HOR:
     relational: bool = True
 
     def models_at(self, a: FiniteSet) -> Rel:
-        return on_carriers(self.models_gen(a), self.t_functor.carrier(a), self.e_functor.carrier(a),
+        t, e = self.t_functor.carrier(a), self.e_functor.carrier(a)
+        check_cells(len(t), len(e), "satisfaction of %s at %s", self.name, a.name)
+        return on_carriers(self.models_gen(a), t, e,
                            "satisfaction of %s off its carriers at %s", self.name, a.name)
 
     def leq_at(self, a: FiniteSet) -> Rel:
-        return on_carriers(self.leq_gen(a), self.e_functor.carrier(a), self.e_functor.carrier(a),
+        e = self.e_functor.carrier(a)
+        check_cells(len(e), len(e), "order of %s at %s", self.name, a.name)
+        return on_carriers(self.leq_gen(a), e, e,
                            "order of %s off its carriers at %s", self.name, a.name)
 
     def models_family(self) -> IndexedRelation:

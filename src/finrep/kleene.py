@@ -10,20 +10,21 @@ lists is sound but incomplete, and the gap is measured, not hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError
-from .fset import FiniteSet, check_budget, intern
+from .fset import FiniteSet, check_budget, check_cells, intern
 from .functors import ContainerFunctor, ListFunctor, split_tree
 from .hor import HOR
 from .rel import Rel, column_classes, star, under, union
-from .verdict import LawReport, Verdict, first_violation
+from .verdict import LawReport, Verdict
 
 _WORD_BITS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegExpr:
     kind: str
     letter: int | None = None
@@ -58,21 +59,41 @@ def re_star(e: RegExpr) -> RegExpr:
     return RegExpr("star", None, (e,))
 
 
-def regex_label(e: RegExpr, alphabet: FiniteSet) -> str:
-    if e.kind == "letter":
-        lab = alphabet.elements[e.letter]
-        if any(c in lab for c in "+.*()01<>"):
-            lab = f"<{lab}>"
-        return lab
-    if e.kind == "zero":
-        return "0"
-    if e.kind == "eps":
-        return "1"
-    if e.kind == "plus":
-        return f"({regex_label(e.children[0], alphabet)}+{regex_label(e.children[1], alphabet)})"
-    if e.kind == "cat":
-        return f"({regex_label(e.children[0], alphabet)}.{regex_label(e.children[1], alphabet)})"
-    return f"{regex_label(e.children[0], alphabet)}*"
+# node kinds of the index arrays
+LETTER, ZERO, EPS, PLUS, CAT, STAR = range(6)
+
+
+class RegexIndex(NamedTuple):
+    """A regex carrier as arrays in carrier order: node kind, left and right
+    child (a letter's `left` is its letter; -1 where there is no child), and
+    level bounds (the expressions of s nodes are bounds[s-1]:bounds[s]).
+    Every child precedes its parent, so an index names one expression and
+    equal indices are equal expressions."""
+
+    kind: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    bounds: np.ndarray
+
+
+def _index_arrays(letters: int, size_cap: int) -> RegexIndex:
+    """The carrier order, level by level: a level's stars over the level
+    below, then its + and then its . pairs, by left size, left operand major."""
+    parts = [(np.r_[np.full(letters, LETTER), ZERO, EPS], np.r_[np.arange(letters), -1, -1],
+              np.full(letters + 2, -1))]
+    bounds = [0, letters + 2]
+    for s in range(2, size_cap + 1):
+        below = np.arange(bounds[s - 2], bounds[s - 1])
+        level = [(np.full(len(below), STAR), below, np.full(len(below), -1))]
+        for op in (PLUS, CAT):
+            for i in range(1, s - 1):
+                e, f = np.meshgrid(np.arange(bounds[i - 1], bounds[i]),
+                                   np.arange(bounds[s - 2 - i], bounds[s - 1 - i]), indexing="ij")
+                level.append((np.full(e.size, op), e.ravel(), f.ravel()))
+        parts += level
+        bounds.append(bounds[-1] + sum(len(k) for k, _, _ in level))
+    kind, left, right = (np.concatenate(x).astype(np.int64) for x in zip(*parts))
+    return RegexIndex(kind, left, right, np.array(bounds, dtype=np.int64))
 
 
 class RegexFunctor(ContainerFunctor):
@@ -100,20 +121,34 @@ class RegexFunctor(ContainerFunctor):
 
     def carrier(self, a: FiniteSet) -> FiniteSet:
         def build():
-            # by_size[s]: the expressions of exactly s nodes, in carrier order
-            by_size = [[], [re_letter(i) for i in range(len(a))] + [re_zero(), re_eps()]]
-            for s in range(2, self.size_cap + 1):
-                level = [re_star(e) for e in by_size[s - 1]]
-                for op in (re_plus, re_cat):
-                    level += [op(e, f) for i in range(1, s - 1)
-                              for e in by_size[i] for f in by_size[s - 1 - i]]
-                by_size.append(level)
-            exprs = [e for level in by_size for e in level]
-            labels = [regex_label(e, a) for e in exprs]
-            return FiniteSet(f"reg{self.size_cap}({a.name})", labels, payload=tuple(exprs))
+            ix = _index_arrays(len(a), self.size_cap)
+            labels = [f"<{lab}>" if any(c in lab for c in "+.*()01<>") else lab for lab in a.elements]
+            labels += ["0", "1"]
+            exprs = [re_letter(i) for i in range(len(a))] + [re_zero(), re_eps()]
+            # each level's stars, sums and products read their children's
+            # labels and payload, which lie in lower levels
+            for lo, hi in zip(ix.bounds[1:-1], ix.bounds[2:]):
+                for kind in (STAR, PLUS, CAT):
+                    at = lo + np.flatnonzero(ix.kind[lo:hi] == kind)
+                    ls, rs = ix.left[at].tolist(), ix.right[at].tolist()
+                    if kind == STAR:
+                        labels += [labels[l] + "*" for l in ls]
+                        exprs += [RegExpr("star", None, (exprs[l],)) for l in ls]
+                    else:
+                        op, sign = ("plus", "+") if kind == PLUS else ("cat", ".")
+                        labels += [f"({labels[l]}{sign}{labels[r]})" for l, r in zip(ls, rs)]
+                        exprs += [RegExpr(op, None, (exprs[l], exprs[r])) for l, r in zip(ls, rs)]
+            c = FiniteSet(f"reg{self.size_cap}({a.name})", labels, payload=tuple(exprs))
+            intern(("reg-index", c), lambda: ix)
+            return c
 
         self.size(a)
         return intern(("reg", self.size_cap, a), build)
+
+    def arrays(self, a: FiniteSet) -> tuple[FiniteSet, RegexIndex]:
+        """The carrier over `a` and its index arrays, derived with it."""
+        c = self.carrier(a)
+        return c, intern(("reg-index", c), lambda: _index_arrays(len(a), self.size_cap))
 
     def split(self, e: RegExpr):
         return split_tree(e, "kind", "letter")
@@ -123,83 +158,80 @@ def word_carrier(alphabet: FiniteSet, word_len_cap: int) -> FiniteSet:
     return ListFunctor(word_len_cap).carrier(alphabet)
 
 
+def _concatenation(words: FiniteSet, word_len_cap: int):
+    """Bounded concatenation of word masks, elementwise over two arrays.
+    Prefixing word i moves the words of one length as a block: word j goes
+    to word j + shift, with the shift fixed per (i, length).  In list order
+    a concatenation never lies before its suffix, so shifts are >= 0."""
+    blocks: dict[tuple[int, int], int] = {}
+    for i, u in enumerate(words.payload):
+        for j, v in enumerate(words.payload):
+            if len(u) + len(v) <= word_len_cap:
+                key = (i, words.locate(u + v) - j)
+                blocks[key] = blocks.get(key, 0) | 1 << j
+    groups: dict[np.uint64, list] = {}
+    for (i, shift), block in blocks.items():
+        groups.setdefault(np.uint64(i), []).append((np.uint64(block), np.uint64(shift)))
+
+    def cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(a), dtype=np.uint64)
+        for i, moves in groups.items():
+            has_i = -((a >> i) & np.uint64(1))  # all ones where a holds word i
+            for block, shift in moves:
+                out |= has_i & ((b & block) << shift)
+        return out
+
+    return cat
+
+
 def language_table(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int):
     """Bounded language of every expression in the carrier, as bit masks
     over the word carrier.  Truncation applies at every concatenation and
-    star step, so the result is exactly the bounded words of the language."""
+    star step, so the result is exactly the bounded words of the language.
+    Masks are computed level by level from the children's masks."""
     # checked on every request: a memoized table must not outlive a lower budget
     RegexFunctor(expr_size_cap).size(alphabet)
     ListFunctor(word_len_cap).size(alphabet)
 
     def build():
-        exprs = RegexFunctor(expr_size_cap).carrier(alphabet)
+        exprs, ix = RegexFunctor(expr_size_cap).arrays(alphabet)
         words = word_carrier(alphabet, word_len_cap)
         if len(words) > _WORD_BITS:
             raise BudgetError(f"word carrier too large for masks: {len(words)} > {_WORD_BITS}")
-        n = len(words)
-        cat_table = np.full((n, n), -1, dtype=np.int64)
-        for i, u in enumerate(words.payload):
-            for j, v in enumerate(words.payload):
-                if len(u) + len(v) <= word_len_cap:
-                    cat_table[i, j] = words.locate(u + v)
-
-        def cat_mask(m1: int, m2: int) -> int:
-            out = 0
-            for i in _bits(m1):
-                row = cat_table[i]
-                for j in _bits(m2):
-                    k = row[j]
-                    if k >= 0:
-                        out |= 1 << int(k)
-            return out
-
-        memo: dict[RegExpr, int] = {}
-
-        def lang(e: RegExpr) -> int:
-            got = memo.get(e)
-            if got is not None:
-                return got
-            if e.kind == "letter":
-                out = 1 << words.locate((e.letter,))
-            elif e.kind == "zero":
-                out = 0
-            elif e.kind == "eps":
-                out = 1 << words.locate(())
-            elif e.kind == "plus":
-                out = lang(e.children[0]) | lang(e.children[1])
-            elif e.kind == "cat":
-                out = cat_mask(lang(e.children[0]), lang(e.children[1]))
-            else:
-                body = lang(e.children[0])
-                out = 1 << words.locate(())
-                while True:
-                    grown = out | cat_mask(out, body)
-                    if grown == out:
-                        break
-                    out = grown
-            memo[e] = out
-            return out
-
-        masks = np.array([lang(e) for e in exprs.payload], dtype=np.uint64)
+        cat = _concatenation(words, word_len_cap)
+        one = np.uint64(1)
+        masks = np.zeros(len(exprs), dtype=np.uint64)
+        for i in range(len(alphabet)):  # the letters lead the carrier
+            at = words.locate((i,), None)  # no one-letter words at word cap 0
+            if at is not None:
+                masks[i] = one << np.uint64(at)
+        masks[ix.kind == EPS] = one
+        for lo, hi in zip(ix.bounds[1:-1], ix.bounds[2:]):
+            kind, left, right = ix.kind[lo:hi], ix.left[lo:hi], ix.right[lo:hi]
+            level = masks[lo:hi]
+            plus, conc, star = kind == PLUS, kind == CAT, kind == STAR
+            level[plus] = masks[left[plus]] | masks[right[plus]]
+            level[conc] = cat(masks[left[conc]], masks[right[conc]])
+            # star by squaring: (1 + L)^(2^t) until it stops growing
+            closure = one | masks[left[star]]
+            todo = np.arange(len(closure))
+            while todo.size:
+                part = closure[todo]
+                grown = part | cat(part, part)
+                closure[todo] = grown
+                todo = todo[grown != part]
+            level[star] = closure
         return exprs, words, masks
 
     return intern(("ka-langs", expr_size_cap, word_len_cap, alphabet), build)
 
 
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
 def bounded_language(alphabet: FiniteSet, e, word_len_cap: int, expr_size_cap: int = 7) -> frozenset:
     """Set of word labels matched within the length bound."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
-    mask = int(masks[exprs.index(e) if isinstance(e, str) else exprs.locate(e)])
-    return frozenset(words.elements[i] for i in _bits(mask))
+    mask = masks[exprs.index(e) if isinstance(e, str) else exprs.locate(e)]
+    bits = (mask >> np.arange(len(words), dtype=np.uint64)) & np.uint64(1)
+    return frozenset(words.elements[i] for i in np.flatnonzero(bits))
 
 
 def models_matrix(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) -> Rel:
@@ -211,9 +243,86 @@ def models_matrix(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) ->
 
 def semantic_leq(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) -> Rel:
     """Language inclusion at the bound, computed from masks."""
+    n = RegexFunctor(expr_size_cap).size(alphabet)
+    check_cells(n, n, "semantic order over %r up to size %d", alphabet.name, expr_size_cap)
     exprs, _, masks = language_table(alphabet, expr_size_cap, word_len_cap)
     m = (masks[:, None] & ~masks[None, :]) == 0
     return Rel(exprs, exprs, m)
+
+
+def _finder(ix: RegexIndex):
+    """Index of the composite (kind, left, right), elementwise, and -1
+    where a child is -1 or the composite lies outside the carrier."""
+    n = len(ix.kind) + 1
+    codes = (ix.kind * n + ix.left + 1) * n + ix.right + 1
+    order = np.argsort(codes)
+    ranked = codes[order]
+
+    def find(kind, left, right):
+        code = (kind * n + left + 1) * n + right + 1
+        at = np.searchsorted(ranked, code).clip(max=len(ranked) - 1)
+        return np.where((ranked[at] == code) & (left >= 0) & (right >= 0), order[at], -1)
+
+    return find
+
+
+def _axiom_pairs(ix: RegexIndex) -> np.ndarray:
+    """Sorted distinct (below, above) instance pairs as an (m, 2) array."""
+    kind, left, right = ix.kind, ix.left, ix.right
+    find = _finder(ix)
+    zero, eps = (int(np.flatnonzero(kind == k)[0]) for k in (ZERO, EPS))
+    below, above = [], []
+
+    def le(lo, hi):
+        lo, hi = np.broadcast_arrays(lo, hi)
+        keep = (lo >= 0) & (hi >= 0)
+        below.append(lo[keep])
+        above.append(hi[keep])
+
+    def eq(p, q, where=Ellipsis):
+        q = np.broadcast_to(q, p.shape)
+        le(p[where], q[where])
+        le(q[where], p[where])
+
+    # grandchildren are read for every p; a shape's mask keeps only the
+    # rows where its operand has the kind that makes them children
+    # e+f = f+e, e <= e+f, f <= e+f, e+e = e, e+0 = e, 0+f = f,
+    # e+(g+h) = (e+g)+h, 1+g.g* = g*
+    p = np.flatnonzero(kind == PLUS)
+    e, f = left[p], right[p]
+    g, h = left[f], right[f]
+    eq(p, find(PLUS, f, e))
+    le(e, p)
+    le(f, p)
+    eq(p, e, e == f)
+    eq(p, e, f == zero)
+    eq(p, f, e == zero)
+    eq(p, find(PLUS, find(PLUS, e, g), h), kind[f] == PLUS)
+    eq(p, h, (e == eps) & (kind[f] == CAT) & (kind[h] == STAR) & (left[h] == g))
+
+    # e.1 = e, 1.f = f, e.0 = 0.f = 0, e.(g.h) = (e.g).h,
+    # e.(g+h) = e.g+e.h, (g+h).f = g.f+h.f, e*.e* = e*
+    p = np.flatnonzero(kind == CAT)
+    e, f = left[p], right[p]
+    g, h = left[f], right[f]
+    eq(p, e, f == eps)
+    eq(p, f, e == eps)
+    eq(p, zero, (f == zero) | (e == zero))
+    eq(p, find(CAT, find(CAT, e, g), h), kind[f] == CAT)
+    eq(p, find(PLUS, find(CAT, e, g), find(CAT, e, h)), kind[f] == PLUS)
+    eg, eh = left[e], right[e]
+    eq(p, find(PLUS, find(CAT, eg, f), find(CAT, eh, f)), kind[e] == PLUS)
+    eq(p, e, (e == f) & (kind[e] == STAR))
+
+    # 1 <= e*, e <= e*
+    p = np.flatnonzero(kind == STAR)
+    le(eps, p)
+    le(left[p], p)
+
+    n = len(kind)
+    codes = np.sort(np.concatenate(below) * n + np.concatenate(above))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    return np.stack(divmod(codes, n), axis=1)
 
 
 def generate_axiom_instances(alphabet: FiniteSet, expr_size_cap: int) -> list[tuple[int, int]]:
@@ -221,74 +330,21 @@ def generate_axiom_instances(alphabet: FiniteSet, expr_size_cap: int) -> list[tu
     union, concatenation, and one unfolding of star, restricted to the
     expressions whose composites stay inside the carrier.
 
-    Generated by scanning the carrier for the axiom shapes: an instance
+    Each axiom shape is a mask over the carrier's index arrays: an instance
     only exists when both sides are in the carrier, so matching one side
     and looking up the rewritten partner finds every instance."""
-    exprs = RegexFunctor(expr_size_cap).carrier(alphabet)
-    pairs = set()
-
-    def eq(a: RegExpr, b: RegExpr):
-        ia, ib = exprs.locate(a, None), exprs.locate(b, None)
-        if ia is not None and ib is not None:
-            pairs.add((ia, ib))
-            pairs.add((ib, ia))
-
-    def le(a: RegExpr, b: RegExpr):
-        ia, ib = exprs.locate(a, None), exprs.locate(b, None)
-        if ia is not None and ib is not None:
-            pairs.add((ia, ib))
-
-    zero, eps = re_zero(), re_eps()
-    for p in exprs.payload:
-        if p.kind == "plus":
-            e, f = p.children
-            eq(p, re_plus(f, e))
-            le(e, p)
-            le(f, p)
-            if e == f:
-                eq(p, e)
-            if f == zero:
-                eq(p, e)
-            if e == zero:
-                eq(p, f)
-            if f.kind == "plus":
-                g, h = f.children
-                eq(p, re_plus(re_plus(e, g), h))
-            if e == eps and f.kind == "cat" and f.children[1] == re_star(f.children[0]):
-                eq(p, f.children[1])
-        elif p.kind == "cat":
-            e, f = p.children
-            if f == eps:
-                eq(p, e)
-            if e == eps:
-                eq(p, f)
-            if f == zero or e == zero:
-                eq(p, zero)
-            if f.kind == "cat":
-                g, h = f.children
-                eq(p, re_cat(re_cat(e, g), h))
-            if f.kind == "plus":
-                g, h = f.children
-                eq(p, re_plus(re_cat(e, g), re_cat(e, h)))
-            if e.kind == "plus":
-                g, h = e.children
-                eq(p, re_plus(re_cat(g, f), re_cat(h, f)))
-            if e == f and e.kind == "star":
-                eq(p, e)
-        elif p.kind == "star":
-            e = p.children[0]
-            le(eps, p)
-            le(e, p)
-    return sorted(pairs)
+    below, above = _axiom_pairs(RegexFunctor(expr_size_cap).arrays(alphabet)[1]).T.tolist()
+    return list(zip(below, above))
 
 
 def axiomatic_leq(alphabet: FiniteSet, expr_size_cap: int, axiom_pairs) -> Rel:
     """Reflexive-transitive closure of the instance pairs.  Dense; meant
     for carriers small enough to validate on probes."""
     exprs = RegexFunctor(expr_size_cap).carrier(alphabet)
+    check_cells(len(exprs), len(exprs), "axiomatic order over %r", exprs.name)
+    pairs = np.array(axiom_pairs, dtype=np.int64).reshape(-1, 2)
     m = np.zeros((len(exprs), len(exprs)), dtype=bool)
-    for i, j in axiom_pairs:
-        m[i, j] = True
+    m[pairs[:, 0], pairs[:, 1]] = True
     return star(union(Rel.identity(exprs), Rel(exprs, exprs, m)))
 
 
@@ -344,15 +400,18 @@ def ka_semantic_exactness(alphabet: FiniteSet, expr_size_cap: int, word_len_cap:
     return Verdict("semantic-exactness", True, note=f"{len(exprs)} expressions, {len(words)} words")
 
 
-def _derivable_from(src: int, adjacency: dict) -> set:
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        i = frontier.pop()
-        for j in adjacency.get(i, ()):
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
+def _derivable(i: int, succ: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Expressions reachable from i along the pairs, as a bool array; the
+    successors of k are succ[start[k]:start[k + 1]]."""
+    seen = np.zeros(len(start) - 1, dtype=bool)
+    seen[i] = True
+    frontier = np.array([i])
+    while frontier.size:
+        lo, count = start[frontier], start[frontier + 1] - start[frontier]
+        reached = np.zeros_like(seen)
+        reached[succ[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
     return seen
 
 
@@ -366,59 +425,35 @@ def ka_completeness_report(
     """Soundness of the instance list plus the first measured gap: a true
     bounded-language inclusion the instances cannot derive."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
-    if axioms is None:
-        axioms = generate_axiom_instances
-    pairs = axioms(alphabet, expr_size_cap)
+    if axioms is None:  # the generated instances, kept as an array
+        pairs = _axiom_pairs(RegexFunctor(expr_size_cap).arrays(alphabet)[1])
+    else:
+        pairs = np.array(axioms(alphabet, expr_size_cap), dtype=np.int64).reshape(-1, 2)
     report = LawReport(subject=f"axiomatic order over {len(exprs)} expressions")
-    mask_ints = [int(m) for m in masks]
-    full = (1 << len(words)) - 1
     law = "axiom-instances-sound"
-    report.add(first_violation(
-        law,
-        (((mask_ints[i] & ~mask_ints[j] & full) == 0
-          or Verdict(law, False, (exprs.elements[i], exprs.elements[j])), None) for i, j in pairs),
-        lambda _: "",
-        note=(
+    unsound = np.flatnonzero(masks[pairs[:, 0]] & ~masks[pairs[:, 1]])
+    if unsound.size:
+        i, j = pairs[unsound[0]]
+        report.add(Verdict(law, False, (exprs.elements[i], exprs.elements[j])))
+    elif len(pairs):
+        report.add(Verdict(law, True, note=(
             f"{len(pairs)} instances semantically valid; the closure stays "
-            "below the semantic order because that order is reflexive and transitive"
-        ) if pairs else "no axiom instances supplied: the generated order is syntactic identity",
-    ))
-    if not pairs:
+            "below the semantic order because that order is reflexive and transitive")))
+    else:
+        report.add(Verdict(law, True, note="no axiom instances supplied: the generated order is syntactic identity"))
         report.scope = "degenerate instance list"
 
-    adjacency: dict[int, list] = {}
-    for i, j in pairs:
-        adjacency.setdefault(i, []).append(j)
-    gap = None
-    scanned = 0
-    for i in range(len(exprs)):
-        if scanned >= gap_scan_limit:
-            break
-        reach = _derivable_from(i, adjacency)
-        mi = mask_ints[i]
-        for j in range(len(exprs)):
-            if (mi & ~mask_ints[j] & full) == 0 and j not in reach:
-                gap = (i, j)
-                break
-        scanned += 1
-        if gap:
-            break
-    if gap:
-        i, j = gap
-        report.add(
-            Verdict(
-                "completeness-gap",
-                True,
-                witness=(exprs.elements[i], exprs.elements[j]),
-                note="true at the bound but not derivable from the instances",
-            )
-        )
-    else:
-        report.add(
-            Verdict(
-                "completeness-gap",
-                True,
-                note=f"no gap among the first {scanned} expressions at this bound",
-            )
-        )
+    order = np.argsort(pairs[:, 0], kind="stable")
+    succ = pairs[order, 1]
+    start = np.searchsorted(pairs[order, 0], np.arange(len(exprs) + 1))
+    scanned = max(0, min(len(exprs), gap_scan_limit))
+    for i in range(scanned):
+        missed = ((masks[i] & ~masks) == 0) & ~_derivable(i, succ, start)
+        if missed.any():
+            j = int(np.argmax(missed))
+            report.add(Verdict("completeness-gap", True, witness=(exprs.elements[i], exprs.elements[j]),
+                               note="true at the bound but not derivable from the instances"))
+            return report
+    report.add(Verdict("completeness-gap", True,
+                       note=f"no gap among the first {scanned} expressions at this bound"))
     return report

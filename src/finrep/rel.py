@@ -21,7 +21,7 @@ from .verdict import LawReport, Verdict
 class Rel:
     """Binary relation src ⇸ tgt as a |src| x |tgt| boolean matrix."""
 
-    __slots__ = ("src", "tgt", "m")
+    __slots__ = ("src", "tgt", "m", "_preorder")
 
     def __init__(self, src: FiniteSet, tgt: FiniteSet, matrix):
         m = np.array(matrix, dtype=bool, copy=True)
@@ -34,6 +34,7 @@ class Rel:
         self.src = src
         self.tgt = tgt
         self.m = m
+        self._preorder = None  # is_preorder's report, kept: m never changes
 
     @classmethod
     def empty(cls, src, tgt):
@@ -320,12 +321,14 @@ def to_func(x: Rel) -> FuncTable:
 
 
 def is_preorder(x: Rel) -> LawReport:
-    report = LawReport(subject="preorder")
+    """Reflexivity and transitivity, checked once per relation object; each
+    call returns a fresh copy of the report."""
     if x.src is not x.tgt:
         raise CarrierMismatch("preorder check needs a square relation")
-    report.add(is_included(Rel.identity(x.src), x, "reflexivity"))
-    report.add(is_included(compose(x, x), x, "transitivity"))
-    return report
+    if x._preorder is None:
+        x._preorder = (is_included(Rel.identity(x.src), x, "reflexivity"),
+                       is_included(compose(x, x), x, "transitivity"))
+    return LawReport("preorder", list(x._preorder))
 
 
 def sum_set(a: FiniteSet, b: FiniteSet) -> tuple[FiniteSet, FuncTable, FuncTable]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CarrierMismatch, UnvalidatedError
-from .fset import FiniteSet, powerset_of
+from .fset import FiniteSet, check_cells, powerset_of
 from .rel import (
     FuncTable,
     Rel,
@@ -114,6 +114,7 @@ def validation_report(rep: Representation) -> LawReport:
 
 def semantic_containment(rep: Representation) -> Rel:
     """Expressions ordered by inclusion of their satisfying-trace sets."""
+    check_cells(len(rep.exprs), len(rep.exprs), "semantic containment of %r", rep.name)
     return under(rep.models, rep.models)
 
 

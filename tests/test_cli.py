@@ -216,6 +216,35 @@ def test_budget_exceeded_exits_2(capsys):
     fset.check_budget(200_000, "a carrier at the default budget")  # restored after the run
 
 
+def test_order_over_the_cell_budget_exits_2_before_allocating(capsys, tmp_path):
+    # 112,416 expressions pass the element budget; their 112416 x 112416
+    # order does not pass the cell budget derived from it
+    ka8 = tmp_path / "ka8.doc"
+    ka8.write_text("set A = a b\nhor wide = builtin ka size 8 words 3\n", encoding="utf-8")
+    rc, out, err = run(capsys, "hor", "instantiate", str(ka8))
+    assert (rc, out) == (2, "")
+    assert err == ("error: budget exceeded: order of ka(semantic, size 8, words 3) at A has "
+                   "112416 x 112416 = 12637357056 cells, budget 20000000\n")
+
+
+def test_document_preorder_checked_once(capsys, monkeypatch):
+    # the parser and the representation check read one report of `subset`
+    from finrep import rel
+
+    squares = []
+    product = rel.product
+
+    def counted(a, b):
+        if a is b:
+            squares.append(a.shape)
+        return product(a, b)
+
+    monkeypatch.setattr(rel, "product", counted)
+    rc, out, _ = run(capsys, "check", "rep", doc("membership2.doc"))
+    assert rc == 0 and "transitivity: ok" in out
+    assert squares == [(4, 4)]
+
+
 def test_inconsistency_exits_3_with_one_line(capsys, monkeypatch):
     def broken(r):
         raise TheoremInconsistencyError("exactness transfer disagrees\nsecond route: ok")

@@ -7,6 +7,7 @@ from finrep.fset import (
     FiniteSet,
     carrier_budget,
     check_budget,
+    check_cells,
     powerset_of,
     product_of,
     subset_members,
@@ -95,6 +96,16 @@ def test_derived_carriers_live_on_their_base():
     assert s.origin == ("sum", a, b)
     assert b._memo[("sum", a, b)] is s
     assert a._memo is None
+
+
+def test_cell_budget_follows_the_carrier_budget():
+    check_cells(4000, 5000, "twenty million cells")
+    with pytest.raises(BudgetError, match="big has 4000 x 5001 = 20004000 cells, budget 20000000"):
+        check_cells(4000, 5001, "big")
+    with carrier_budget(10):
+        check_cells(10, 100, "a thousand cells")
+        with pytest.raises(BudgetError, match="budget 1000"):
+            check_cells(1001, 1, "%s cells", "too many")
 
 
 def test_carrier_budget_is_scoped():

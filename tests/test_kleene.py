@@ -26,7 +26,6 @@ from finrep.kleene import (
     re_plus,
     re_star,
     re_zero,
-    regex_label,
     semantic_leq,
     word_carrier,
 )
@@ -36,6 +35,162 @@ from finrep.represent import is_exact, validate_representation
 from finrep.verdict import Verdict
 
 AB = FiniteSet("ab", ["a", "b"])
+
+
+# ------------------------------------------------------------ references
+# The object-based routes that the index arrays replaced, kept here as the
+# differential references: trees built by enumeration, labels by recursion,
+# languages by a memo over expression trees, instances by `locate`.
+
+def _regex_label(e: RegExpr, alphabet: FiniteSet) -> str:
+    if e.kind == "letter":
+        lab = alphabet.elements[e.letter]
+        if any(c in lab for c in "+.*()01<>"):
+            lab = f"<{lab}>"
+        return lab
+    if e.kind == "zero":
+        return "0"
+    if e.kind == "eps":
+        return "1"
+    if e.kind == "plus":
+        return f"({_regex_label(e.children[0], alphabet)}+{_regex_label(e.children[1], alphabet)})"
+    if e.kind == "cat":
+        return f"({_regex_label(e.children[0], alphabet)}.{_regex_label(e.children[1], alphabet)})"
+    return f"{_regex_label(e.children[0], alphabet)}*"
+
+
+def _reference_exprs(letters: int, cap: int) -> list[RegExpr]:
+    by_size = [[], [re_letter(i) for i in range(letters)] + [re_zero(), re_eps()]]
+    for s in range(2, cap + 1):
+        level = [re_star(e) for e in by_size[s - 1]]
+        for op in (re_plus, re_cat):
+            level += [op(e, f) for i in range(1, s - 1)
+                      for e in by_size[i] for f in by_size[s - 1 - i]]
+        by_size.append(level)
+    return [e for level in by_size for e in level]
+
+
+def _bits(mask: int):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _reference_masks(exprs: FiniteSet, words: FiniteSet, word_len_cap: int) -> list[int]:
+    def cat_mask(m1: int, m2: int) -> int:
+        out = 0
+        for i in _bits(m1):
+            for j in _bits(m2):
+                w = words.payload[i] + words.payload[j]
+                if len(w) <= word_len_cap:
+                    out |= 1 << words.locate(w)
+        return out
+
+    memo: dict[RegExpr, int] = {}
+
+    def lang(e: RegExpr) -> int:
+        if e in memo:
+            return memo[e]
+        if e.kind == "letter":
+            out = 1 << words.locate((e.letter,)) if word_len_cap else 0
+        elif e.kind == "zero":
+            out = 0
+        elif e.kind == "eps":
+            out = 1 << words.locate(())
+        elif e.kind == "plus":
+            out = lang(e.children[0]) | lang(e.children[1])
+        elif e.kind == "cat":
+            out = cat_mask(lang(e.children[0]), lang(e.children[1]))
+        else:
+            body = lang(e.children[0])
+            out = 1 << words.locate(())
+            while (grown := out | cat_mask(out, body)) != out:
+                out = grown
+        memo[e] = out
+        return out
+
+    return [lang(e) for e in exprs.payload]
+
+
+def _reference_axiom_pairs(exprs: FiniteSet) -> list[tuple[int, int]]:
+    pairs = set()
+
+    def le(a: RegExpr, b: RegExpr):
+        ia, ib = exprs.locate(a, None), exprs.locate(b, None)
+        if ia is not None and ib is not None:
+            pairs.add((ia, ib))
+
+    def eq(a: RegExpr, b: RegExpr):
+        le(a, b)
+        le(b, a)
+
+    zero, eps = re_zero(), re_eps()
+    for p in exprs.payload:
+        if p.kind == "plus":
+            e, f = p.children
+            eq(p, re_plus(f, e))
+            le(e, p)
+            le(f, p)
+            if e == f:
+                eq(p, e)
+            if f == zero:
+                eq(p, e)
+            if e == zero:
+                eq(p, f)
+            if f.kind == "plus":
+                g, h = f.children
+                eq(p, re_plus(re_plus(e, g), h))
+            if e == eps and f.kind == "cat" and f.children[1] == re_star(f.children[0]):
+                eq(p, f.children[1])
+        elif p.kind == "cat":
+            e, f = p.children
+            if f == eps:
+                eq(p, e)
+            if e == eps:
+                eq(p, f)
+            if f == zero or e == zero:
+                eq(p, zero)
+            if f.kind == "cat":
+                g, h = f.children
+                eq(p, re_cat(re_cat(e, g), h))
+            if f.kind == "plus":
+                g, h = f.children
+                eq(p, re_plus(re_cat(e, g), re_cat(e, h)))
+            if e.kind == "plus":
+                g, h = e.children
+                eq(p, re_plus(re_cat(g, f), re_cat(h, f)))
+            if e == f and e.kind == "star":
+                eq(p, e)
+        elif p.kind == "star":
+            le(eps, p)
+            le(p.children[0], p)
+    return sorted(pairs)
+
+
+DIFFERENTIAL_SHAPES = [(letters, cap) for letters in range(4) for cap in range(1, 6 if letters < 3 else 5)]
+
+
+@pytest.mark.parametrize("letters, cap", DIFFERENTIAL_SHAPES)
+def test_index_route_matches_object_references(letters, cap):
+    alphabet = FiniteSet(f"l{letters}", ["a", "b", "c<"][:letters])
+    exprs = RegexFunctor(cap).carrier(alphabet)
+    assert exprs.payload == tuple(_reference_exprs(letters, cap))
+    assert exprs.elements == tuple(_regex_label(e, alphabet) for e in exprs.payload)
+    assert generate_axiom_instances(alphabet, cap) == _reference_axiom_pairs(exprs)
+    for k in (0, 1, 2, 3):  # at word cap 0 a letter's language is empty
+        table_exprs, words, masks = language_table(alphabet, cap, k)
+        assert table_exprs is exprs
+        assert masks.tolist() == _reference_masks(exprs, words, k), (letters, cap, k)
+
+
+def test_index_arrays_name_the_children():
+    exprs, ix = RegexFunctor(4).arrays(AB)
+    assert RegexFunctor(4).arrays(AB)[1] is ix
+    assert ix.bounds.tolist() == [0, 4, 8, 44, 144]
+    for i, e in enumerate(exprs.payload):
+        assert ix.kind[i] == ("letter", "zero", "eps", "plus", "cat", "star").index(e.kind)
+        kids = [exprs.locate(c) for c in e.children]
+        want = {"letter": [e.letter, -1], "zero": [-1, -1], "eps": [-1, -1]}.get(e.kind, kids + [-1])
+        assert [ix.left[i], ix.right[i]] == want[:2], exprs.elements[i]
+        assert ix.bounds[e.size - 1] <= i < ix.bounds[e.size]
 
 
 def test_carrier_counts_and_order():
@@ -80,7 +235,8 @@ def test_label_fencing():
     c = RegexFunctor(2).carrier(weird)
     assert "<a+b>" in c.elements
     assert "<a+b>*" in c.elements
-    assert regex_label(re_plus(re_letter(0), re_letter(1)), weird) == "(x+<a+b>)"
+    c3 = RegexFunctor(3).carrier(weird)
+    assert c3.elements[c3.locate(re_plus(re_letter(0), re_letter(1)))] == "(x+<a+b>)"
 
 
 def test_budget_guard():
@@ -95,6 +251,19 @@ def test_budget_guard():
         language_table(fresh, 3, 2)
 
 
+def test_generated_orders_refused_over_the_cell_budget():
+    # 852 expressions pass a budget of 1000 elements; their 852 x 852 order
+    # does not pass its 100,000 cells
+    with carrier_budget(1000):
+        with pytest.raises(BudgetError, match="semantic order over 'ab' up to size 5 has 852 x 852"):
+            semantic_leq(AB, 5, 2)
+        h = ka_hor(5, 2)
+        assert h.models_at(AB).m.shape == (7, 852)
+        with pytest.raises(BudgetError, match=r"order of ka\(semantic, size 5, words 2\) at ab"):
+            h.leq_at(AB)
+    assert semantic_leq(AB, 5, 2).m.shape == (852, 852)
+
+
 def test_bounded_language_examples():
     assert bounded_language(AB, "(a+b)", 2) == {"[a]", "[b]"}
     assert bounded_language(AB, "a*", 3) == {"[]", "[a]", "[a,a]", "[a,a,a]"}
@@ -106,7 +275,7 @@ def test_bounded_language_examples():
 
 def _python_regex(e):
     if e.kind == "letter":
-        return re_mod.escape("ab"[e.letter])
+        return re_mod.escape("abc"[e.letter])
     if e.kind == "zero":
         return "(?!)"
     if e.kind == "eps":
@@ -118,11 +287,13 @@ def _python_regex(e):
     return f"(?:{_python_regex(e.children[0])})*"
 
 
-def test_languages_against_re_module():
+@pytest.mark.parametrize("letters, cap, k", [(1, 5, 4), (2, 4, 3), (3, 4, 2)])
+def test_languages_against_re_module(letters, cap, k):
     # truncation commutes with the operations, so the bounded language is
     # the true language cut at the length bound; re.fullmatch is the oracle
-    exprs, words, masks = language_table(AB, 4, 3)
-    strings = ["".join("ab"[i] for i in w) for w in words.payload]
+    alphabet = FiniteSet(f"l{letters}", list("abc"[:letters]))
+    exprs, words, masks = language_table(alphabet, cap, k)
+    strings = ["".join("abc"[i] for i in w) for w in words.payload]
     for idx, e in enumerate(exprs.payload):
         pat = re_mod.compile(_python_regex(e))
         want = {j for j, s in enumerate(strings) if pat.fullmatch(s)}
@@ -352,6 +523,23 @@ def test_completeness_report_names_the_first_unsound_instance():
     report = ka_completeness_report(AB, 2, 2, axioms=lambda a, cap: pairs)
     assert not report.passed and report.scope == ""
     assert report.verdicts[0].describe() == "axiom-instances-sound: VIOLATION at (a*, a)"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_unsound_pair_in_pair_order(seed):
+    # the vectorized soundness check against a loop over the pairs in the
+    # order given, with languages from the re oracle
+    exprs, words, _ = language_table(AB, 3, 2)
+    strings = ["".join("ab"[i] for i in w) for w in words.payload]
+    langs = [{s for s in strings if re_mod.fullmatch(_python_regex(e), s)} for e in exprs.payload]
+    rng = np.random.default_rng(seed)
+    pairs = [(int(i), int(j)) for i, j in rng.integers(len(exprs), size=(30, 2))]
+    pairs.sort(key=lambda p: -p[0])  # neither index order nor carrier order
+    bad = [p for p in pairs if not langs[p[0]] <= langs[p[1]]]
+    assert len(bad) > 1 and bad[0] != min(bad)
+    i, j = bad[0]
+    report = ka_completeness_report(AB, 3, 2, axioms=lambda a, cap: pairs)
+    assert report.verdicts[0] == Verdict("axiom-instances-sound", False, (exprs.elements[i], exprs.elements[j]))
 
 
 def test_cap7_exactness_and_gap():

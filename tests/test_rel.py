@@ -187,6 +187,11 @@ def test_preorder_verdicts():
     refl, trans = rep.verdicts
     assert not refl.ok and not trans.ok
     assert trans.witness == ("a0", "a2")
+    # kept on the relation; each caller gets its own report
+    again = is_preorder(bad)
+    assert again is not rep and again.verdicts == rep.verdicts
+    again.add(refl)
+    assert len(is_preorder(bad).verdicts) == 2
 
 
 def test_coproduct_axioms_all_small_pairs():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from finrep.errors import UnvalidatedError
-from finrep.fset import FiniteSet, powerset_of
+from finrep.errors import BudgetError, UnvalidatedError
+from finrep.fset import FiniteSet, carrier_budget, powerset_of
 from finrep.generate import (
     carrier,
     random_exact_representation,
@@ -225,3 +225,10 @@ def test_spec_theories_always_validate_random():
         e = carrier(f"se{i}", int(rng.integers(1, 5)))
         st = SpecTheory(t, e, random_func(rng, t, e), random_preorder(rng, e))
         assert validate_representation(spec_theory_to_representation(st)).passed
+
+
+def test_semantic_containment_refused_over_the_cell_budget():
+    rep = membership_representation(FiniteSet("four", ["a", "b", "c", "d"]))
+    with carrier_budget(2), pytest.raises(BudgetError, match="16 x 16 = 256 cells, budget 200"):
+        semantic_containment(rep)
+    assert semantic_containment(rep).count() == 81
