@@ -287,11 +287,9 @@ def _python_regex(e):
     return f"(?:{_python_regex(e.children[0])})*"
 
 
-@pytest.mark.parametrize("letters, cap, k", [(1, 5, 4), (2, 4, 3), (3, 4, 2)])
-def test_languages_against_re_module(letters, cap, k):
+def _check_languages_against_re(alphabet, cap, k):
     # truncation commutes with the operations, so the bounded language is
     # the true language cut at the length bound; re.fullmatch is the oracle
-    alphabet = FiniteSet(f"l{letters}", list("abc"[:letters]))
     exprs, words, masks = language_table(alphabet, cap, k)
     strings = ["".join("abc"[i] for i in w) for w in words.payload]
     for idx, e in enumerate(exprs.payload):
@@ -299,6 +297,15 @@ def test_languages_against_re_module(letters, cap, k):
         want = {j for j, s in enumerate(strings) if pat.fullmatch(s)}
         got = {j for j in range(len(words)) if int(masks[idx]) >> j & 1}
         assert got == want, exprs.elements[idx]
+
+
+def test_languages_against_re_module():
+    _check_languages_against_re(AB, 4, 3)
+
+
+@pytest.mark.parametrize("letters, cap, k", [(1, 5, 4), (3, 4, 2)])
+def test_languages_against_re_module_other_alphabets(letters, cap, k):
+    _check_languages_against_re(FiniteSet(f"l{letters}", list("abc"[:letters])), cap, k)
 
 
 def test_models_matrix_matches_languages():
