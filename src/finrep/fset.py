@@ -4,8 +4,9 @@ Carrier identity is object identity: two sets built independently are
 different carriers even if their labels coincide.  Derived carriers (sum,
 product, powerset, and the functor-built ones) are interned by construction
 recipe, so deriving the same thing twice returns the very same object and
-relations over it stay composable.  A recipe's memo lives on the last
-carrier it names, so a derived carrier lives exactly as long as its base.
+relations over it stay composable.  A recipe names its base carrier last
+and is memoized on that base under the rest of the recipe: nothing derived
+refers back to its base, so it is freed with the base by reference counting.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class FiniteSet:
     the carrier.  It is positional: payload[i] belongs to elements[i].
     """
 
-    __slots__ = ("name", "elements", "payload", "origin", "uid", "_index", "_where", "_memo")
+    __slots__ = ("name", "elements", "payload", "uid", "_index", "_where", "_memo")
 
-    def __init__(self, name, elements, payload=None, origin=None):
+    def __init__(self, name, elements, payload=None):
         elements = tuple(elements)
         index = {}
         for i, lab in enumerate(elements):
@@ -49,7 +50,6 @@ class FiniteSet:
         self.name = name
         self.elements = elements
         self.payload = payload
-        self.origin = origin
         self.uid = next(_fresh)
         self._index = index
         self._where = None   # payload -> index, built on first `locate`
@@ -87,20 +87,17 @@ class FiniteSet:
 
 def intern(recipe, build):
     """Return the value for `recipe`, building it on first request.  A
-    built carrier remembers its recipe as its origin."""
-    memo = _unanchored
-    for part in reversed(recipe):
-        if isinstance(part, FiniteSet):
-            if part._memo is None:
-                part._memo = {}
-            memo = part._memo
-            break
-    got = memo.get(recipe)
+    recipe ending in a carrier is memoized on that carrier, keyed without
+    it; any other recipe is memoized module-wide."""
+    memo, key = _unanchored, recipe
+    if isinstance(recipe[-1], FiniteSet):
+        base, key = recipe[-1], recipe[:-1]
+        if base._memo is None:
+            base._memo = {}
+        memo = base._memo
+    got = memo.get(key)
     if got is None:
-        got = build()
-        if isinstance(got, FiniteSet):
-            got.origin = recipe
-        memo[recipe] = got
+        got = memo[key] = build()
     return got
 
 
@@ -180,12 +177,3 @@ def powerset_of(a: FiniteSet, cap: int = 4) -> FiniteSet:
 
     return intern(("pow", a), build)
 
-
-def subset_members(p: FiniteSet, label: str) -> tuple[str, ...]:
-    """Decode one powerset element back to base labels (base order)."""
-    recipe = p.origin
-    if not (isinstance(recipe, tuple) and recipe and recipe[0] == "pow"):
-        raise ValueError(f"{p.name!r} is not an interned powerset carrier")
-    base = recipe[1]
-    mask = p.payload[p.index(label)]
-    return tuple(lab for i, lab in enumerate(base.elements) if mask >> i & 1)

@@ -212,8 +212,14 @@ class PowersetFunctor(Functor):
 
 class ContainerFunctor(Functor):
     """A shape filled with base elements (a container, after Abbott,
-    Altenkirch and Ghani), read by `split(payload) -> (shape, positions)`.
-    Arrows rename positions; the Barr lifting relates equal shapes pointwise."""
+    Altenkirch and Ghani), read by `splits(a)`: each element's (shape,
+    positions).  Arrows rename positions; the Barr lifting relates equal
+    shapes pointwise."""
+
+    def splits(self, a):
+        """(shape, positions) of each element of the carrier over `a`, in
+        carrier order, read from its payload by `split`."""
+        return map(self.split, self.carrier(a).payload)
 
     def shapes(self, a):
         """The carrier over `a` and its table, built once per carrier: shape ->
@@ -223,7 +229,7 @@ class ContainerFunctor(Functor):
 
         def build():
             groups = {}
-            for i, (shape, positions) in enumerate(map(self.split, c.payload)):
+            for i, (shape, positions) in enumerate(self.splits(a)):
                 groups.setdefault(shape, []).append((i, *positions))
             table = {}
             for shape, rows in groups.items():

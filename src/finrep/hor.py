@@ -74,24 +74,35 @@ class PreorderedSet:
 
 @dataclass
 class HOR:
-    """Functor pair plus satisfaction and order families."""
+    """Functor pair plus satisfaction and order families.  Both functors
+    count their carriers in closed form (`size`), as the list, term and
+    expression functors do."""
 
     name: str
     t_functor: Functor
     e_functor: Functor
     models_gen: "callable[[FiniteSet], Rel]" = field(repr=False, default=None)
     leq_gen: "callable[[FiniteSet], Rel]" = field(repr=False, default=None)
-    relational: bool = True
+
+    # the cell counts come from the functors' closed-form sizes, so a
+    # relation over the budget is refused before any carrier is built
+    def _check_models_cells(self, a: FiniteSet):
+        check_cells(self.t_functor.size(a), self.e_functor.size(a),
+                    "satisfaction of %s at %s", self.name, a.name)
+
+    def _check_leq_cells(self, a: FiniteSet):
+        n = self.e_functor.size(a)
+        check_cells(n, n, "order of %s at %s", self.name, a.name)
 
     def models_at(self, a: FiniteSet) -> Rel:
+        self._check_models_cells(a)
         t, e = self.t_functor.carrier(a), self.e_functor.carrier(a)
-        check_cells(len(t), len(e), "satisfaction of %s at %s", self.name, a.name)
         return on_carriers(self.models_gen(a), t, e,
                            "satisfaction of %s off its carriers at %s", self.name, a.name)
 
     def leq_at(self, a: FiniteSet) -> Rel:
+        self._check_leq_cells(a)
         e = self.e_functor.carrier(a)
-        check_cells(len(e), len(e), "order of %s at %s", self.name, a.name)
         return on_carriers(self.leq_gen(a), e, e,
                            "order of %s off its carriers at %s", self.name, a.name)
 
@@ -107,6 +118,8 @@ class HOR:
 
 
 def instantiate(h: HOR, a: FiniteSet) -> Representation:
+    h._check_models_cells(a)
+    h._check_leq_cells(a)
     rep = Representation(
         name=f"{h.name}({a.name})",
         traces=h.t_functor.carrier(a),
@@ -244,14 +257,8 @@ def hor_trace_tables(h: HOR):
     return h.t_functor.carrier, lambda f: cograph(h.t_functor.fmap(f))
 
 
-def _require_relational(h: HOR, what: str):
-    if not h.relational:
-        raise ValueError(f"{what} needs a relational structure with liftings for both functors")
-
-
 def tilde_lift(h: HOR, p: PreorderedSet) -> Representation:
     """Relax satisfaction along a preorder on the generators."""
-    _require_relational(h, "the preorder lift")
     a = p.carrier
     rep = Representation(
         name=f"{h.name}-over-{a.name}",
@@ -289,7 +296,6 @@ def check_tilde_soundness(h: HOR, p: PreorderedSet) -> LawReport:
 def hat_lift(h: HOR, r: Representation) -> Representation:
     """Parametrize by another representation: traces over its traces,
     expressions over its expressions."""
-    _require_relational(h, "the representation lift")
     if not r.validated:
         raise UnvalidatedError("lift over an unvalidated representation")
     rep = Representation(

@@ -9,54 +9,18 @@ lists is sound but incomplete, and the gap is measured, not hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError
 from .fset import FiniteSet, check_budget, check_cells, intern
-from .functors import ContainerFunctor, ListFunctor, split_tree
+from .functors import ContainerFunctor, ListFunctor
 from .hor import HOR
 from .rel import Rel, column_classes, star, under, union
 from .verdict import LawReport, Verdict
 
 _WORD_BITS = 64
-
-
-@dataclass(frozen=True, slots=True)
-class RegExpr:
-    kind: str
-    letter: int | None = None
-    children: tuple["RegExpr", ...] = ()
-
-    @property
-    def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
-
-
-def re_letter(i: int) -> RegExpr:
-    return RegExpr("letter", i)
-
-
-def re_zero() -> RegExpr:
-    return RegExpr("zero")
-
-
-def re_eps() -> RegExpr:
-    return RegExpr("eps")
-
-
-def re_plus(e: RegExpr, f: RegExpr) -> RegExpr:
-    return RegExpr("plus", None, (e, f))
-
-
-def re_cat(e: RegExpr, f: RegExpr) -> RegExpr:
-    return RegExpr("cat", None, (e, f))
-
-
-def re_star(e: RegExpr) -> RegExpr:
-    return RegExpr("star", None, (e,))
 
 
 # node kinds of the index arrays
@@ -124,21 +88,18 @@ class RegexFunctor(ContainerFunctor):
             ix = _index_arrays(len(a), self.size_cap)
             labels = [f"<{lab}>" if any(c in lab for c in "+.*()01<>") else lab for lab in a.elements]
             labels += ["0", "1"]
-            exprs = [re_letter(i) for i in range(len(a))] + [re_zero(), re_eps()]
             # each level's stars, sums and products read their children's
-            # labels and payload, which lie in lower levels
+            # labels, which lie in lower levels
             for lo, hi in zip(ix.bounds[1:-1], ix.bounds[2:]):
                 for kind in (STAR, PLUS, CAT):
                     at = lo + np.flatnonzero(ix.kind[lo:hi] == kind)
                     ls, rs = ix.left[at].tolist(), ix.right[at].tolist()
                     if kind == STAR:
                         labels += [labels[l] + "*" for l in ls]
-                        exprs += [RegExpr("star", None, (exprs[l],)) for l in ls]
                     else:
-                        op, sign = ("plus", "+") if kind == PLUS else ("cat", ".")
+                        sign = "+" if kind == PLUS else "."
                         labels += [f"({labels[l]}{sign}{labels[r]})" for l, r in zip(ls, rs)]
-                        exprs += [RegExpr(op, None, (exprs[l], exprs[r])) for l, r in zip(ls, rs)]
-            c = FiniteSet(f"reg{self.size_cap}({a.name})", labels, payload=tuple(exprs))
+            c = FiniteSet(f"reg{self.size_cap}({a.name})", labels)
             intern(("reg-index", c), lambda: ix)
             return c
 
@@ -150,8 +111,24 @@ class RegexFunctor(ContainerFunctor):
         c = self.carrier(a)
         return c, intern(("reg-index", c), lambda: _index_arrays(len(a), self.size_cap))
 
-    def split(self, e: RegExpr):
-        return split_tree(e, "kind", "letter")
+    def splits(self, a: FiniteSet):
+        """Shape and letter positions of each expression, read off the
+        arrays children first: a letter is the hole None, 0 and 1 are
+        ("zero",) and ("eps",), and a composite is its kind name over the
+        children's shapes, their positions concatenated."""
+        ix = self.arrays(a)[1]
+        out = []
+        for k, l, r in zip(ix.kind.tolist(), ix.left.tolist(), ix.right.tolist()):
+            if k == LETTER:
+                out.append((None, (l,)))
+            elif k == STAR:
+                out.append((("star", out[l][0]), out[l][1]))
+            elif k in (PLUS, CAT):
+                (s, p), (t, q) = out[l], out[r]
+                out.append((("plus" if k == PLUS else "cat", s, t), p + q))
+            else:
+                out.append((("zero" if k == ZERO else "eps",), ()))
+        return out
 
 
 def word_carrier(alphabet: FiniteSet, word_len_cap: int) -> FiniteSet:
@@ -226,10 +203,10 @@ def language_table(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int):
     return intern(("ka-langs", expr_size_cap, word_len_cap, alphabet), build)
 
 
-def bounded_language(alphabet: FiniteSet, e, word_len_cap: int, expr_size_cap: int = 7) -> frozenset:
-    """Set of word labels matched within the length bound."""
+def bounded_language(alphabet: FiniteSet, label: str, word_len_cap: int, expr_size_cap: int = 7) -> frozenset:
+    """Set of word labels matched by the expression `label` within the length bound."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
-    mask = masks[exprs.index(e) if isinstance(e, str) else exprs.locate(e)]
+    mask = masks[exprs.index(label)]
     bits = (mask >> np.arange(len(words), dtype=np.uint64)) & np.uint64(1)
     return frozenset(words.elements[i] for i in np.flatnonzero(bits))
 

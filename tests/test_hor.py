@@ -366,15 +366,6 @@ def test_conditions_accept_non_cograph_trace_tables():
     assert arrow.m.sum(axis=0).max() > 1, "full relation is converse of no function"
 
 
-def test_lifts_require_relational_structure():
-    base = mon_hor(2)
-    h = HOR("opaque", base.t_functor, base.e_functor, base.models_gen, base.leq_gen, relational=False)
-    with pytest.raises(ValueError, match="relational"):
-        tilde_lift(h, _pq_chain())
-    with pytest.raises(ValueError, match="relational"):
-        hat_lift(h, membership_representation(FiniteSet("one-elt", ["a"])))
-
-
 def test_hat_requires_validated_parameter():
     h = mon_hor(2)
     base = membership_representation(FiniteSet("one-elt", ["a"]))

@@ -1,4 +1,7 @@
+import gc
 import re as re_mod
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,9 +11,9 @@ from hypothesis import strategies as st
 from finrep.errors import BudgetError
 from finrep import kleene
 from finrep.fset import FiniteSet, carrier_budget
+from finrep.functors import split_tree
 from finrep.hor import hor_arrow, instantiate, validate_hor
 from finrep.kleene import (
-    RegExpr,
     RegexFunctor,
     axiomatic_leq,
     bounded_language,
@@ -20,12 +23,6 @@ from finrep.kleene import (
     ka_semantic_exactness,
     language_table,
     models_matrix,
-    re_cat,
-    re_eps,
-    re_letter,
-    re_plus,
-    re_star,
-    re_zero,
     semantic_leq,
     word_carrier,
 )
@@ -40,7 +37,44 @@ AB = FiniteSet("ab", ["a", "b"])
 # ------------------------------------------------------------ references
 # The object-based routes that the index arrays replaced, kept here as the
 # differential references: trees built by enumeration, labels by recursion,
-# languages by a memo over expression trees, instances by `locate`.
+# languages by a memo over expression trees, instances by tree lookup.
+# The carrier is index arrays only; the reference trees are enumerated in
+# its order, which the label comparison in the differential test pins.
+
+@dataclass(frozen=True, slots=True)
+class RegExpr:
+    kind: str
+    letter: int | None = None
+    children: tuple["RegExpr", ...] = ()
+
+    @property
+    def size(self) -> int:
+        return 1 + sum(c.size for c in self.children)
+
+
+def re_letter(i: int) -> RegExpr:
+    return RegExpr("letter", i)
+
+
+def re_zero() -> RegExpr:
+    return RegExpr("zero")
+
+
+def re_eps() -> RegExpr:
+    return RegExpr("eps")
+
+
+def re_plus(e: RegExpr, f: RegExpr) -> RegExpr:
+    return RegExpr("plus", None, (e, f))
+
+
+def re_cat(e: RegExpr, f: RegExpr) -> RegExpr:
+    return RegExpr("cat", None, (e, f))
+
+
+def re_star(e: RegExpr) -> RegExpr:
+    return RegExpr("star", None, (e,))
+
 
 def _regex_label(e: RegExpr, alphabet: FiniteSet) -> str:
     if e.kind == "letter":
@@ -74,7 +108,11 @@ def _bits(mask: int):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _reference_masks(exprs: FiniteSet, words: FiniteSet, word_len_cap: int) -> list[int]:
+def _where(trees: list[RegExpr]) -> dict[RegExpr, int]:
+    return {e: i for i, e in enumerate(trees)}
+
+
+def _reference_masks(trees: list[RegExpr], words: FiniteSet, word_len_cap: int) -> list[int]:
     def cat_mask(m1: int, m2: int) -> int:
         out = 0
         for i in _bits(m1):
@@ -107,14 +145,15 @@ def _reference_masks(exprs: FiniteSet, words: FiniteSet, word_len_cap: int) -> l
         memo[e] = out
         return out
 
-    return [lang(e) for e in exprs.payload]
+    return [lang(e) for e in trees]
 
 
-def _reference_axiom_pairs(exprs: FiniteSet) -> list[tuple[int, int]]:
+def _reference_axiom_pairs(trees: list[RegExpr]) -> list[tuple[int, int]]:
     pairs = set()
+    where = _where(trees)
 
     def le(a: RegExpr, b: RegExpr):
-        ia, ib = exprs.locate(a, None), exprs.locate(b, None)
+        ia, ib = where.get(a), where.get(b)
         if ia is not None and ib is not None:
             pairs.add((ia, ib))
 
@@ -123,7 +162,7 @@ def _reference_axiom_pairs(exprs: FiniteSet) -> list[tuple[int, int]]:
         le(b, a)
 
     zero, eps = re_zero(), re_eps()
-    for p in exprs.payload:
+    for p in trees:
         if p.kind == "plus":
             e, f = p.children
             eq(p, re_plus(f, e))
@@ -172,22 +211,26 @@ DIFFERENTIAL_SHAPES = [(letters, cap) for letters in range(4) for cap in range(1
 def test_index_route_matches_object_references(letters, cap):
     alphabet = FiniteSet(f"l{letters}", ["a", "b", "c<"][:letters])
     exprs = RegexFunctor(cap).carrier(alphabet)
-    assert exprs.payload == tuple(_reference_exprs(letters, cap))
-    assert exprs.elements == tuple(_regex_label(e, alphabet) for e in exprs.payload)
-    assert generate_axiom_instances(alphabet, cap) == _reference_axiom_pairs(exprs)
+    trees = _reference_exprs(letters, cap)
+    assert exprs.elements == tuple(_regex_label(e, alphabet) for e in trees)
+    assert RegexFunctor(cap).splits(alphabet) == [split_tree(e, "kind", "letter") for e in trees]
+    assert generate_axiom_instances(alphabet, cap) == _reference_axiom_pairs(trees)
     for k in (0, 1, 2, 3):  # at word cap 0 a letter's language is empty
         table_exprs, words, masks = language_table(alphabet, cap, k)
         assert table_exprs is exprs
-        assert masks.tolist() == _reference_masks(exprs, words, k), (letters, cap, k)
+        assert masks.tolist() == _reference_masks(trees, words, k), (letters, cap, k)
 
 
 def test_index_arrays_name_the_children():
     exprs, ix = RegexFunctor(4).arrays(AB)
     assert RegexFunctor(4).arrays(AB)[1] is ix
     assert ix.bounds.tolist() == [0, 4, 8, 44, 144]
-    for i, e in enumerate(exprs.payload):
+    trees = _reference_exprs(2, 4)
+    assert exprs.elements == tuple(_regex_label(e, AB) for e in trees)
+    where = _where(trees)
+    for i, e in enumerate(trees):
         assert ix.kind[i] == ("letter", "zero", "eps", "plus", "cat", "star").index(e.kind)
-        kids = [exprs.locate(c) for c in e.children]
+        kids = [where[c] for c in e.children]
         want = {"letter": [e.letter, -1], "zero": [-1, -1], "eps": [-1, -1]}.get(e.kind, kids + [-1])
         assert [ix.left[i], ix.right[i]] == want[:2], exprs.elements[i]
         assert ix.bounds[e.size - 1] <= i < ix.bounds[e.size]
@@ -224,10 +267,12 @@ def test_carrier_interned_and_size_closed():
     c = RegexFunctor(3).carrier(AB)
     assert RegexFunctor(3).carrier(AB) is c
     assert RegexFunctor(4).carrier(AB) is not c
-    for e in c.payload:
+    trees = _reference_exprs(2, 3)
+    assert c.elements == tuple(_regex_label(e, AB) for e in trees)
+    for e in trees:
         assert e.size <= 3
         for child in e.children:
-            assert child in c.payload
+            assert child in trees
 
 
 def test_label_fencing():
@@ -236,7 +281,8 @@ def test_label_fencing():
     assert "<a+b>" in c.elements
     assert "<a+b>*" in c.elements
     c3 = RegexFunctor(3).carrier(weird)
-    assert c3.elements[c3.locate(re_plus(re_letter(0), re_letter(1)))] == "(x+<a+b>)"
+    at = _where(_reference_exprs(2, 3))[re_plus(re_letter(0), re_letter(1))]
+    assert c3.elements[at] == "(x+<a+b>)"
 
 
 def test_budget_guard():
@@ -264,13 +310,41 @@ def test_generated_orders_refused_over_the_cell_budget():
     assert semantic_leq(AB, 5, 2).m.shape == (852, 852)
 
 
+def test_order_refused_before_any_carrier_is_built(monkeypatch):
+    # the cells of the size-8 order are counted from the closed form
+    def unbuilt(self, a):
+        raise AssertionError("the expression carrier was built")
+
+    monkeypatch.setattr(RegexFunctor, "carrier", unbuilt)
+    with pytest.raises(BudgetError) as refused:
+        instantiate(ka_hor(8, 3), FiniteSet("A", ["a", "b"]))
+    assert str(refused.value) == ("order of ka(semantic, size 8, words 3) at A has "
+                                  "112416 x 112416 = 12637357056 cells, budget 20000000")
+
+
+def test_kleene_tables_die_with_their_alphabet():
+    # nothing derived refers back to its base, so reference counting alone
+    # frees the tables when the alphabet goes
+    gc.disable()
+    try:
+        alphabet = FiniteSet("fresh", ["a", "b"])
+        exprs, words, masks = language_table(alphabet, 4, 2)
+        exprs, ix = RegexFunctor(4).arrays(alphabet)
+        dead_masks, dead_kind = weakref.ref(masks), weakref.ref(ix.kind)
+        del alphabet, exprs, words, masks, ix
+        assert dead_masks() is None
+        assert dead_kind() is None
+    finally:
+        gc.enable()
+
+
 def test_bounded_language_examples():
     assert bounded_language(AB, "(a+b)", 2) == {"[a]", "[b]"}
     assert bounded_language(AB, "a*", 3) == {"[]", "[a]", "[a,a]", "[a,a,a]"}
     assert bounded_language(AB, "(a.b)*", 3) == {"[]", "[a,b]"}
     assert bounded_language(AB, "0", 3) == frozenset()
     assert bounded_language(AB, "1", 3) == {"[]"}
-    assert bounded_language(AB, re_cat(re_letter(0), re_letter(1)), 3) == {"[a,b]"}
+    assert bounded_language(AB, "(a.b)", 3) == {"[a,b]"}
 
 
 def _python_regex(e):
@@ -291,8 +365,10 @@ def _check_languages_against_re(alphabet, cap, k):
     # truncation commutes with the operations, so the bounded language is
     # the true language cut at the length bound; re.fullmatch is the oracle
     exprs, words, masks = language_table(alphabet, cap, k)
+    trees = _reference_exprs(len(alphabet), cap)
+    assert exprs.elements == tuple(_regex_label(e, alphabet) for e in trees)
     strings = ["".join("abc"[i] for i in w) for w in words.payload]
-    for idx, e in enumerate(exprs.payload):
+    for idx, e in enumerate(trees):
         pat = re_mod.compile(_python_regex(e))
         want = {j for j, s in enumerate(strings) if pat.fullmatch(s)}
         got = {j for j in range(len(words)) if int(masks[idx]) >> j & 1}
@@ -357,13 +433,14 @@ def _pointwise_fmap(fun, f):
     """The reading the shape-grouped arrow map replaced: rename every
     letter of every expression and look the result up."""
     ca, cb = fun.carrier(f.src), fun.carrier(f.tgt)
+    where = _where(_reference_exprs(len(f.tgt), fun.size_cap))
 
     def rename(e):
         if e.kind == "letter":
             return re_letter(int(f.table[e.letter]))
         return RegExpr(e.kind, None, tuple(rename(c) for c in e.children))
 
-    return FuncTable(ca, cb, [cb.locate(rename(e)) for e in ca.payload])
+    return FuncTable(ca, cb, [where[rename(e)] for e in _reference_exprs(len(f.src), fun.size_cap)])
 
 
 def _pointwise_lift(fun, x):
@@ -378,7 +455,8 @@ def _pointwise_lift(fun, x):
             return bool(x.m[e.letter, f.letter])
         return all(related(c, d) for c, d in zip(e.children, f.children))
 
-    m = np.array([[related(e, f) for f in cb.payload] for e in ca.payload], dtype=bool)
+    ta, tb = (_reference_exprs(len(c), fun.size_cap) for c in (x.src, x.tgt))
+    m = np.array([[related(e, f) for f in tb] for e in ta], dtype=bool)
     return Rel(ca, cb, m.reshape(len(ca), len(cb)))
 
 
@@ -471,7 +549,7 @@ def test_axiom_instances_sound_by_re_oracle():
     exprs, words, masks = language_table(AB, 4, 3)
     strings = ["".join("ab"[i] for i in w) for w in words.payload]
     langs = []
-    for e in exprs.payload:
+    for e in _reference_exprs(2, 4):
         pat = re_mod.compile(_python_regex(e))
         langs.append({s for s in strings if pat.fullmatch(s)})
     for i, j in generate_axiom_instances(AB, 4):
@@ -538,7 +616,7 @@ def test_first_unsound_pair_in_pair_order(seed):
     # order given, with languages from the re oracle
     exprs, words, _ = language_table(AB, 3, 2)
     strings = ["".join("ab"[i] for i in w) for w in words.payload]
-    langs = [{s for s in strings if re_mod.fullmatch(_python_regex(e), s)} for e in exprs.payload]
+    langs = [{s for s in strings if re_mod.fullmatch(_python_regex(e), s)} for e in _reference_exprs(2, 3)]
     rng = np.random.default_rng(seed)
     pairs = [(int(i), int(j)) for i, j in rng.integers(len(exprs), size=(30, 2))]
     pairs.sort(key=lambda p: -p[0])  # neither index order nor carrier order

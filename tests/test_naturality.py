@@ -3,7 +3,7 @@ import pytest
 
 from finrep import naturality
 from finrep.errors import CarrierMismatch, TheoremInconsistencyError
-from finrep.fset import FiniteSet, subset_members
+from finrep.fset import FiniteSet
 from finrep.functors import (
     ComposedFunctor,
     IdentityFunctor,
