@@ -17,7 +17,7 @@ One declaration per line, names resolve top to bottom:
     hor H = builtin mon depth 3
     probes P = max 2 samples 10 seed 0
 
-Labels are bare words unless they contain whitespace, one of ( ) , " #,
+Labels are bare words unless they contain a space, a tab, one of ( ) , " #,
 or collide with the punctuation words, in which case they are quoted with
 backslash escapes.  Relations and preorders are explicit pair lists.
 `#` starts a comment.  Printing a parsed document and reparsing it gives
@@ -53,7 +53,8 @@ class DocumentError(Exception):
         self.column = column
 
 
-_BARE = re.compile(r"[^\s(),\"#]+")
+_SPACE = " \t"  # the only token separators, for the lexer, _BARE and quote_label
+_BARE = re.compile(f'[^{_SPACE}(),"#]+')
 _PUNCT_WORDS = ("=", ":", "->")
 
 FAMILY_BUILTINS = (
@@ -81,7 +82,7 @@ def _lex_line(text: str, lineno: int) -> list[Token]:
     i = 0
     while i < len(text):
         c = text[i]
-        if c in " \t":
+        if c in _SPACE:
             i += 1
             continue
         if c == "#":
@@ -112,14 +113,13 @@ def _lex_line(text: str, lineno: int) -> list[Token]:
             out.append(Token("".join(chars), True, lineno, col))
             continue
         m = _BARE.match(text, i)
-        assert m is not None
         out.append(Token(m.group(), False, lineno, col))
         i = m.end()
     return out
 
 
 def quote_label(label: str) -> str:
-    if label and not any(c in label for c in ' \t(),"#') and label not in _PUNCT_WORDS:
+    if label and not any(c in label for c in _SPACE + '(),"#') and label not in _PUNCT_WORDS:
         return label
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -513,13 +513,13 @@ def _pairs(r: Rel) -> str:
 def _print_set(d: Declaration) -> str:
     s: FiniteSet = d.obj
     body = " ".join(quote_label(x) for x in s.elements)
-    return ("= " + body).rstrip()
+    return ("= " + body).rstrip(" ")
 
 
 def _print_rel(d: Declaration) -> str:
     r: Rel = d.obj
     body = _pairs(r)
-    return f": {quote_label(r.src.name)} -> {quote_label(r.tgt.name)} = {body}".rstrip()
+    return f": {quote_label(r.src.name)} -> {quote_label(r.tgt.name)} = {body}".rstrip(" ")
 
 
 def _print_fun(d: Declaration) -> str:
@@ -528,12 +528,12 @@ def _print_fun(d: Declaration) -> str:
         f"{quote_label(f.src.elements[i])} -> {quote_label(f.tgt.elements[int(j)])}"
         for i, j in enumerate(f.table)
     )
-    return f": {quote_label(f.src.name)} -> {quote_label(f.tgt.name)} = {entries}".rstrip()
+    return f": {quote_label(f.src.name)} -> {quote_label(f.tgt.name)} = {entries}".rstrip(" ")
 
 
 def _print_preorder(d: Declaration) -> str:
     r: Rel = d.obj
-    return f": {quote_label(r.src.name)} = {_pairs(r)}".rstrip()
+    return f": {quote_label(r.src.name)} = {_pairs(r)}".rstrip(" ")
 
 
 def _print_representation(d: Declaration) -> str:
@@ -572,7 +572,7 @@ def _print_closure(d: Declaration) -> str:
 def _print_signature(d: Declaration) -> str:
     sig: Signature = d.obj
     body = " ".join(f"{op}:{arity}" for op, arity in sig.ops)
-    return f"= {body}".rstrip()
+    return f"= {body}".rstrip(" ")
 
 
 def _print_config(config: dict) -> str:
@@ -597,7 +597,7 @@ def _print_hor(d: Declaration) -> str:
 
 def _print_probes(d: Declaration) -> str:
     body = " ".join(f"{k} {v}" for k, v in d.obj.items())
-    return ("= " + body).rstrip()
+    return ("= " + body).rstrip(" ")
 
 
 _PRINTERS = {

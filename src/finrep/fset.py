@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 
+import numpy as np
+
 from .errors import BudgetError
 
 _fresh = itertools.count()
@@ -130,6 +132,7 @@ def check_cells(rows: int, cols: int, what: str, *args):
 
 def sum_of(a: FiniteSet, b: FiniteSet) -> FiniteSet:
     """Tagged disjoint union, left block first.  payload: (tag, base index)."""
+    check_budget(len(a) + len(b), "sum of %r and %r", a.name, b.name)
 
     def build():
         labels = [f"inl({x})" for x in a.elements] + [f"inr({y})" for y in b.elements]
@@ -141,6 +144,7 @@ def sum_of(a: FiniteSet, b: FiniteSet) -> FiniteSet:
 
 def product_of(a: FiniteSet, b: FiniteSet) -> FiniteSet:
     """Pair carrier, first component major.  payload: (i, j) index pairs."""
+    check_budget(len(a) * len(b), "product of %r and %r", a.name, b.name)
 
     def build():
         labels = [f"({x},{y})" for x in a.elements for y in b.elements]
@@ -153,27 +157,51 @@ def product_of(a: FiniteSet, b: FiniteSet) -> FiniteSet:
 def powerset_of(a: FiniteSet, cap: int = 4) -> FiniteSet:
     """All subsets of `a`, ordered by (size, then member labels).
 
-    payload: bit mask over base indices.  Refuses carriers larger than
-    `cap`; the carrier itself does not remember the cap, so different call
-    sites with different caps still share one interned powerset.
+    payload: bit mask over base indices, bit i for base element i; only
+    this module reads it, through `membership_matrix` and `locate_subsets`.
+    Refuses carriers larger than `cap`, then carriers over the budget; the
+    carrier itself does not remember the cap, so different call sites with
+    different caps still share one interned powerset.
     """
     if len(a) > cap:
         raise BudgetError(
             f"powerset of {a.name!r} has {2 ** len(a)} elements, over the cap for |A| = {cap}"
         )
+    check_budget(2 ** len(a), "powerset of %r", a.name)
 
     def build():
         order = sorted(range(len(a)), key=lambda i: a.elements[i])
-        labels, payload = [], []
-        for size in range(len(a) + 1):
-            for combo in itertools.combinations(order, size):
-                members = sorted(a.elements[i] for i in combo)
-                labels.append("{" + ",".join(members) + "}")
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                payload.append(mask)
-        return FiniteSet(f"P({a.name})", labels, payload)
+        # combinations keep the label order, so each combo's members are sorted
+        combos = [c for size in range(len(a) + 1) for c in itertools.combinations(order, size)]
+        labels = ["{" + ",".join(a.elements[i] for i in c) + "}" for c in combos]
+        return FiniteSet(f"P({a.name})", labels, [sum(1 << i for i in c) for c in combos])
 
     return intern(("pow", a), build)
 
+
+def membership_matrix(a: FiniteSet, cap: int = 4):
+    """`powerset_of(a, cap)` and its read-only membership matrix, bool
+    |a| x |P(a)|: cell (i, j) is set when base element i is in subset j.
+    The matrix is memoized on the powerset as a bare array, so it holds no
+    carrier and dies with the base."""
+    p = powerset_of(a, cap)
+
+    def build():
+        masks = np.array(p.payload, dtype=np.int64)
+        m = (masks >> np.arange(len(a))[:, None] & 1).astype(bool)
+        m.setflags(write=False)
+        return m
+
+    return p, intern(("member", p), build)
+
+
+def locate_subsets(p: FiniteSet, cols) -> np.ndarray:
+    """Index in the powerset carrier `p` of the subset that each column of
+    the bool matrix `cols` (one row per base element) selects."""
+
+    def build():  # the index of each subset, looked up by its mask
+        rank = np.empty(len(p), dtype=np.int64)
+        rank[list(p.payload)] = np.arange(len(p))
+        return rank
+
+    return intern(("rank", p), build)[(1 << np.arange(len(cols))) @ cols]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoremInconsistencyError
-from .fset import FiniteSet, check_budget, intern, powerset_of
-from .rel import FuncTable, Rel
+from .fset import FiniteSet, check_budget, intern, locate_subsets, membership_matrix, powerset_of
+from .rel import FuncTable, Rel, product, residual
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,10 @@ class IdentityFunctor(Functor):
 
 
 class PowersetFunctor(Functor):
-    """Subsets with direct-image arrows and the two-sided lifting: each
-    member on either side must be matched across the relation."""
+    """Subsets with direct-image arrows and the two-sided (Egli-Milner)
+    lifting, read off the membership matrices: X relates to Y when each
+    member of either is matched across the relation by one of the other,
+    the residuals ∈a \\ (x;∈b) and (∈b \\ (xᵀ;∈a))ᵀ."""
 
     key = ("pow",)
 
@@ -161,53 +163,21 @@ class PowersetFunctor(Functor):
         self.name = f"powerset(cap {cap})"
 
     def carrier(self, a):
-        return self.carrier_masks(a)[0]
-
-    def carrier_masks(self, a):
-        p = powerset_of(a, self.cap)
-        return p, np.array(p.payload, dtype=np.int64)
+        return powerset_of(a, self.cap)
 
     def fmap(self, f):
-        pa, _ = self.carrier_masks(f.src)
-        pb, _ = self.carrier_masks(f.tgt)
-        table = []
-        for mask in pa.payload:
-            image = 0
-            for i in range(len(f.src)):
-                if mask >> i & 1:
-                    image |= 1 << int(f.table[i])
-            table.append(pb.locate(image))
-        return FuncTable(pa, pb, table)
+        pa, ma = membership_matrix(f.src, self.cap)
+        pb = self.carrier(f.tgt)
+        cograph = f.table == np.arange(len(f.tgt))[:, None]
+        # column X of cograph(f) ; ∈a is the direct image f[X]
+        return FuncTable(pa, pb, locate_subsets(pb, product(cograph, ma)))
 
     def lift(self, x):
-        pa, amasks = self.carrier_masks(x.src)
-        pb, bmasks = self.carrier_masks(x.tgt)
-        na, nb = len(x.src), len(x.tgt)
-        succ = [0] * na
-        pred = [0] * nb
-        for i in range(na):
-            for j in range(nb):
-                if x.m[i, j]:
-                    succ[i] |= 1 << j
-                    pred[j] |= 1 << i
-        # fwd[X, Y]: every member of X sees something in Y
-        hungry_a = np.zeros(len(pb), dtype=np.int64)  # members with no match in Y
-        for yi, ymask in enumerate(pb.payload):
-            bad = 0
-            for i in range(na):
-                if not (succ[i] & ymask):
-                    bad |= 1 << i
-            hungry_a[yi] = bad
-        hungry_b = np.zeros(len(pa), dtype=np.int64)
-        for xi, xmask in enumerate(pa.payload):
-            bad = 0
-            for j in range(nb):
-                if not (pred[j] & xmask):
-                    bad |= 1 << j
-            hungry_b[xi] = bad
-        fwd = (amasks[:, None] & hungry_a[None, :]) == 0
-        bwd = (bmasks[None, :] & hungry_b[:, None]) == 0
-        return Rel(pa, pb, fwd & bwd)
+        pa, ma = membership_matrix(x.src, self.cap)
+        pb, mb = membership_matrix(x.tgt, self.cap)
+        fwd = residual(ma, product(x.m, mb))
+        bwd = residual(mb, product(x.m.T, ma))
+        return Rel(pa, pb, fwd & bwd.T)
 
 
 class ContainerFunctor(Functor):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TheoremInconsistencyError
-from .fset import FiniteSet, intern, powerset_of
+from .fset import FiniteSet, intern, locate_subsets, membership_matrix, powerset_of
 from .functors import (
     ComposedFunctor,
     Functor,
@@ -42,6 +42,7 @@ from .rel import (
     is_included,
     membership_rel,
     on_carriers,
+    product,
     union,
 )
 from .verdict import LawReport, Verdict, first_violation
@@ -322,7 +323,7 @@ def powerset_unit(cap: int = 4) -> IndexedFunction:
 
     def at(a):
         p = powerset_of(a, cap)
-        return FuncTable(a, p, [p.locate(1 << i) for i in range(len(a))])
+        return FuncTable(a, p, locate_subsets(p, np.eye(len(a), dtype=bool)))
 
     return IndexedFunction("singleton", IdentityFunctor(), pf, at)
 
@@ -332,16 +333,10 @@ def powerset_union(cap: int = 4, outer_cap: int = 16) -> IndexedFunction:
     outer = PowersetFunctor(outer_cap)
 
     def at(a):
-        p = powerset_of(a, cap)
-        pp = powerset_of(p, outer_cap)
-        table = []
-        for mm in pp.payload:
-            flat = 0
-            for i in range(len(p)):
-                if mm >> i & 1:
-                    flat |= p.payload[i]
-            table.append(p.locate(flat))
-        return FuncTable(pp, p, table)
+        p, in_p = membership_matrix(a, cap)
+        pp, in_pp = membership_matrix(p, outer_cap)
+        # column F of ∈a ; ∈Pa is the union of the family F
+        return FuncTable(pp, p, locate_subsets(p, product(in_p, in_pp)))
 
     return IndexedFunction(
         "union", ComposedFunctor(outer, inner), inner, at

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CarrierMismatch
-from .fset import FiniteSet, powerset_of, product_of, sum_of
+from .fset import FiniteSet, membership_matrix, product_of, sum_of
 from .verdict import LawReport, Verdict
 
 
@@ -198,7 +198,7 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def residual(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Left residual x\\z: the complement of xᵀ ; (not z)."""
-    return ~product(np.swapaxes(x, -1, -2), ~z)
+    return ~product(x.swapaxes(-1, -2), ~z)
 
 
 def excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -346,13 +346,8 @@ def product_set(a: FiniteSet, b: FiniteSet) -> tuple[FiniteSet, FuncTable, FuncT
 
 
 def membership_rel(a: FiniteSet, cap: int = 4) -> Rel:
-    """Element-of relation a ⇸ powerset(a), decoded from subset masks."""
-    p = powerset_of(a, cap)
-    m = np.zeros((len(a), len(p)), dtype=bool)
-    for j, mask in enumerate(p.payload):
-        for i in range(len(a)):
-            if mask >> i & 1:
-                m[i, j] = True
+    """Element-of relation a ⇸ powerset(a)."""
+    p, m = membership_matrix(a, cap)
     return Rel(a, p, m)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CarrierMismatch, UnvalidatedError
-from .fset import FiniteSet, check_cells, powerset_of
+from .fset import FiniteSet, check_cells, locate_subsets, powerset_of
 from .rel import (
     FuncTable,
     Rel,
@@ -145,10 +145,9 @@ def interpret(rep: Representation, e: str) -> tuple[str, ...]:
 
 def check_interpretation_identity(rep: Representation, cap: int = 4) -> Verdict:
     """Satisfaction must factor through membership in the interpretation table."""
-    p = powerset_of(rep.traces, cap)
-    masks = [sum(1 << int(i) for i in np.flatnonzero(col)) for col in rep.models.m.T]
-    interp = FuncTable(rep.exprs, p, [p.locate(mask) for mask in masks])
-    lhs = compose(membership_rel(rep.traces, cap), cograph(interp))
+    member = membership_rel(rep.traces, cap)
+    interp = FuncTable(rep.exprs, member.tgt, locate_subsets(member.tgt, rep.models.m))
+    lhs = compose(member, cograph(interp))
     return equal_verdict(lhs, rep.models, "interpretation-identity")
 
 
@@ -160,19 +159,18 @@ def trivial_representation(x: Rel, name: str | None = None) -> Representation:
 
 
 def membership_representation(a: FiniteSet, cap: int = 4) -> Representation:
-    """Subsets as expressions, ordered by subset inclusion (mask route)."""
+    """Subsets as expressions, ordered by subset inclusion.  The order is
+    read from the subset masks, not from the membership matrix, so it
+    stays an independent oracle for the residual route."""
     p = powerset_of(a, cap)
-    n = len(p)
-    m = np.zeros((n, n), dtype=bool)
-    for i, x in enumerate(p.payload):
-        for j, y in enumerate(p.payload):
-            m[i, j] = (x & ~y) == 0
+    check_cells(len(p), len(p), "subset order over %r", a.name)
+    masks = np.array(p.payload, dtype=np.int64)
     return Representation(
         f"membership({a.name})",
         a,
         p,
         membership_rel(a, cap),
-        Rel(p, p, m),
+        Rel(p, p, (masks[:, None] & ~masks[None, :]) == 0),
         validated=True,
     )
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,43 @@ def test_order_over_the_cell_budget_exits_2_before_allocating(capsys, tmp_path):
     assert (rc, out) == (2, "")
     assert err == ("error: budget exceeded: order of ka(semantic, size 8, words 3) at A has "
                    "112416 x 112416 = 12637357056 cells, budget 20000000\n")
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("text, argv, refusal", [
+    (None, ["build", "membership", doc("membership2.doc"), "--set", "S", "--budget", "2"],
+     "powerset of 'S' has 4 elements, budget 2"),
+    (None, ["build", "product", doc("pair.doc"), "--budget", "2"],
+     "sum of 'T' and 'T' has 4 elements, budget 2"),
+    ("set S = a b c d e f g h i j k l m n\n", ["build", "membership", "--set", "S", "--powerset-cap", "14"],
+     "subset order over 'S' has 16384 x 16384 = 268435456 cells, budget 20000000"),
+    ("family u = builtin union cap 5\n", ["check", "naturality", "--family", "u", "--probe-max", "5"],
+     "powerset of 'P(probe5)' has 4294967296 elements, budget 200000"),
+], ids=["powerset", "sum", "subset-order", "union-outer-powerset"])
+def test_derived_carriers_over_the_budget_exit_2_in_a_bounded_child(tmp_path, text, argv, refusal):
+    # refused before anything that size is built; the address-space limit
+    # and the timeout turn a regression into a failure, not a hang
+    if text is not None:
+        (tmp_path / "big.doc").write_text(text, encoding="utf-8")
+        argv = argv[:2] + [str(tmp_path / "big.doc")] + argv[2:]
+    proc = subprocess.run(
+        [sys.executable, "-m", "finrep.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        preexec_fn=_two_gib_address_space, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: budget exceeded: {refusal}\n"
+
+
+def test_document_with_unicode_spaces_in_labels_exits_0(capsys, tmp_path):
+    nbsp = tmp_path / "nbsp.doc"
+    nbsp.write_text("set A = a\u00a0b c\u3000d\n", encoding="utf-8")
+    rc, out, err = run(capsys, "build", "membership", str(nbsp), "--set", "A")
+    assert (rc, err) == (0, "")
+    assert "(2 A, 4 P(A))" in out
 
 
 def test_document_preorder_checked_once(capsys, monkeypatch):

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from finrep.document import (
     DocumentError,
@@ -72,6 +74,31 @@ def test_quoting_rules():
     assert quote_label("back\\slash") == "back\\slash"  # bare words keep backslashes
     assert quote_label("->") == '"->"'
     assert quote_label("") == '""'
+
+
+def test_unicode_spaces_are_label_characters():
+    # only space and tab separate tokens; other Unicode spaces stay inside
+    # a bare label, in the lexer and in quote_label alike
+    doc = parse_document("set A = a\u00a0b c\u3000d\n")
+    assert doc.lookup("set", "A").elements == ("a\u00a0b", "c\u3000d")
+    assert quote_label("c\u3000d") == "c\u3000d"
+    assert parse_document(print_document(doc)) == doc
+
+
+def _one_line(label):
+    """Whether a label fits on one document line: `parse_document` splits
+    lines where `str.splitlines` does, so no label can hold a line break."""
+    return len(f"x{label}x".splitlines()) == 1
+
+
+@given(st.lists(st.text().filter(_one_line), min_size=1, max_size=4, unique=True))
+@example(["\x1f"])  # a trailing non-space whitespace is not trimmed off the line
+@example(["e\u00a0", "c\u3000d"])
+def test_every_one_line_label_round_trips(labels):
+    text = "set A = " + " ".join(quote_label(lab) for lab in labels) + "\n"
+    doc = parse_document(text)
+    assert doc.lookup("set", "A").elements == tuple(labels)
+    assert print_document(doc) == text
 
 
 def test_quoted_label_escapes_round_trip():

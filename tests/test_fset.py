@@ -1,5 +1,9 @@
 """Carrier construction and interning behaviour."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from finrep.errors import BudgetError
@@ -8,6 +12,8 @@ from finrep.fset import (
     carrier_budget,
     check_budget,
     check_cells,
+    locate_subsets,
+    membership_matrix,
     powerset_of,
     product_of,
     sum_of,
@@ -125,3 +131,49 @@ def test_carrier_budget_is_scoped():
         with carrier_budget(5):
             raise RuntimeError
     check_budget(200_000, "anything")
+
+
+def test_membership_matrix_reads_the_subsets():
+    a = FiniteSet("A", ["b", "a", "c"])
+    p, m = membership_matrix(a)
+    assert p is powerset_of(a) and membership_matrix(a)[1] is m
+    assert m.shape == (3, 8) and not m.flags.writeable
+    for j, label in enumerate(p.elements):
+        assert tuple(a.elements[i] for i in np.flatnonzero(m[:, j])) == _members(p, a, label)
+    assert locate_subsets(p, m).tolist() == list(range(8))
+    picks = np.array([[0, 1], [0, 0], [0, 1]], dtype=bool)
+    assert [p.elements[j] for j in locate_subsets(p, picks)] == ["{}", "{b,c}"]
+
+
+def test_membership_matrix_dies_with_its_base():
+    # the matrix and the subset index are memoized as bare arrays on the
+    # powerset, which is memoized on the base: reference counting alone
+    # frees them all
+    gc.disable()
+    try:
+        a = FiniteSet("fresh", ["a", "b"])
+        p, m = membership_matrix(a)
+        locate_subsets(p, m)
+        dead_matrix = weakref.ref(m)
+        dead_index = weakref.ref(p._memo[("rank",)])
+        del a, p, m
+        assert dead_matrix() is None
+        assert dead_index() is None
+    finally:
+        gc.enable()
+
+
+def test_derived_carriers_are_refused_over_the_budget_before_they_are_built():
+    a, b = FiniteSet("A", ["a", "b"]), FiniteSet("B", ["x", "y", "z"])
+    with carrier_budget(5):
+        assert len(sum_of(a, b)) == 5
+        with pytest.raises(BudgetError, match="product of 'A' and 'B' has 6 elements, budget 5"):
+            product_of(a, b)
+        with pytest.raises(BudgetError, match="powerset of 'B' has 8 elements, budget 5"):
+            powerset_of(b)
+        with pytest.raises(BudgetError, match="over the cap"):  # the cap is checked first
+            powerset_of(b, cap=2)
+    assert list(b._memo) == [("sum", a)]  # neither the product nor the powerset was built
+    with carrier_budget(4):
+        with pytest.raises(BudgetError, match="sum of 'A' and 'B'"):
+            sum_of(a, b)  # checked on every request, memoized or not
