@@ -119,6 +119,9 @@ def _lex_line(text: str, lineno: int) -> list[Token]:
 
 
 def quote_label(label: str) -> str:
+    # the parser splits lines where str.splitlines does, so no label may hold such a break
+    if len(f"x{label}x".splitlines()) != 1:
+        raise ValueError(f"label {label!r} holds a line break and cannot be printed on one line")
     if label and not any(c in label for c in _SPACE + '(),"#') and label not in _PUNCT_WORDS:
         return label
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -235,11 +238,12 @@ def _pair_list(cur: _Cursor, src: FiniteSet, tgt: FiniteSet) -> np.ndarray:
 
 def _parse_set(cur: _Cursor, doc: Document, name: str) -> Declaration:
     cur.expect("=")
-    elements = []
+    elements, seen = [], set()
     while not cur.done:
         t = cur.take("element")
-        if t.text in elements:
+        if t.text in seen:
             raise DocumentError(f"duplicate element {t.text!r}", t.line, t.column)
+        seen.add(t.text)
         elements.append(t.text)
     return Declaration("set", name, FiniteSet(name, elements))
 

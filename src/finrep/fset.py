@@ -30,8 +30,10 @@ class FiniteSet:
     """Ordered finite carrier of distinct element labels.
 
     `payload`, when present, holds one structured value per element (subset
-    mask, index tuple, term object, ...) for the construction that produced
+    mask, index tuple, tagged index, ...) for the construction that produced
     the carrier.  It is positional: payload[i] belongs to elements[i].
+    Syntax carriers (terms, expressions) have none: their structure is an
+    index array derived with the carrier.
     """
 
     __slots__ = ("name", "elements", "payload", "uid", "_index", "_where", "_memo")

@@ -3,20 +3,24 @@
 Four kinds: identity, powerset (capped), lists up to a length bound, and
 terms over a signature up to a depth bound.  Each functor produces interned
 carriers, maps functions, and lifts relations; composition chains two
-functors.  Lists and terms, like the kleene module's expressions, are
-containers sharing one shape-grouped `fmap` and `lift`.  Bounds fail
-loudly, nothing truncates.
+functors.  Lists, terms and the kleene module's expressions are containers
+sharing one shape-grouped `fmap` and `lift`.  Terms and expressions are
+syntax: a carrier is its labels plus one `SyntaxIndex` (head codes, padded
+children, level bounds), with no tree objects, and one children-first
+reader (`syntax_splits`) and one node finder (`syntax_finder`) serve both.
+Bounds fail loudly, nothing truncates.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TheoremInconsistencyError
-from .fset import FiniteSet, check_budget, intern, locate_subsets, membership_matrix, powerset_of
+from .fset import FiniteSet, check_budget, check_cells, intern, locate_subsets, membership_matrix, powerset_of
 from .rel import FuncTable, Rel, product, residual
 
 
@@ -42,79 +46,114 @@ class Signature:
         return cls(tuple(mapping.items()))
 
     def arity(self, sym: str) -> int:
-        for s, a in self.ops:
+        return self.ops[self.code(sym) - 1][1]
+
+    def code(self, sym: str) -> int:
+        """The head code of `sym` in a term index: its place plus one, after HOLE."""
+        for c, (s, _) in enumerate(self.ops, 1):
             if s == sym:
-                return a
+                return c
         raise KeyError(f"unknown operator {sym!r}")
 
 
-@dataclass(frozen=True)
-class Term:
-    """Finite term: a variable leaf (op None) or an operator node."""
+class SyntaxIndex(NamedTuple):
+    """A syntax carrier as arrays in carrier order: an int head code per
+    node, its children as one int array padded with -1, and the level bounds
+    (level s is bounds[s-1]:bounds[s]).  A hole (head HOLE: a variable or a
+    letter) keeps its base position in the first column.  Every child
+    precedes its parent, so an index names one tree and equal indices are
+    equal trees."""
 
-    op: str | None
-    var: int | None
-    children: tuple["Term", ...]
-    depth: int
-
-
-def term_var(i: int) -> Term:
-    return Term(None, i, (), 1)
-
-
-def term_node(op: str, children: tuple[Term, ...]) -> Term:
-    depth = 1 + max((c.depth for c in children), default=0)
-    return Term(op, None, children, depth)
+    head: np.ndarray
+    kids: np.ndarray
+    bounds: np.ndarray
 
 
-def term_label(t: Term, base: FiniteSet, nullary: frozenset = frozenset()) -> str:
-    if t.op is None:
-        lab = base.elements[t.var]
-        # syntax-bearing variable labels (e.g. terms over terms) get fenced
-        if lab in nullary or any(c in lab for c in "(),<>"):
-            return f"<{lab}>"
-        return lab
-    if not t.children:
-        return t.op
-    return f"{t.op}({','.join(term_label(c, base, nullary) for c in t.children)})"
+HOLE = 0
 
 
-def split_tree(node, head: str, leaf: str):
-    """Shape and left-to-right positions of a tree whose set `leaf` fields mark positions."""
-    positions = []
+def syntax_of(c: FiniteSet) -> SyntaxIndex:
+    """The index arrays a syntax functor derived with the carrier `c`."""
 
-    def walk(n):
-        i = getattr(n, leaf)
-        if i is not None:
-            positions.append(i)
-            return None
-        return (getattr(n, head), *[walk(c) for c in n.children])
+    def missing():
+        raise ValueError(f"carrier {c.name!r} is not a syntax carrier")
 
-    return walk(node), tuple(positions)
+    return intern(("syntax", c), missing)
 
 
-def var_list(t: Term) -> tuple[int, ...]:
-    """Variable indices in left-to-right leaf order."""
-    return split_tree(t, "op", "var")[1]
+def syntax_splits(c: FiniteSet) -> list:
+    """Shape and hole positions of each element of the syntax carrier `c`,
+    read off its arrays children first and memoized on it: a hole is the
+    shape None at its base position, any other node is its head code over
+    its children's shapes, their positions concatenated."""
+
+    def build():
+        ix, out = syntax_of(c), []
+        for h, row in zip(ix.head.tolist(), ix.kids.tolist()):
+            if h == HOLE:
+                out.append((None, (row[0],)))
+            else:
+                kids = [out[k] for k in row if k >= 0]
+                out.append(((h, *(s for s, _ in kids)), sum((p for _, p in kids), ())))
+        return out
+
+    return intern(("splits", c), build)
 
 
-def enumerate_terms(sig: Signature, max_depth: int, n_vars: int) -> list[Term]:
-    """All terms up to the depth bound: by depth, variables before
-    operators, operators in signature order, children lexicographic."""
-    if max_depth < 1:
-        return []
-    level1 = [term_var(i) for i in range(n_vars)]
-    level1 += [term_node(sym, ()) for sym, arity in sig.ops if arity == 0]
-    by_depth = [level1]
-    for d in range(2, max_depth + 1):
-        shallower = [t for level in by_depth for t in level]
-        by_depth.append([
-            term_node(sym, kids)
-            for sym, arity in sig.ops if arity > 0
-            for kids in itertools.product(shallower, repeat=arity)
-            if max(k.depth for k in kids) == d - 1
-        ])
-    return [t for level in by_depth for t in level]
+def syntax_finder(ix: SyntaxIndex):
+    """`find(head, *kids)`: the index of the node with that head and those
+    children, elementwise, and -1 where the carrier has no such node; kid
+    columns not given are -1, the padding.  A node's code reads its head
+    and kids in radix |carrier| + 1; a prefix whose next digit would leave
+    int64 is first replaced by its rank among the carrier's prefixes."""
+    n, top = len(ix.head) + 1, np.iinfo(np.int64).max
+    ranks, code = [], ix.head
+    for col in ix.kids.T:
+        keys = None
+        if (int(code.max(initial=0)) + 1) * n >= 2 ** 62:
+            keys = np.unique(code)
+            code = np.searchsorted(keys, code)
+            keys = np.r_[keys, top]  # a sentinel above every prefix
+        ranks.append(keys)
+        code = code * n + col + 1
+    order = np.argsort(code)
+    ranked, order = np.r_[code[order], top], np.r_[order, -1]
+
+    def find(head, *kids):
+        code, *kids = np.broadcast_arrays(head, *kids)
+        hit = True
+        for j, keys in enumerate(ranks):
+            if keys is not None:
+                at = np.searchsorted(keys, code)
+                code, hit = at, hit & (keys[at] == code)
+            code = code * n + (kids[j] if j < len(kids) else -1) + 1
+        at = np.searchsorted(ranked, code)
+        return np.where(hit & (ranked[at] == code), order[at], -1)
+
+    return find
+
+
+def enumerate_terms(sig: Signature, max_depth: int, n_vars: int) -> SyntaxIndex:
+    """All terms up to the depth bound (at least 1) as index arrays: by
+    depth, variables before operators, operators in signature order,
+    children lexicographic.  An operator's head code is `sig.code`.  A
+    level's terms of arity k are the rows of `np.indices` over the
+    shallower block whose largest child lies in the previous level."""
+    width = max([1] + [k for _, k in sig.ops])
+    nullary = [c for c, (_, k) in enumerate(sig.ops, 1) if k == 0]
+    heads = [np.full(n_vars, HOLE), np.array(nullary, dtype=np.int64)]
+    kids = [np.arange(n_vars)[:, None], np.empty((len(nullary), 0), dtype=np.int64)]
+    bounds = [0, n_vars + len(nullary)]
+    for _ in range(2, max_depth + 1):
+        for c, (_, k) in enumerate(sig.ops, 1):
+            if k:
+                rows = np.indices((bounds[-1],) * k).reshape(k, -1).T
+                rows = rows[rows.max(axis=1) >= bounds[-2]]
+                heads.append(np.full(len(rows), c))
+                kids.append(rows)
+        bounds.append(sum(map(len, heads)))
+    kids = [np.pad(k, ((0, 0), (0, width - k.shape[1])), constant_values=-1) for k in kids]
+    return SyntaxIndex(np.concatenate(heads), np.concatenate(kids), np.array(bounds))
 
 
 class Functor:
@@ -175,6 +214,7 @@ class PowersetFunctor(Functor):
     def lift(self, x):
         pa, ma = membership_matrix(x.src, self.cap)
         pb, mb = membership_matrix(x.tgt, self.cap)
+        check_cells(len(pa), len(pb), "powerset lift of a relation %r -> %r", x.src.name, x.tgt.name)
         fwd = residual(ma, product(x.m, mb))
         bwd = residual(mb, product(x.m.T, ma))
         return Rel(pa, pb, fwd & bwd.T)
@@ -183,13 +223,8 @@ class PowersetFunctor(Functor):
 class ContainerFunctor(Functor):
     """A shape filled with base elements (a container, after Abbott,
     Altenkirch and Ghani), read by `splits(a)`: each element's (shape,
-    positions).  Arrows rename positions; the Barr lifting relates equal
-    shapes pointwise."""
-
-    def splits(self, a):
-        """(shape, positions) of each element of the carrier over `a`, in
-        carrier order, read from its payload by `split`."""
-        return map(self.split, self.carrier(a).payload)
+    positions) in carrier order.  Arrows rename positions; the Barr lifting
+    relates equal shapes pointwise."""
 
     def shapes(self, a):
         """The carrier over `a` and its table, built once per carrier: shape ->
@@ -268,14 +303,39 @@ class ListFunctor(ContainerFunctor):
         self.size(a)
         return intern(("list", self.max_len, a), build)
 
-    def split(self, tup):
-        return len(tup), tup
+    def splits(self, a):
+        return [(len(tup), tup) for tup in self.carrier(a).payload]
 
     # own names on the class, where the benchmark tracer rebinds them
     fmap, lift = ContainerFunctor.fmap, ContainerFunctor.lift
 
 
-class TermFunctor(ContainerFunctor):
+class SyntaxFunctor(ContainerFunctor):
+    """Trees of a syntax up to a bound, carried as a SyntaxIndex: the
+    carrier over `a` is the trees' labels in index order, and its arrays
+    are derived with it.  A subclass builds the arrays (`index`) and reads
+    the labels off them (`labels`); shapes are read off the arrays."""
+
+    def carrier(self, a):
+        def build():
+            ix = self.index(len(a))
+            c = FiniteSet(f"{self.stem}({a.name})", self.labels(ix, a))
+            intern(("syntax", c), lambda: ix)
+            return c
+
+        self.size(a)
+        return intern((*self.key, a), build)
+
+    def arrays(self, a) -> tuple[FiniteSet, SyntaxIndex]:
+        """The carrier over `a` and its index arrays."""
+        c = self.carrier(a)
+        return c, syntax_of(c)
+
+    def splits(self, a):
+        return syntax_splits(self.carrier(a))
+
+
+class TermFunctor(SyntaxFunctor):
     """Terms over a signature up to a depth bound; arrows rename variables
     and the lifting relates same-shaped terms with related variables."""
 
@@ -286,39 +346,34 @@ class TermFunctor(ContainerFunctor):
         self.max_depth = max_depth
         self.key = ("term", sig.ops, max_depth)
         self.name = f"term({dict(sig.ops)}, depth {max_depth})"
+        self.stem = f"term{max_depth}"
 
     def size(self, a) -> int:
         """Element count of the carrier over `a`, counted before it is built
         and refused at the first depth over the budget: T(1) = V + C and
         T(d) = V + C + the sum of T(d-1)^k over operators of arity k >= 1."""
-        leaves = len(a)
-        for _, arity in self.sig.ops:
-            if arity == 0:
-                leaves += 1
-        total = leaves
+        leaves = total = len(a) + sum(1 for _, k in self.sig.ops if k == 0)
         for d in range(1, self.max_depth + 1):
             if d > 1:
-                prev, total = total, leaves
-                for _, arity in self.sig.ops:
-                    if arity:
-                        total += prev ** arity
+                total = leaves + sum(total ** k for _, k in self.sig.ops if k)
             check_budget(total, "term carrier over %r up to depth %d", a.name, d)
         return total
 
-    def carrier(self, a):
-        def build():
-            terms = enumerate_terms(self.sig, self.max_depth, len(a))
-            nullary = frozenset(s for s, k in self.sig.ops if k == 0)
-            labels = [term_label(t, a, nullary) for t in terms]
-            return FiniteSet(
-                f"term{self.max_depth}({a.name})", labels, terms
-            )
+    def index(self, n_vars: int) -> SyntaxIndex:
+        return enumerate_terms(self.sig, self.max_depth, n_vars)
 
-        self.size(a)
-        return intern(("term", self.sig.ops, self.max_depth, a), build)
-
-    def split(self, t):
-        return split_tree(t, "op", "var")
+    def labels(self, ix: SyntaxIndex, a: FiniteSet) -> list[str]:
+        """Labels level by level: a variable is its base label, fenced when
+        it bears syntax (terms over terms) or names a constant; a constant
+        is its symbol; an operator node reads its children's labels."""
+        syms = [None, *(s for s, _ in self.sig.ops)]
+        nullary = {s for s, k in self.sig.ops if k == 0}
+        labels = [f"<{lab}>" if lab in nullary or any(c in lab for c in "(),<>") else lab
+                  for lab in a.elements]
+        labels += [syms[h] for h in ix.head[len(a):ix.bounds[1]].tolist()]
+        for h, row in zip(ix.head[ix.bounds[1]:].tolist(), ix.kids[ix.bounds[1]:].tolist()):
+            labels.append(f"{syms[h]}({','.join(labels[k] for k in row if k >= 0)})")
+        return labels
 
     # own names on the class, where the benchmark tracer rebinds them
     fmap, lift = ContainerFunctor.fmap, ContainerFunctor.lift

@@ -22,8 +22,9 @@ from .functors import (
     ListFunctor,
     Signature,
     TermFunctor,
-    term_var,
-    var_list,
+    syntax_finder,
+    syntax_of,
+    syntax_splits,
 )
 from .morphism import Morphism, validate_morphism
 from .naturality import (
@@ -362,18 +363,17 @@ def mon_hor(depth: int = 3) -> HOR:
 
 
 def eq_mon(term_carrier: FiniteSet, u: str, v: str) -> bool:
-    """Monoid equality decided by the flattening normal form."""
-    tu = term_carrier.payload[term_carrier.index(u)]
-    tv = term_carrier.payload[term_carrier.index(v)]
-    return var_list(tu) == var_list(tv)
+    """Monoid equality decided by the flattening normal form: the same
+    variables, left to right."""
+    splits = syntax_splits(term_carrier)
+    return splits[term_carrier.index(u)][1] == splits[term_carrier.index(v)][1]
 
 
 def mon_congruence_closure(term_carrier: FiniteSet) -> Rel:
     """Independent oracle: the least congruence containing associativity
     and the unit laws, closed inside the bounded carrier."""
-    terms = term_carrier.payload
-    locate = term_carrier.locate
-    parent = list(range(len(terms)))
+    ix = syntax_of(term_carrier)
+    parent = list(range(len(term_carrier)))
 
     def find(i):
         while parent[i] != i:
@@ -388,31 +388,25 @@ def mon_congruence_closure(term_carrier: FiniteSet) -> Rel:
             return True
         return False
 
-    from .functors import term_node
-
+    head, one, mul = ix.head, MON_SIG.code("one"), MON_SIG.code("mul")
+    muls = np.flatnonzero(head == mul)
+    us, vs = ix.kids[muls, 0], ix.kids[muls, 1]
+    # associativity u.(v1.v2) = (u.v1).v2, when the rebracketing stays in the carrier
+    node = syntax_finder(ix)
+    other = np.where(head[vs] == mul, node(mul, node(mul, us, ix.kids[vs, 0]), ix.kids[vs, 1]), -1)
+    # the unit laws t = u.1 = u and t = 1.v = v, then associativity
+    laws = [np.c_[muls, us][head[vs] == one], np.c_[muls, vs][head[us] == one], np.c_[muls, other][other >= 0]]
+    for t, x in np.concatenate(laws).tolist():
+        join(t, x)
+    pairs = np.c_[muls, us, vs].tolist()
     changed = True
-    for t in terms:
-        if t.op == "mul":
-            u, v = t.children
-            # unit laws
-            if v.op == "one":
-                join(locate(t), locate(u))
-            if u.op == "one":
-                join(locate(t), locate(v))
-            # associativity, when the rebracketing stays in the carrier
-            if v.op == "mul":
-                v1, v2 = v.children
-                other = term_node("mul", (term_node("mul", (u, v1)), v2))
-                if locate(other, None) is not None:
-                    join(locate(t), locate(other))
-    muls = [(i, locate(t.children[0]), locate(t.children[1])) for i, t in enumerate(terms) if t.op == "mul"]
     while changed:
         changed = False
-        for i, ui, vi in muls:
-            for j, uj, vj in muls:
+        for i, ui, vi in pairs:
+            for j, uj, vj in pairs:
                 if find(ui) == find(uj) and find(vi) == find(vj) and join(i, j):
                     changed = True
-    roots = np.array([find(i) for i in range(len(terms))])
+    roots = np.array([find(i) for i in range(len(term_carrier))])
     return Rel(term_carrier, term_carrier, roots[:, None] == roots[None, :])
 
 
@@ -422,22 +416,18 @@ def tilde_mon_rule_check(p: PreorderedSet, depth: int = 2) -> LawReport:
     the star-of-union form produced by the preorder lift."""
     h = mon_hor(depth)
     lifted = tilde_lift(h, p).leq
-    term_carrier = h.e_functor.carrier(p.carrier)
-    terms = term_carrier.payload
-    locate = term_carrier.locate
+    term_carrier, ix = h.e_functor.arrays(p.carrier)
 
     m = samevars_family(MON_SIG, depth).rel_at(p.carrier).m.copy()
-    for i, j in np.argwhere(p.order.m):
-        m[locate(term_var(int(i))), locate(term_var(int(j)))] = True
+    n = len(p.carrier)  # the variables lead the carrier
+    m[:n, :n] |= p.order.m
 
-    muls = [i for i, t in enumerate(terms) if t.op == "mul"]
-    lefts = np.array([locate(terms[i].children[0]) for i in muls], dtype=np.int64)
-    rights = np.array([locate(terms[i].children[1]) for i in muls], dtype=np.int64)
-    mul_ix = np.array(muls, dtype=np.int64)
+    mul_ix = np.flatnonzero(ix.head == MON_SIG.code("mul"))
+    lefts, rights = ix.kids[mul_ix, 0], ix.kids[mul_ix, 1]
     while True:
         before = m.copy()
         m |= product(m, m)
-        if len(muls):
+        if len(mul_ix):
             cong = m[np.ix_(lefts, lefts)] & m[np.ix_(rights, rights)]
             m[np.ix_(mul_ix, mul_ix)] |= cong
         if (m == before).all():

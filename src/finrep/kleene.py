@@ -9,13 +9,11 @@ lists is sound but incomplete, and the gap is measured, not hidden.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import BudgetError
 from .fset import FiniteSet, check_budget, check_cells, intern
-from .functors import ContainerFunctor, ListFunctor
+from .functors import HOLE, ListFunctor, SyntaxFunctor, SyntaxIndex, syntax_finder
 from .hor import HOR
 from .rel import Rel, column_classes, star, under, union
 from .verdict import LawReport, Verdict
@@ -23,44 +21,12 @@ from .verdict import LawReport, Verdict
 _WORD_BITS = 64
 
 
-# node kinds of the index arrays
-LETTER, ZERO, EPS, PLUS, CAT, STAR = range(6)
+# head codes of the index arrays; a letter is the hole
+LETTER = HOLE
+ZERO, EPS, PLUS, CAT, STAR = range(1, 6)
 
 
-class RegexIndex(NamedTuple):
-    """A regex carrier as arrays in carrier order: node kind, left and right
-    child (a letter's `left` is its letter; -1 where there is no child), and
-    level bounds (the expressions of s nodes are bounds[s-1]:bounds[s]).
-    Every child precedes its parent, so an index names one expression and
-    equal indices are equal expressions."""
-
-    kind: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    bounds: np.ndarray
-
-
-def _index_arrays(letters: int, size_cap: int) -> RegexIndex:
-    """The carrier order, level by level: a level's stars over the level
-    below, then its + and then its . pairs, by left size, left operand major."""
-    parts = [(np.r_[np.full(letters, LETTER), ZERO, EPS], np.r_[np.arange(letters), -1, -1],
-              np.full(letters + 2, -1))]
-    bounds = [0, letters + 2]
-    for s in range(2, size_cap + 1):
-        below = np.arange(bounds[s - 2], bounds[s - 1])
-        level = [(np.full(len(below), STAR), below, np.full(len(below), -1))]
-        for op in (PLUS, CAT):
-            for i in range(1, s - 1):
-                e, f = np.meshgrid(np.arange(bounds[i - 1], bounds[i]),
-                                   np.arange(bounds[s - 2 - i], bounds[s - 1 - i]), indexing="ij")
-                level.append((np.full(e.size, op), e.ravel(), f.ravel()))
-        parts += level
-        bounds.append(bounds[-1] + sum(len(k) for k, _, _ in level))
-    kind, left, right = (np.concatenate(x).astype(np.int64) for x in zip(*parts))
-    return RegexIndex(kind, left, right, np.array(bounds, dtype=np.int64))
-
-
-class RegexFunctor(ContainerFunctor):
+class RegexFunctor(SyntaxFunctor):
     """Expressions of bounded node count; renaming maps letters."""
 
     def __init__(self, size_cap: int):
@@ -69,6 +35,7 @@ class RegexFunctor(ContainerFunctor):
         self.size_cap = size_cap
         self.key = ("reg", size_cap)
         self.name = f"regex(size {size_cap})"
+        self.stem = f"reg{size_cap}"
 
     def size(self, a: FiniteSet) -> int:
         """Element count of the carrier over `a`, counted before it is built
@@ -83,52 +50,44 @@ class RegexFunctor(ContainerFunctor):
             check_budget(total, "expression carrier over %r up to size %d", a.name, s)
         return total
 
-    def carrier(self, a: FiniteSet) -> FiniteSet:
-        def build():
-            ix = _index_arrays(len(a), self.size_cap)
-            labels = [f"<{lab}>" if any(c in lab for c in "+.*()01<>") else lab for lab in a.elements]
-            labels += ["0", "1"]
-            # each level's stars, sums and products read their children's
-            # labels, which lie in lower levels
-            for lo, hi in zip(ix.bounds[1:-1], ix.bounds[2:]):
-                for kind in (STAR, PLUS, CAT):
-                    at = lo + np.flatnonzero(ix.kind[lo:hi] == kind)
-                    ls, rs = ix.left[at].tolist(), ix.right[at].tolist()
-                    if kind == STAR:
-                        labels += [labels[l] + "*" for l in ls]
-                    else:
-                        sign = "+" if kind == PLUS else "."
-                        labels += [f"({labels[l]}{sign}{labels[r]})" for l, r in zip(ls, rs)]
-            c = FiniteSet(f"reg{self.size_cap}({a.name})", labels)
-            intern(("reg-index", c), lambda: ix)
-            return c
+    def index(self, letters: int) -> SyntaxIndex:
+        """The carrier order, level by level: a level's stars over the level
+        below, then its + and then its . pairs, by left size, left operand
+        major.  A letter's first kid is its letter, a star's its operand."""
+        parts = [(np.r_[np.full(letters, LETTER), ZERO, EPS], np.r_[np.arange(letters), -1, -1],
+                  np.full(letters + 2, -1))]
+        bounds = [0, letters + 2]
+        for s in range(2, self.size_cap + 1):
+            below = np.arange(bounds[s - 2], bounds[s - 1])
+            level = [(np.full(len(below), STAR), below, np.full(len(below), -1))]
+            for op in (PLUS, CAT):
+                for i in range(1, s - 1):
+                    e, f = np.meshgrid(np.arange(bounds[i - 1], bounds[i]),
+                                       np.arange(bounds[s - 2 - i], bounds[s - 1 - i]), indexing="ij")
+                    level.append((np.full(e.size, op), e.ravel(), f.ravel()))
+            parts += level
+            bounds.append(bounds[-1] + sum(len(k) for k, _, _ in level))
+        head, left, right = (np.concatenate(x).astype(np.int64) for x in zip(*parts))
+        return SyntaxIndex(head, np.stack([left, right], axis=1), np.array(bounds, dtype=np.int64))
 
-        self.size(a)
-        return intern(("reg", self.size_cap, a), build)
+    def labels(self, ix: SyntaxIndex, a: FiniteSet) -> list[str]:
+        """Labels level by level: each level's stars, sums and products read
+        their children's labels, which lie in lower levels."""
+        labels = [f"<{lab}>" if any(c in lab for c in "+.*()01<>") else lab for lab in a.elements]
+        labels += ["0", "1"]
+        for lo, hi in zip(ix.bounds[1:-1], ix.bounds[2:]):
+            for kind in (STAR, PLUS, CAT):
+                at = lo + np.flatnonzero(ix.head[lo:hi] == kind)
+                ls, rs = ix.kids[at, 0].tolist(), ix.kids[at, 1].tolist()
+                if kind == STAR:
+                    labels += [labels[l] + "*" for l in ls]
+                else:
+                    sign = "+" if kind == PLUS else "."
+                    labels += [f"({labels[l]}{sign}{labels[r]})" for l, r in zip(ls, rs)]
+        return labels
 
-    def arrays(self, a: FiniteSet) -> tuple[FiniteSet, RegexIndex]:
-        """The carrier over `a` and its index arrays, derived with it."""
-        c = self.carrier(a)
-        return c, intern(("reg-index", c), lambda: _index_arrays(len(a), self.size_cap))
-
-    def splits(self, a: FiniteSet):
-        """Shape and letter positions of each expression, read off the
-        arrays children first: a letter is the hole None, 0 and 1 are
-        ("zero",) and ("eps",), and a composite is its kind name over the
-        children's shapes, their positions concatenated."""
-        ix = self.arrays(a)[1]
-        out = []
-        for k, l, r in zip(ix.kind.tolist(), ix.left.tolist(), ix.right.tolist()):
-            if k == LETTER:
-                out.append((None, (l,)))
-            elif k == STAR:
-                out.append((("star", out[l][0]), out[l][1]))
-            elif k in (PLUS, CAT):
-                (s, p), (t, q) = out[l], out[r]
-                out.append((("plus" if k == PLUS else "cat", s, t), p + q))
-            else:
-                out.append((("zero" if k == ZERO else "eps",), ()))
-        return out
+    # own name on the class, where the benchmark tracer rebinds it
+    carrier = SyntaxFunctor.carrier
 
 
 def word_carrier(alphabet: FiniteSet, word_len_cap: int) -> FiniteSet:
@@ -182,9 +141,9 @@ def language_table(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int):
             at = words.locate((i,), None)  # no one-letter words at word cap 0
             if at is not None:
                 masks[i] = one << np.uint64(at)
-        masks[ix.kind == EPS] = one
+        masks[ix.head == EPS] = one
         for lo, hi in zip(ix.bounds[1:-1], ix.bounds[2:]):
-            kind, left, right = ix.kind[lo:hi], ix.left[lo:hi], ix.right[lo:hi]
+            kind, left, right = ix.head[lo:hi], ix.kids[lo:hi, 0], ix.kids[lo:hi, 1]
             level = masks[lo:hi]
             plus, conc, star = kind == PLUS, kind == CAT, kind == STAR
             level[plus] = masks[left[plus]] | masks[right[plus]]
@@ -227,26 +186,10 @@ def semantic_leq(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) -> 
     return Rel(exprs, exprs, m)
 
 
-def _finder(ix: RegexIndex):
-    """Index of the composite (kind, left, right), elementwise, and -1
-    where a child is -1 or the composite lies outside the carrier."""
-    n = len(ix.kind) + 1
-    codes = (ix.kind * n + ix.left + 1) * n + ix.right + 1
-    order = np.argsort(codes)
-    ranked = codes[order]
-
-    def find(kind, left, right):
-        code = (kind * n + left + 1) * n + right + 1
-        at = np.searchsorted(ranked, code).clip(max=len(ranked) - 1)
-        return np.where((ranked[at] == code) & (left >= 0) & (right >= 0), order[at], -1)
-
-    return find
-
-
-def _axiom_pairs(ix: RegexIndex) -> np.ndarray:
+def _axiom_pairs(ix: SyntaxIndex) -> np.ndarray:
     """Sorted distinct (below, above) instance pairs as an (m, 2) array."""
-    kind, left, right = ix.kind, ix.left, ix.right
-    find = _finder(ix)
+    kind, left, right = ix.head, ix.kids[:, 0], ix.kids[:, 1]
+    find = syntax_finder(ix)
     zero, eps = (int(np.flatnonzero(kind == k)[0]) for k in (ZERO, EPS))
     below, above = [], []
 

@@ -23,11 +23,8 @@ from .functors import (
     ListFunctor,
     PowersetFunctor,
     Signature,
-    Term,
     TermFunctor,
-    term_node,
-    term_var,
-    var_list,
+    syntax_finder,
 )
 from .laws import all_functions, all_relations
 from .rel import (
@@ -346,30 +343,32 @@ def powerset_union(cap: int = 4, outer_cap: int = 16) -> IndexedFunction:
 def term_unit(sig: Signature, depth: int) -> IndexedFunction:
     tf = TermFunctor(sig, depth)
 
-    def at(a):
-        t = tf.carrier(a)
-        return FuncTable(a, t, [t.locate(term_var(i)) for i in range(len(a))])
+    def at(a):  # the variables lead the carrier
+        return FuncTable(a, tf.carrier(a), np.arange(len(a)))
 
     return IndexedFunction("term-unit", IdentityFunctor(), tf, at)
 
 
 def term_flatten(sig: Signature, depth: int) -> IndexedFunction:
     """Substitution collapse: terms whose variables are terms flatten into
-    one carrier deep enough to hold every image."""
+    one carrier deep enough to hold every image.  The carrier over `a` at
+    depth `depth` is a prefix of the deeper one, so a variable's image is
+    its own index there, and each level above looks its nodes up by their
+    children's images."""
     inner = TermFunctor(sig, depth)
     target = TermFunctor(sig, max(2 * depth - 1, 1))
 
     def at(a):
         ta = inner.carrier(a)
-        tta = inner.carrier(ta)
-        out = target.carrier(a)
-
-        def subst(t: Term) -> Term:
-            if t.op is None:
-                return ta.payload[t.var]
-            return term_node(t.op, tuple(subst(c) for c in t.children))
-
-        return FuncTable(tta, out, [out.locate(subst(t)) for t in tta.payload])
+        tta, ix = inner.arrays(ta)
+        out, deep = target.arrays(a)
+        find = syntax_finder(deep)
+        image = np.full(len(tta) + 1, -1)  # the last entry images the padding
+        image[:len(ta)] = np.arange(len(ta))  # the variables lead the carrier
+        for lo, hi in zip(ix.bounds[:-1], ix.bounds[1:]):
+            lo = max(lo, len(ta))
+            image[lo:hi] = find(ix.head[lo:hi], *image[ix.kids[lo:hi]].T)
+        return FuncTable(tta, out, image[:-1])
 
     return IndexedFunction(
         "term-flatten", ComposedFunctor(inner, inner), target, at
@@ -388,7 +387,7 @@ def varlist_family(sig: Signature, depth: int) -> IndexedFunction:
     def at(a):
         t = tf.carrier(a)
         l = lf.carrier(a)
-        return FuncTable(t, l, [l.locate(var_list(term)) for term in t.payload])
+        return FuncTable(t, l, [l.locate(positions) for _, positions in tf.splits(a)])
 
     return IndexedFunction("variable-list", tf, lf, at)
 

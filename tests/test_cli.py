@@ -241,7 +241,11 @@ def _two_gib_address_space():
      "subset order over 'S' has 16384 x 16384 = 268435456 cells, budget 20000000"),
     ("family u = builtin union cap 5\n", ["check", "naturality", "--family", "u", "--probe-max", "5"],
      "powerset of 'P(probe5)' has 4294967296 elements, budget 200000"),
-], ids=["powerset", "sum", "subset-order", "union-outer-powerset"])
+    ("family u = builtin union cap 3\n",
+     ["check", "linearity", "--family", "u", "--mode", "relations", "--side", "left",
+      "--probe-max", "3", "--budget", "300"],
+     "powerset lift of a relation 'P(probe3)' -> 'P(probe3)' has 256 x 256 = 65536 cells, budget 30000"),
+], ids=["powerset", "sum", "subset-order", "union-outer-powerset", "union-lift"])
 def test_derived_carriers_over_the_budget_exit_2_in_a_bounded_child(tmp_path, text, argv, refusal):
     # refused before anything that size is built; the address-space limit
     # and the timeout turn a regression into a failure, not a hang

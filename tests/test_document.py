@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from finrep.fset import FiniteSet
 from finrep.document import (
     DocumentError,
     parse_document,
@@ -101,6 +102,22 @@ def test_every_one_line_label_round_trips(labels):
     assert print_document(doc) == text
 
 
+# every break that str.splitlines splits a line at
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@given(st.tuples(st.text(), st.sampled_from(LINE_BREAKS), st.text()).map("".join))
+@example("a\x85b")
+def test_every_label_off_one_line_is_refused_by_the_printer(label):
+    assert not _one_line(label)
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        quote_label(label)
+    doc = parse_document("set A = c\n")
+    doc.decls[0].obj = FiniteSet("A", [label, "c"])
+    with pytest.raises(ValueError, match="line break"):
+        print_document(doc)
+
+
 def test_quoted_label_escapes_round_trip():
     text = 'set S = "say \\"hi\\"" "back\\\\slash"\n'
     doc = parse_document(text)
@@ -138,6 +155,13 @@ def test_duplicate_names_and_elements():
         parse_document("set A = a\nset A = b")
     with pytest.raises(DocumentError, match="duplicate element"):
         parse_document("set A = a a")
+    with pytest.raises(DocumentError) as err:
+        parse_document("set A = a b c b")
+    assert str(err.value) == "line 1, column 15: duplicate element 'b'"
+    wide = " ".join(f"e{i}" for i in range(1500))
+    with pytest.raises(DocumentError) as err:
+        parse_document(f"set A = {wide} e7")
+    assert str(err.value) == f"line 1, column {len(wide) + 10}: duplicate element 'e7'"
     with pytest.raises(DocumentError, match="mapped twice"):
         parse_document("set A = a\nfun f : A -> A = a -> a, a -> a")
 

@@ -12,19 +12,17 @@ from finrep.functors import (
     ListFunctor,
     PowersetFunctor,
     Signature,
-    Term,
     TermFunctor,
     enumerate_terms,
-    term_label,
-    term_node,
-    term_var,
-    var_list,
 )
 from finrep.kleene import RegexFunctor
 from finrep.rel import FuncTable, Rel, compose_func, graph
+from term_trees import Term, enumerate_term_trees, term_label, term_node, term_var, var_list, where
 
 SIG = Signature.of({"mul": 2, "one": 0})
 WIDE = Signature.of({"f": 1, "h": 3, "c": 0})
+MIXED = Signature.of({"f": 1, "g": 2, "c": 0, "h": 3})
+UNARY = Signature.of({"f": 1})
 
 
 def test_signature_validation():
@@ -59,9 +57,10 @@ def test_term_carrier_frozen():
 def test_term_enumeration_counts():
     # depth 1: 2 vars + one; depth 2: mul over 3x3; depth 3 adds
     # mul pairs with at least one depth-2 child: 12*12 - 3*3
-    assert len(enumerate_terms(SIG, 1, 2)) == 3
-    assert len(enumerate_terms(SIG, 2, 2)) == 12
-    assert len(enumerate_terms(SIG, 3, 2)) == 147
+    assert len(enumerate_terms(SIG, 1, 2).head) == 3
+    assert len(enumerate_terms(SIG, 2, 2).head) == 12
+    assert len(enumerate_terms(SIG, 3, 2).head) == 147
+    assert enumerate_terms(SIG, 3, 2).bounds.tolist() == [0, 3, 12, 147]
 
 
 def test_var_list_reads_leaves_left_to_right():
@@ -75,6 +74,7 @@ def test_term_label_fences_ambiguous_variable_labels():
     lab = term_label(term_var(0), base, nullary=frozenset({"one"}))
     assert lab == "<one>"
     assert term_label(term_var(1), base, nullary=frozenset({"one"})) == "plain"
+    assert TermFunctor(SIG, 1).carrier(base).elements == ("<one>", "plain", "one")
 
 
 def test_term_over_term_carrier_builds():
@@ -128,7 +128,7 @@ def test_closed_form_counts_match_carriers(n_vars):
     wide = Signature.of({"f": 1, "g": 2, "c": 0, "d": 0})
     for sig, depth in [(SIG, 3), (wide, 2)]:
         for d in range(1, depth + 1):
-            assert TermFunctor(sig, d).size(base) == len(enumerate_terms(sig, d, n_vars))
+            assert TermFunctor(sig, d).size(base) == len(enumerate_terms(sig, d, n_vars).head)
             assert TermFunctor(sig, d).size(base) == len(TermFunctor(sig, d).carrier(base))
     for l in range(5):
         assert ListFunctor(l).size(base) == len(ListFunctor(l).carrier(base))
@@ -267,6 +267,14 @@ def test_fmap_respects_composition_spot_check():
 # up, and compare every pair of elements recursively.
 
 
+def _elements(fun, c, base):
+    """The elements of the carrier `c` over `base`: list payloads, or
+    reference term trees in carrier order."""
+    if isinstance(fun, ListFunctor):
+        return c.payload
+    return enumerate_term_trees(fun.sig, fun.max_depth, len(base))
+
+
 def _pointwise_fmap(fun, f):
     if isinstance(fun, ComposedFunctor):
         return _pointwise_fmap(fun.outer, _pointwise_fmap(fun.inner, f))
@@ -279,7 +287,8 @@ def _pointwise_fmap(fun, f):
             return term_var(int(f.table[t.var]))
         return Term(t.op, None, tuple(rename(c) for c in t.children), t.depth)
 
-    return FuncTable(ca, cb, [cb.locate(rename(t)) for t in ca.payload])
+    at = where(_elements(fun, cb, f.tgt))
+    return FuncTable(ca, cb, [at[rename(t)] for t in _elements(fun, ca, f.src)])
 
 
 def _pointwise_lift(fun, x):
@@ -296,7 +305,8 @@ def _pointwise_lift(fun, x):
             return False
         return all(related(a, b) for a, b in zip(s.children, t.children))
 
-    m = np.array([[related(s, t) for t in cb.payload] for s in ca.payload], dtype=bool)
+    ta, tb = _elements(fun, ca, x.src), _elements(fun, cb, x.tgt)
+    m = np.array([[related(s, t) for t in tb] for s in ta], dtype=bool)
     return Rel(ca, cb, m.reshape(len(ca), len(cb)))
 
 
@@ -305,6 +315,8 @@ def _pointwise_lift(fun, x):
     [ListFunctor(n) for n in range(4)]
     + [TermFunctor(SIG, d) for d in (1, 2, 3)]
     + [TermFunctor(WIDE, d) for d in (1, 2)]
+    + [TermFunctor(MIXED, d) for d in (1, 2)]
+    + [TermFunctor(UNARY, d) for d in (1, 2, 3)]
     + [ComposedFunctor(ListFunctor(2), TermFunctor(SIG, 2))],
     ids=lambda fun: fun.name,
 )

@@ -12,7 +12,7 @@ import finrep.represent as represent_module
 from finrep.cli import main as cli_main
 from finrep.errors import CarrierMismatch, UnvalidatedError
 from finrep.fset import FiniteSet
-from finrep.functors import IdentityFunctor, term_node, term_var
+from finrep.functors import IdentityFunctor
 from finrep.hor import (
     HOR,
     MON_SIG,

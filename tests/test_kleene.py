@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from finrep.errors import BudgetError
 from finrep import kleene
 from finrep.fset import FiniteSet, carrier_budget
-from finrep.functors import split_tree
+from finrep.functors import syntax_splits
 from finrep.hor import hor_arrow, instantiate, validate_hor
 from finrep.kleene import (
     RegexFunctor,
@@ -30,6 +30,7 @@ from finrep.naturality import ProbeUniverse, check_functor_laws, probe_carrier
 from finrep.rel import FuncTable, Rel, graph, under
 from finrep.represent import is_exact, validate_representation
 from finrep.verdict import Verdict
+from term_trees import split_tree
 
 AB = FiniteSet("ab", ["a", "b"])
 
@@ -40,6 +41,10 @@ AB = FiniteSet("ab", ["a", "b"])
 # languages by a memo over expression trees, instances by tree lookup.
 # The carrier is index arrays only; the reference trees are enumerated in
 # its order, which the label comparison in the differential test pins.
+
+# head codes of the index arrays, by kind name
+KINDS = ("letter", "zero", "eps", "plus", "cat", "star")
+
 
 @dataclass(frozen=True, slots=True)
 class RegExpr:
@@ -213,7 +218,8 @@ def test_index_route_matches_object_references(letters, cap):
     exprs = RegexFunctor(cap).carrier(alphabet)
     trees = _reference_exprs(letters, cap)
     assert exprs.elements == tuple(_regex_label(e, alphabet) for e in trees)
-    assert RegexFunctor(cap).splits(alphabet) == [split_tree(e, "kind", "letter") for e in trees]
+    assert syntax_splits(exprs) == [
+        split_tree(e, "kind", "letter", KINDS.index) for e in trees]
     assert generate_axiom_instances(alphabet, cap) == _reference_axiom_pairs(trees)
     for k in (0, 1, 2, 3):  # at word cap 0 a letter's language is empty
         table_exprs, words, masks = language_table(alphabet, cap, k)
@@ -229,10 +235,10 @@ def test_index_arrays_name_the_children():
     assert exprs.elements == tuple(_regex_label(e, AB) for e in trees)
     where = _where(trees)
     for i, e in enumerate(trees):
-        assert ix.kind[i] == ("letter", "zero", "eps", "plus", "cat", "star").index(e.kind)
+        assert ix.head[i] == KINDS.index(e.kind)
         kids = [where[c] for c in e.children]
         want = {"letter": [e.letter, -1], "zero": [-1, -1], "eps": [-1, -1]}.get(e.kind, kids + [-1])
-        assert [ix.left[i], ix.right[i]] == want[:2], exprs.elements[i]
+        assert ix.kids[i].tolist() == want[:2], exprs.elements[i]
         assert ix.bounds[e.size - 1] <= i < ix.bounds[e.size]
 
 
@@ -330,7 +336,7 @@ def test_kleene_tables_die_with_their_alphabet():
         alphabet = FiniteSet("fresh", ["a", "b"])
         exprs, words, masks = language_table(alphabet, 4, 2)
         exprs, ix = RegexFunctor(4).arrays(alphabet)
-        dead_masks, dead_kind = weakref.ref(masks), weakref.ref(ix.kind)
+        dead_masks, dead_kind = weakref.ref(masks), weakref.ref(ix.head)
         del alphabet, exprs, words, masks, ix
         assert dead_masks() is None
         assert dead_kind() is None

@@ -11,9 +11,6 @@ from finrep.functors import (
     PowersetFunctor,
     Signature,
     TermFunctor,
-    term_node,
-    term_var,
-    var_list,
 )
 from finrep.naturality import (
     IndexedFunction,
@@ -36,6 +33,7 @@ from finrep.naturality import (
     varlist_family,
 )
 from finrep.rel import FuncTable, Rel, graph
+from term_trees import enumerate_term_trees, term_node, term_var, var_list
 
 SIG = Signature.of({"mul": 2, "one": 0})
 P2 = ProbeUniverse(max_size=2)
@@ -306,12 +304,12 @@ def test_term_flatten_substitutes_inner_terms():
     p = FiniteSet("p", ["p"])
     mu = term_flatten(SIG, 2)
     tf = TermFunctor(SIG, 2)
-    inner = tf.carrier(p)
-    i_mulpp = inner.payload.index(term_node("mul", (term_var(0), term_var(0))))
-    i_one = inner.payload.index(term_node("one", ()))
+    inner = enumerate_term_trees(SIG, 2, len(tf.carrier(p)))
+    i_mulpp = enumerate_term_trees(SIG, 2, 1).index(term_node("mul", (term_var(0), term_var(0))))
+    i_one = enumerate_term_trees(SIG, 2, 1).index(term_node("one", ()))
     outer_term = term_node("mul", (term_var(i_mulpp), term_var(i_one)))
     f = mu.func_at(p)
-    src_label = f.src.elements[f.src.payload.index(outer_term)]
+    src_label = f.src.elements[inner.index(outer_term)]
     assert f(src_label) == "mul(mul(p,p),one)"
     assert mu.target.carrier(p) is TermFunctor(SIG, 3).carrier(p)
 
@@ -327,9 +325,10 @@ def test_varlist_family_frozen_values():
 def test_samevars_matches_direct_comparison():
     a = FiniteSet("ab", ["a", "b"])
     rel = samevars_family(SIG, 2).rel_at(a)
-    carrier = rel.src
-    for i, s in enumerate(carrier.payload):
-        for j, t in enumerate(carrier.payload):
+    terms = enumerate_term_trees(SIG, 2, len(a))
+    assert len(terms) == len(rel.src)
+    for i, s in enumerate(terms):
+        for j, t in enumerate(terms):
             assert rel.m[i, j] == (var_list(s) == var_list(t))
 
 

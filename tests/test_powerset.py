@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
+from finrep import functors
+from finrep.errors import BudgetError
 from finrep.fset import locate_subsets, powerset_of
 from finrep.functors import ComposedFunctor, PowersetFunctor
 from finrep.laws import all_functions, all_relations
@@ -156,3 +158,18 @@ def test_interpretation_matches_mask_loops(differential_cases):
         p = powerset_of(rep.traces, 4)
         assert np.array_equal(locate_subsets(p, rep.models.m), _mask_interpretation(rep, 4).table)
         assert check_interpretation_identity(rep) == _reference_interpretation_verdict(rep, 4)
+
+
+def test_lift_over_the_cell_budget_is_refused_before_any_product(monkeypatch):
+    # P(P(probe4)) has 65,536 subsets: a relation on P(probe4) would lift to
+    # 65536 x 65536 cells, far over the default 20,000,000-cell budget
+    p4 = powerset_of(probe_carrier(4), 4)
+
+    def no_product(*args):
+        raise AssertionError("a relational product ran before the cell check")
+
+    monkeypatch.setattr(functors, "product", no_product)
+    monkeypatch.setattr(functors, "residual", no_product)
+    with pytest.raises(BudgetError, match=r"powerset lift of a relation 'P\(probe4\)' -> 'P\(probe4\)' "
+                                          r"has 65536 x 65536 = 4294967296 cells, budget 20000000"):
+        PowersetFunctor(16).lift(Rel.identity(p4))
