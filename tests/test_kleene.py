@@ -218,8 +218,7 @@ def test_index_route_matches_object_references(letters, cap):
     exprs = RegexFunctor(cap).carrier(alphabet)
     trees = _reference_exprs(letters, cap)
     assert exprs.elements == tuple(_regex_label(e, alphabet) for e in trees)
-    assert syntax_splits(exprs) == [
-        split_tree(e, "kind", "letter", KINDS.index) for e in trees]
+    assert syntax_splits(exprs) == [split_tree(e, "kind", "letter", KINDS.index) for e in trees]
     assert generate_axiom_instances(alphabet, cap) == _reference_axiom_pairs(trees)
     for k in (0, 1, 2, 3):  # at word cap 0 a letter's language is empty
         table_exprs, words, masks = language_table(alphabet, cap, k)

@@ -303,13 +303,13 @@ def test_modes_agree_for_sampled_random_families():
 def test_term_flatten_substitutes_inner_terms():
     p = FiniteSet("p", ["p"])
     mu = term_flatten(SIG, 2)
-    tf = TermFunctor(SIG, 2)
-    inner = enumerate_term_trees(SIG, 2, len(tf.carrier(p)))
-    i_mulpp = enumerate_term_trees(SIG, 2, 1).index(term_node("mul", (term_var(0), term_var(0))))
-    i_one = enumerate_term_trees(SIG, 2, 1).index(term_node("one", ()))
+    inner = enumerate_term_trees(SIG, 2, len(p))  # the terms over p, in carrier order
+    outer = enumerate_term_trees(SIG, 2, len(inner))  # the terms over those
+    i_mulpp = inner.index(term_node("mul", (term_var(0), term_var(0))))
+    i_one = inner.index(term_node("one", ()))
     outer_term = term_node("mul", (term_var(i_mulpp), term_var(i_one)))
     f = mu.func_at(p)
-    src_label = f.src.elements[inner.index(outer_term)]
+    src_label = f.src.elements[outer.index(outer_term)]
     assert f(src_label) == "mul(mul(p,p),one)"
     assert mu.target.carrier(p) is TermFunctor(SIG, 3).carrier(p)
 
