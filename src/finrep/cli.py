@@ -151,25 +151,15 @@ def _probes(doc: Document | None, args) -> ProbeUniverse:
     return ProbeUniverse(max_size=max_size, rel_samples=samples, seed=seed)
 
 
-def _check_keys(config: dict, allowed: set, what: str):
-    extra = set(config) - allowed - {"builtin", "sig_name"}
-    if extra:
-        raise DocumentError(f"{what} does not take parameter {sorted(extra)[0]!r}")
-
-
 def _build_family(config: dict, args):
     builtin = config["builtin"]
     cap = config.get("cap", args.powerset_cap if args.powerset_cap is not None else 4)
     if builtin == "membership":
-        _check_keys(config, {"cap"}, "membership family")
         return membership_family(cap)
     if builtin == "singleton":
-        _check_keys(config, {"cap"}, "singleton family")
         return powerset_unit(cap)
     if builtin == "union":
-        _check_keys(config, {"cap", "outer"}, "union family")
         return powerset_union(cap, config.get("outer", 1 << cap))
-    _check_keys(config, {"sig", "depth"}, f"{builtin} family")
     sig = config.get("sig")
     if sig is None:
         raise DocumentError(f"{builtin} family needs sig <signature>")
@@ -185,12 +175,8 @@ def _build_family(config: dict, args):
 
 def _build_hor(config: dict):
     if config["builtin"] == "mon":
-        _check_keys(config, {"depth"}, "mon hor")
         return mon_hor(config.get("depth", 3))
-    _check_keys(config, {"size", "words", "mode"}, "ka hor")
     mode = config.get("mode", "semantic")
-    if mode not in ("semantic", "axiomatic"):
-        raise DocumentError(f"ka mode must be semantic or axiomatic, got {mode!r}")
     return ka_hor(config.get("size", 3), config.get("words", 2), leq_mode=mode)
 
 

@@ -20,8 +20,17 @@ One declaration per line, names resolve top to bottom:
 Labels are bare words unless they contain a space, a tab, one of ( ) , " #,
 or collide with the punctuation words, in which case they are quoted with
 backslash escapes.  Relations and preorders are explicit pair lists.
-`#` starts a comment.  Printing a parsed document and reparsing it gives
-the same document back.
+`#` starts a comment.  A line is split into tokens by one regex.
+
+One table, `_KINDS`, is the grammar.  It gives each kind its header words,
+a body reader and a body printer.  A header word is a literal or a slot,
+a label naming an earlier declaration of the slot's kind; the parser reads
+the header's words and the printer writes the same words back, so printing
+a parsed document and reparsing it gives the same document back.  Builtin
+families and higher-order structures list each parameter with the kind of
+value it takes (`FAMILY_BUILTINS`, `HOR_BUILTINS`), so a parameter the
+builtin does not take, or a value of the wrong kind, is refused where it
+is read.
 """
 
 from __future__ import annotations
@@ -53,20 +62,12 @@ class DocumentError(Exception):
         self.column = column
 
 
-_SPACE = " \t"  # the only token separators, for the lexer, _BARE and quote_label
-_BARE = re.compile(f'[^{_SPACE}(),"#]+')
+_BARE = '[^ \t(),"#]+'  # space and tab are the only token separators
 _PUNCT_WORDS = ("=", ":", "->")
-
-FAMILY_BUILTINS = (
-    "membership",
-    "singleton",
-    "union",
-    "term-unit",
-    "term-flatten",
-    "varlist",
-    "samevars",
-)
-HOR_BUILTINS = ("mon", "ka")
+# one match per token: a comment, punctuation, a quoted label with its
+# closing quote (empty when missing) or a bare word
+_TOKEN = re.compile(rf'[ \t]*(?:(#.*)|([(),])|"((?:[^"\\]|\\[\\"])*)("?)|({_BARE}))')
+_ESCAPE = re.compile(r"\\(.)")
 
 
 @dataclass(frozen=True)
@@ -79,42 +80,20 @@ class Token:
 
 def _lex_line(text: str, lineno: int) -> list[Token]:
     out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c in _SPACE:
-            i += 1
-            continue
-        if c == "#":
+    for m in _TOKEN.finditer(text):
+        comment, punct, quoted, closed, bare = m.groups()
+        if quoted is not None:
+            col = m.start(3)  # the opening quote's, counted from 1
+            if not closed:
+                if m.end() < len(text):  # stopped at a backslash before a bad character
+                    raise DocumentError("bad escape", lineno, m.end() + 1)
+                raise DocumentError("unterminated quote", lineno, col)
+            out.append(Token(_ESCAPE.sub(r"\1", quoted), True, lineno, col))
+        elif comment is None:
+            word = punct or bare
+            out.append(Token(word, False, lineno, m.end() - len(word) + 1))
+        else:
             break
-        col = i + 1
-        if c in "(),":
-            out.append(Token(c, False, lineno, col))
-            i += 1
-            continue
-        if c == '"':
-            chars = []
-            i += 1
-            while True:
-                if i >= len(text):
-                    raise DocumentError("unterminated quote", lineno, col)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= len(text) or text[i + 1] not in '\\"':
-                        raise DocumentError("bad escape", lineno, i + 1)
-                    chars.append(text[i + 1])
-                    i += 2
-                elif c == '"':
-                    i += 1
-                    break
-                else:
-                    chars.append(c)
-                    i += 1
-            out.append(Token("".join(chars), True, lineno, col))
-            continue
-        m = _BARE.match(text, i)
-        out.append(Token(m.group(), False, lineno, col))
-        i = m.end()
     return out
 
 
@@ -122,7 +101,7 @@ def quote_label(label: str) -> str:
     # the parser splits lines where str.splitlines does, so no label may hold such a break
     if len(f"x{label}x".splitlines()) != 1:
         raise ValueError(f"label {label!r} holds a line break and cannot be printed on one line")
-    if label and not any(c in label for c in _SPACE + '(),"#') and label not in _PUNCT_WORDS:
+    if re.fullmatch(_BARE, label) and label not in _PUNCT_WORDS:
         return label
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -132,11 +111,13 @@ class Declaration:
     kind: str
     name: str
     obj: object
-    pieces: dict = field(default_factory=dict)
+    pieces: list = field(default_factory=list)  # the header's slot labels, in order
 
     def printed(self) -> str:
-        body = _PRINTERS[self.kind](self)
-        return f"{self.kind} {quote_label(self.name)} {body}"
+        header, _, show = _KINDS[self.kind]
+        labels = iter(self.pieces)
+        words = [quote_label(next(labels)) if w in _SLOTS else w for w in header.split()]
+        return " ".join([self.kind, quote_label(self.name), *words, show(self.obj)]).rstrip(" ")
 
 
 @dataclass
@@ -214,6 +195,38 @@ class _Cursor:
             raise DocumentError(f"trailing {t.text!r}", t.line, t.column)
 
 
+# ------------------------------------------------------------ header slots
+
+def _slot(kind: str, what: str):
+    """A header slot: a label naming an earlier declaration of `kind`."""
+
+    def read(cur: _Cursor, doc: Document):
+        label = cur.label(what)
+        return label, doc.lookup(kind, label, cur.lineno)
+
+    return read
+
+
+def _order(cur: _Cursor, doc: Document):
+    """A representation's order: a relation or a preorder."""
+    t = cur.take("relation or preorder name")
+    decl = doc.by_name.get(t.text)
+    if decl is None or decl.kind not in ("rel", "preorder"):
+        raise DocumentError(f"unknown relation or preorder {t.text!r}", t.line, t.column)
+    return t.text, decl.obj
+
+
+_SLOTS = {
+    "set": _slot("set", "set name"),
+    "rel": _slot("rel", "relation name"),
+    "fun": _slot("fun", "function name"),
+    "representation": _slot("representation", "representation name"),
+    "order": _order,
+}
+
+
+# ------------------------------------------------------------ bodies
+
 def _element(cur: _Cursor, s: FiniteSet) -> int:
     t = cur.take("element")
     try:
@@ -236,8 +249,14 @@ def _pair_list(cur: _Cursor, src: FiniteSet, tgt: FiniteSet) -> np.ndarray:
     return m
 
 
-def _parse_set(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect("=")
+def _pairs(r: Rel) -> str:
+    return " ".join(
+        f"({quote_label(r.src.elements[i])}, {quote_label(r.tgt.elements[j])})"
+        for i, j in np.argwhere(r.m)
+    )
+
+
+def _elements(cur: _Cursor, doc: Document, name: str) -> FiniteSet:
     elements, seen = [], set()
     while not cur.done:
         t = cur.take("element")
@@ -245,24 +264,10 @@ def _parse_set(cur: _Cursor, doc: Document, name: str) -> Declaration:
             raise DocumentError(f"duplicate element {t.text!r}", t.line, t.column)
         seen.add(t.text)
         elements.append(t.text)
-    return Declaration("set", name, FiniteSet(name, elements))
+    return FiniteSet(name, elements)
 
 
-def _parse_rel(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect(":")
-    src = doc.lookup("set", cur.label("set name"), cur.lineno)
-    cur.expect("->")
-    tgt = doc.lookup("set", cur.label("set name"), cur.lineno)
-    cur.expect("=")
-    return Declaration("rel", name, Rel(src, tgt, _pair_list(cur, src, tgt)))
-
-
-def _parse_fun(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect(":")
-    src = doc.lookup("set", cur.label("set name"), cur.lineno)
-    cur.expect("->")
-    tgt = doc.lookup("set", cur.label("set name"), cur.lineno)
-    cur.expect("=")
+def _mapping(cur: _Cursor, doc: Document, name: str, src: FiniteSet, tgt: FiniteSet) -> FuncTable:
     table = [-1] * len(src)
     first = True
     while not cur.done:
@@ -281,13 +286,17 @@ def _parse_fun(cur: _Cursor, doc: Document, name: str) -> Declaration:
         raise DocumentError(
             f"function {name!r} leaves {missing[0]!r} unmapped", cur.lineno
         )
-    return Declaration("fun", name, FuncTable(src, tgt, table))
+    return FuncTable(src, tgt, table)
 
 
-def _parse_preorder(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect(":")
-    s = doc.lookup("set", cur.label("set name"), cur.lineno)
-    cur.expect("=")
+def _show_mapping(f: FuncTable) -> str:
+    return ", ".join(
+        f"{quote_label(f.src.elements[i])} -> {quote_label(f.tgt.elements[int(j)])}"
+        for i, j in enumerate(f.table)
+    )
+
+
+def _preorder(cur: _Cursor, doc: Document, name: str, s: FiniteSet) -> Rel:
     r = Rel(s, s, _pair_list(cur, s, s))
     bad = is_preorder(r).first_failure
     if bad is not None:
@@ -297,165 +306,94 @@ def _parse_preorder(cur: _Cursor, doc: Document, name: str) -> Declaration:
             else "is not transitive: missing"
         )
         raise DocumentError(f"preorder {name!r} {problem} ({i}, {j})", cur.lineno)
-    return Declaration("preorder", name, r)
+    return r
 
 
-def _parse_representation(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect("=")
-    cur.expect("traces")
-    traces = doc.lookup("set", cur.label("set name"), cur.lineno)
-    cur.expect("exprs")
-    exprs = doc.lookup("set", cur.label("set name"), cur.lineno)
-    cur.expect("models")
-    models_name = cur.label("relation name")
-    models = doc.lookup("rel", models_name, cur.lineno)
-    cur.expect("leq")
-    t = cur.take("relation or preorder name")
-    decl = doc.by_name.get(t.text)
-    if decl is None or decl.kind not in ("rel", "preorder"):
-        raise DocumentError(
-            f"unknown relation or preorder {t.text!r}", t.line, t.column
-        )
-    try:
-        rep = Representation(name, traces, exprs, models, decl.obj)
-    except CarrierMismatch as e:
-        raise DocumentError(str(e), cur.lineno) from None
-    return Declaration(
-        "representation",
-        name,
-        rep,
-        pieces={"models_name": models_name, "leq_name": t.text},
-    )
-
-
-def _rep_ref(cur: _Cursor, doc: Document):
-    name = cur.label("representation name")
-    return name, doc.lookup("representation", name, cur.lineno)
-
-
-def _parse_morphism(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect(":")
-    src_name, source = _rep_ref(cur, doc)
-    cur.expect("->")
-    tgt_name, target = _rep_ref(cur, doc)
-    cur.expect("=")
-    cur.expect("phi")
-    phi_name = cur.label("function name")
-    phi = doc.lookup("fun", phi_name, cur.lineno)
-    cur.expect("psi")
-    psi_name = cur.label("relation name")
-    psi = doc.lookup("rel", psi_name, cur.lineno)
-    try:
-        m = Morphism(source, target, phi, psi)
-    except CarrierMismatch as e:
-        raise DocumentError(str(e), cur.lineno) from None
-    pieces = {"source": src_name, "target": tgt_name, "phi": phi_name, "psi": psi_name}
-    return Declaration("morphism", name, m, pieces=pieces)
-
-
-def _parse_reduction(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect(":")
-    src_name, source = _rep_ref(cur, doc)
-    cur.expect("->")
-    tgt_name, target = _rep_ref(cur, doc)
-    cur.expect("=")
-    cur.expect("phi")
-    phi_name = cur.label("function name")
-    phi = doc.lookup("fun", phi_name, cur.lineno)
-    cur.expect("tau")
-    tau_name = cur.label("function name")
-    tau = doc.lookup("fun", tau_name, cur.lineno)
-    cur.expect("psi")
-    psi_name = cur.label("relation name")
-    psi = doc.lookup("rel", psi_name, cur.lineno)
-    try:
-        r = Reduction(source, target, phi, tau, psi)
-    except CarrierMismatch as e:
-        raise DocumentError(str(e), cur.lineno) from None
-    pieces = {
-        "source": src_name,
-        "target": tgt_name,
-        "phi": phi_name,
-        "tau": tau_name,
-        "psi": psi_name,
-    }
-    return Declaration("reduction", name, r, pieces=pieces)
-
-
-def _parse_closure(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect(":")
-    src_name, coarse = _rep_ref(cur, doc)
-    cur.expect("->")
-    tgt_name, fine = _rep_ref(cur, doc)
-    cur.expect("=")
-    cur.expect("map")
-    map_name = cur.label("function name")
-    down = doc.lookup("fun", map_name, cur.lineno)
-    pieces = {"source": src_name, "target": tgt_name, "map": map_name}
-    return Declaration("closure", name, (coarse, fine, down), pieces=pieces)
-
-
-def _parse_signature(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect("=")
+def _operations(cur: _Cursor, doc: Document, name: str) -> Signature:
     ops = {}
     while not cur.done:
         t = cur.take("op:arity")
-        if t.quoted or ":" not in t.text:
-            raise DocumentError(
-                f"expected op:arity, got {t.text!r}", t.line, t.column
-            )
-        op, _, arity = t.text.rpartition(":")
-        if not arity.isdigit() or not op:
-            raise DocumentError(
-                f"expected op:arity, got {t.text!r}", t.line, t.column
-            )
+        op, colon, arity = t.text.rpartition(":")
+        if t.quoted or not colon or not op or not arity.isdecimal():
+            raise DocumentError(f"expected op:arity, got {t.text!r}", t.line, t.column)
         if op in ops:
             raise DocumentError(f"duplicate operation {op!r}", t.line, t.column)
         ops[op] = int(arity)
-    return Declaration("signature", name, Signature.of(ops))
+    return Signature.of(ops)
 
 
-def _config(cur: _Cursor, doc: Document, kind: str, builtins) -> dict:
-    cur.expect("builtin")
-    t = cur.take("builtin name")
-    if t.text not in builtins:
-        raise DocumentError(
-            f"unknown builtin {t.text!r}, expected one of {', '.join(builtins)}",
-            t.line,
-            t.column,
-        )
-    config = {"builtin": t.text}
-    while not cur.done:
-        key = cur.take("parameter name")
-        if key.quoted or not key.text.isidentifier():
+# Each builtin's parameters and the value each takes: an integer, a
+# declared signature, or one of a few words.
+FAMILY_BUILTINS = {
+    "membership": {"cap": int},
+    "singleton": {"cap": int},
+    "union": {"cap": int, "outer": int},
+    "term-unit": {"sig": Signature, "depth": int},
+    "term-flatten": {"sig": Signature, "depth": int},
+    "varlist": {"sig": Signature, "depth": int},
+    "samevars": {"sig": Signature, "depth": int},
+}
+HOR_BUILTINS = {
+    "mon": {"depth": int},
+    "ka": {"size": int, "words": int, "mode": ("semantic", "axiomatic")},
+}
+
+
+def _builtin(builtins: dict, kind: str):
+    """The body `builtin NAME (KEY VALUE)*`, read into a config dict; a
+    signature's label is kept under `sig_name` for the printer."""
+
+    def read(cur: _Cursor, doc: Document, name: str) -> dict:
+        b = cur.take("builtin name")
+        if b.text not in builtins:
             raise DocumentError(
-                f"expected parameter name, got {key.text!r}", key.line, key.column
+                f"unknown builtin {b.text!r}, expected one of {', '.join(builtins)}",
+                b.line,
+                b.column,
             )
-        if key.text in config:
-            raise DocumentError(f"duplicate parameter {key.text!r}", key.line, key.column)
-        val = cur.take("parameter value")
-        if val.text.lstrip("-").isdigit():
-            config[key.text] = int(val.text)
-        elif key.text == "sig":
-            config[key.text] = doc.lookup("signature", val.text, val.line)
-            config["sig_name"] = val.text
-        else:
-            config[key.text] = val.text
-    return config
+        config, params = {"builtin": b.text}, builtins[b.text]
+        while not cur.done:
+            key = cur.take("parameter name")
+            if key.quoted or not key.text.isidentifier():
+                raise DocumentError(
+                    f"expected parameter name, got {key.text!r}", key.line, key.column
+                )
+            if key.text not in params:
+                raise DocumentError(
+                    f"{b.text} {kind} does not take parameter {key.text!r}", key.line, key.column
+                )
+            if key.text in config:
+                raise DocumentError(f"duplicate parameter {key.text!r}", key.line, key.column)
+            value = params[key.text]
+            if value is int:
+                config[key.text] = cur.integer("parameter value")
+                continue
+            val = cur.take("parameter value")
+            if value is Signature:
+                config[key.text] = doc.lookup("signature", val.text, val.line)
+                config["sig_name"] = val.text
+            elif val.text in value:
+                config[key.text] = val.text
+            else:
+                raise DocumentError(
+                    f"{b.text} {key.text} must be {' or '.join(value)}, got {val.text!r}",
+                    val.line,
+                    val.column,
+                )
+        return config
+
+    return read
 
 
-def _parse_family(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect("=")
-    return Declaration("family", name, _config(cur, doc, "family", FAMILY_BUILTINS))
+def _show_config(config: dict) -> str:
+    words = [config["builtin"]]
+    for key, val in config.items():
+        if key not in ("builtin", "sig_name"):
+            words += [key, quote_label(config["sig_name"]) if key == "sig" else str(val)]
+    return " ".join(words)
 
 
-def _parse_hor(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect("=")
-    return Declaration("hor", name, _config(cur, doc, "hor", HOR_BUILTINS))
-
-
-def _parse_probes(cur: _Cursor, doc: Document, name: str) -> Declaration:
-    cur.expect("=")
+def _probe_config(cur: _Cursor, doc: Document, name: str) -> dict:
     config = {}
     while not cur.done:
         key = cur.take("parameter name")
@@ -468,22 +406,49 @@ def _parse_probes(cur: _Cursor, doc: Document, name: str) -> Declaration:
         value = config[key.text] = cur.integer(f"{key.text} value")
         if key.text != "seed" and value < 1:
             raise DocumentError(f"probe {key.text} must be at least 1", key.line, key.column)
-    return Declaration("probes", name, config)
+    return config
 
 
-_PARSERS = {
-    "set": _parse_set,
-    "rel": _parse_rel,
-    "fun": _parse_fun,
-    "preorder": _parse_preorder,
-    "representation": _parse_representation,
-    "morphism": _parse_morphism,
-    "reduction": _parse_reduction,
-    "closure": _parse_closure,
-    "signature": _parse_signature,
-    "family": _parse_family,
-    "hor": _parse_hor,
-    "probes": _parse_probes,
+def _nothing(obj) -> str:
+    return ""
+
+
+# The grammar: kind -> (header words, body reader, body printer).  A header
+# word is a literal or a key of _SLOTS; the reader takes the cursor, the
+# document, the declaration's name and the slots' objects in header order.
+_KINDS = {
+    "set": ("=", _elements, lambda s: " ".join(map(quote_label, s.elements))),
+    "rel": (
+        ": set -> set =",
+        lambda cur, doc, name, src, tgt: Rel(src, tgt, _pair_list(cur, src, tgt)),
+        _pairs,
+    ),
+    "fun": (": set -> set =", _mapping, _show_mapping),
+    "preorder": (": set =", _preorder, _pairs),
+    "representation": (
+        "= traces set exprs set models rel leq order",
+        lambda cur, doc, name, *objs: Representation(name, *objs),
+        _nothing,
+    ),
+    "morphism": (
+        ": representation -> representation = phi fun psi rel",
+        lambda cur, doc, name, *objs: Morphism(*objs),
+        _nothing,
+    ),
+    "reduction": (
+        ": representation -> representation = phi fun tau fun psi rel",
+        lambda cur, doc, name, *objs: Reduction(*objs),
+        _nothing,
+    ),
+    "closure": (
+        ": representation -> representation = map fun",
+        lambda cur, doc, name, *objs: objs,
+        _nothing,
+    ),
+    "signature": ("=", _operations, lambda sig: " ".join(f"{op}:{k}" for op, k in sig.ops)),
+    "family": ("= builtin", _builtin(FAMILY_BUILTINS, "family"), _show_config),
+    "hor": ("= builtin", _builtin(HOR_BUILTINS, "hor"), _show_config),
+    "probes": ("=", _probe_config, lambda cfg: " ".join(f"{k} {v}" for k, v in cfg.items())),
 }
 
 
@@ -494,130 +459,28 @@ def parse_document(text: str) -> Document:
         if not tokens:
             continue
         head = tokens[0]
-        parser = _PARSERS.get(head.text)
-        if parser is None or head.quoted:
+        if head.quoted or head.text not in _KINDS:
             raise DocumentError(
                 f"unknown declaration kind {head.text!r}", head.line, head.column
             )
+        header, read, _ = _KINDS[head.text]
         cur = _Cursor(tokens[1:], lineno)
         name = cur.label("declaration name")
-        decl = parser(cur, doc, name)
+        pieces, objs = [], []
+        for word in header.split():
+            if word in _SLOTS:
+                label, obj = _SLOTS[word](cur, doc)
+                pieces.append(label)
+                objs.append(obj)
+            else:
+                cur.expect(word)
+        try:
+            obj = read(cur, doc, name, *objs)
+        except CarrierMismatch as e:
+            raise DocumentError(str(e), lineno) from None
         cur.finish()
-        doc.declare(decl, lineno)
+        doc.declare(Declaration(head.text, name, obj, pieces), lineno)
     return doc
-
-
-def _pairs(r: Rel) -> str:
-    return " ".join(
-        f"({quote_label(r.src.elements[i])}, {quote_label(r.tgt.elements[j])})"
-        for i, j in np.argwhere(r.m)
-    )
-
-
-def _print_set(d: Declaration) -> str:
-    s: FiniteSet = d.obj
-    body = " ".join(quote_label(x) for x in s.elements)
-    return ("= " + body).rstrip(" ")
-
-
-def _print_rel(d: Declaration) -> str:
-    r: Rel = d.obj
-    body = _pairs(r)
-    return f": {quote_label(r.src.name)} -> {quote_label(r.tgt.name)} = {body}".rstrip(" ")
-
-
-def _print_fun(d: Declaration) -> str:
-    f: FuncTable = d.obj
-    entries = ", ".join(
-        f"{quote_label(f.src.elements[i])} -> {quote_label(f.tgt.elements[int(j)])}"
-        for i, j in enumerate(f.table)
-    )
-    return f": {quote_label(f.src.name)} -> {quote_label(f.tgt.name)} = {entries}".rstrip(" ")
-
-
-def _print_preorder(d: Declaration) -> str:
-    r: Rel = d.obj
-    return f": {quote_label(r.src.name)} = {_pairs(r)}".rstrip(" ")
-
-
-def _print_representation(d: Declaration) -> str:
-    rep: Representation = d.obj
-    return (
-        f"= traces {quote_label(rep.traces.name)} exprs {quote_label(rep.exprs.name)}"
-        f" models {quote_label(d.pieces['models_name'])} leq {quote_label(d.pieces['leq_name'])}"
-    )
-
-
-def _print_morphism(d: Declaration) -> str:
-    m: Morphism = d.obj
-    p = d.pieces
-    return (
-        f": {quote_label(p['source'])} -> {quote_label(p['target'])}"
-        f" = phi {quote_label(p['phi'])} psi {quote_label(p['psi'])}"
-    )
-
-
-def _print_reduction(d: Declaration) -> str:
-    p = d.pieces
-    return (
-        f": {quote_label(p['source'])} -> {quote_label(p['target'])}"
-        f" = phi {quote_label(p['phi'])} tau {quote_label(p['tau'])} psi {quote_label(p['psi'])}"
-    )
-
-
-def _print_closure(d: Declaration) -> str:
-    p = d.pieces
-    return (
-        f": {quote_label(p['source'])} -> {quote_label(p['target'])}"
-        f" = map {quote_label(p['map'])}"
-    )
-
-
-def _print_signature(d: Declaration) -> str:
-    sig: Signature = d.obj
-    body = " ".join(f"{op}:{arity}" for op, arity in sig.ops)
-    return f"= {body}".rstrip(" ")
-
-
-def _print_config(config: dict) -> str:
-    parts = ["builtin", config["builtin"]]
-    for key, val in config.items():
-        if key in ("builtin", "sig_name"):
-            continue
-        if key == "sig":
-            parts += ["sig", quote_label(config["sig_name"])]
-        else:
-            parts += [key, str(val)]
-    return "= " + " ".join(parts)
-
-
-def _print_family(d: Declaration) -> str:
-    return _print_config(d.obj)
-
-
-def _print_hor(d: Declaration) -> str:
-    return _print_config(d.obj)
-
-
-def _print_probes(d: Declaration) -> str:
-    body = " ".join(f"{k} {v}" for k, v in d.obj.items())
-    return ("= " + body).rstrip(" ")
-
-
-_PRINTERS = {
-    "set": _print_set,
-    "rel": _print_rel,
-    "fun": _print_fun,
-    "preorder": _print_preorder,
-    "representation": _print_representation,
-    "morphism": _print_morphism,
-    "reduction": _print_reduction,
-    "closure": _print_closure,
-    "signature": _print_signature,
-    "family": _print_family,
-    "hor": _print_hor,
-    "probes": _print_probes,
-}
 
 
 def print_document(doc: Document) -> str:

@@ -260,6 +260,7 @@ class ContainerFunctor(Functor):
 
     def lift(self, x):
         (ca, sa), (cb, sb) = self.shapes(x.src), self.shapes(x.tgt)
+        check_cells(len(ca), len(cb), "%s lift of a relation %r -> %r", self.name, x.src.name, x.tgt.name)
         m = np.zeros((len(ca), len(cb)), dtype=bool)
         power = [np.ones((1, 1), dtype=bool)]  # power[k]: k-fold Kronecker power of x
         for shape in sa.keys() & sb.keys():

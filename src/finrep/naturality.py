@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TheoremInconsistencyError
-from .fset import FiniteSet, intern, locate_subsets, membership_matrix, powerset_of
+from .fset import FiniteSet, check_cells, intern, locate_subsets, membership_matrix, powerset_of
 from .functors import (
     ComposedFunctor,
     Functor,
@@ -146,7 +146,19 @@ class IndexedFunction:
         )
 
 
+def _check_squares(probes: ProbeUniverse, *functors: Functor):
+    """Refuse, before the first square, a scope whose squares are over the
+    cell budget: no lift, graph or family component of a square is larger
+    than n x n, n = |F top| for each functor F and the largest probe
+    carrier top.  The sizes are read off the interned carriers."""
+    top = probe_carrier(probes.max_size)
+    for fun in functors:
+        n = len(fun.carrier(top))
+        check_cells(n, n, "lift through %s at %r", fun.name, top.name)
+
+
 def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
+    _check_squares(probes, fun)
     report = LawReport(subject=f"functor laws for {fun.name}")
     carriers = probes.carriers()
 
@@ -227,6 +239,7 @@ def _linearity(rho: IndexedRelation, probes: ProbeUniverse, side: str, mode: str
     """Functions mode asks each square to commute; relations mode asks
     for one inclusion, F x ; rho_b ⊆ rho_a ; G x on the left and the
     converse on the right."""
+    _check_squares(probes, rho.source, rho.target)
     if mode == "functions":
         arrows, holds, note = probes.functions(), equal_verdict, _func_note
     else:
@@ -240,6 +253,7 @@ def _linearity(rho: IndexedRelation, probes: ProbeUniverse, side: str, mode: str
 
 def is_natural_relation(rho: IndexedRelation, probes: ProbeUniverse) -> Verdict:
     """Pulling back along any probe function keeps the family related."""
+    _check_squares(probes, rho.source, rho.target)
     squares = _squares(rho, probes.functions(), "right", "functions")
     return first_violation(
         "natural-relation", ((is_included(lhs, rhs), f) for lhs, rhs, f in squares),

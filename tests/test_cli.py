@@ -244,8 +244,17 @@ def _two_gib_address_space():
     ("family u = builtin union cap 3\n",
      ["check", "linearity", "--family", "u", "--mode", "relations", "--side", "left",
       "--probe-max", "3", "--budget", "300"],
-     "powerset lift of a relation 'P(probe3)' -> 'P(probe3)' has 256 x 256 = 65536 cells, budget 30000"),
-], ids=["powerset", "sum", "subset-order", "union-outer-powerset", "union-lift"])
+     "lift through powerset(cap 8) after powerset(cap 3) at 'probe3' has 256 x 256 = 65536 cells, budget 30000"),
+    ("family u = builtin union cap 4\n",
+     ["check", "linearity", "--family", "u", "--mode", "relations", "--side", "left", "--probe-max", "4"],
+     "lift through powerset(cap 16) after powerset(cap 4) at 'probe4' has 65536 x 65536 = 4294967296 cells, "
+     "budget 20000000"),
+    *((f"signature S = mul:2\nfamily f = builtin {family} sig S depth 4\n",
+       ["check", "linearity", "--family", "f", "--mode", mode, "--probe-max", "3"],
+       "lift through term({'mul': 2}, depth 4) at 'probe3' has 21612 x 21612 = 467078544 cells, budget 20000000")
+      for family in ("term-unit", "samevars") for mode in ("relations", "functions")),
+], ids=["powerset", "sum", "subset-order", "union-outer-powerset", "union-lift", "union-lift-probe4",
+        "term-unit-relations", "term-unit-functions", "samevars-relations", "samevars-functions"])
 def test_derived_carriers_over_the_budget_exit_2_in_a_bounded_child(tmp_path, text, argv, refusal):
     # refused before anything that size is built; the address-space limit
     # and the timeout turn a regression into a failure, not a hang
@@ -327,6 +336,40 @@ def test_vacuous_probes_declaration_exits_2(capsys, tmp_path, decl):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: line 3") and "must be at least 1" in err
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("signature S = mul:2\nfamily F = builtin term-unit sig 3\n", ["check", "naturality"],
+     "line 2: unknown signature '3'"),
+    ("signature S = mul:2\nfamily F = builtin samevars sig S depth x\n", ["check", "naturality"],
+     "line 2, column 41: expected parameter value, got 'x'"),
+    ("family F = builtin membership cap x\n", ["check", "naturality"],
+     "line 1, column 35: expected parameter value, got 'x'"),
+    ("family F = builtin union cap 2 outer y\n", ["check", "linearity"],
+     "line 1, column 38: expected parameter value, got 'y'"),
+    ("set A = a b\nhor K = builtin ka size x\n", ["hor", "instantiate"],
+     "line 2, column 25: expected parameter value, got 'x'"),
+    ("set A = a b\nhor N = builtin mon depth y\n", ["hor", "instantiate"],
+     "line 2, column 27: expected parameter value, got 'y'"),
+    ("signature S = mul:\u00b2\n", ["check", "naturality"],
+     "line 1, column 15: expected op:arity, got 'mul:\u00b2'"),
+    ("family F = builtin membership cap \u00b2\n", ["check", "naturality"],
+     "line 1, column 35: expected parameter value, got '\u00b2'"),
+    ("family F = builtin membership foo 3\n", ["check", "naturality"],
+     "line 1, column 31: membership family does not take parameter 'foo'"),
+    ("set A = a b\nhor H = builtin ka mode frob\n", ["hor", "instantiate"],
+     "line 2, column 25: ka mode must be semantic or axiomatic, got 'frob'"),
+    ('set A = a b\nhor H = builtin ka mode "semantic x"\n', ["hor", "instantiate"],
+     "line 2, column 25: ka mode must be semantic or axiomatic, got 'semantic x'"),
+], ids=["sig-number", "depth-word", "cap-word", "outer-word", "size-word", "mon-depth-word",
+        "arity-superscript", "cap-superscript", "unknown-parameter", "mode-word", "mode-two-words"])
+def test_builtin_parameters_are_typed_at_parse_time(capsys, tmp_path, text, argv, message):
+    path = tmp_path / "params.doc"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, *argv, str(path))
+    assert (rc, out) == (2, "")
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]])

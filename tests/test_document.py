@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from finrep.document import (
     DocumentError,
+    Token,
+    _lex_line,
     parse_document,
     print_document,
     quote_label,
@@ -225,3 +227,85 @@ def test_corpus_documents_parse_and_round_trip():
     for path in sorted(CORPUS.glob("*.doc")):
         doc = parse_document(path.read_text(encoding="utf-8"))
         assert parse_document(print_document(doc)) == doc, path.name
+
+
+_BARE = re.compile('[^ \t(),"#]+')
+
+
+def reference_lex_line(text: str, lineno: int) -> list[Token]:
+    """A character loop over one line, the reference for the lexer's regex."""
+    out = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c in " \t":
+            i += 1
+            continue
+        if c == "#":
+            break
+        col = i + 1
+        if c in "(),":
+            out.append(Token(c, False, lineno, col))
+            i += 1
+            continue
+        if c == '"':
+            chars = []
+            i += 1
+            while True:
+                if i >= len(text):
+                    raise DocumentError("unterminated quote", lineno, col)
+                c = text[i]
+                if c == "\\":
+                    if i + 1 >= len(text) or text[i + 1] not in '\\"':
+                        raise DocumentError("bad escape", lineno, i + 1)
+                    chars.append(text[i + 1])
+                    i += 2
+                elif c == '"':
+                    i += 1
+                    break
+                else:
+                    chars.append(c)
+                    i += 1
+            out.append(Token("".join(chars), True, lineno, col))
+            continue
+        m = _BARE.match(text, i)
+        out.append(Token(m.group(), False, lineno, col))
+        i = m.end()
+    return out
+
+
+def _lexed(lex, line):
+    try:
+        return lex(line, 7)
+    except DocumentError as e:
+        return str(e)
+
+
+@given(st.text(alphabet='ab "\\#(),\t\u00a0\u3000', max_size=40))
+@example('a "b\\x" c')
+@example('"\\')
+@example('"a\\"')
+@example('x"y"z # "')
+def test_lexer_matches_the_character_loop(line):
+    assert _lexed(_lex_line, line) == _lexed(reference_lex_line, line)
+
+
+@given(st.text().filter(lambda name: _one_line(name) and name != "F"))  # F names the family
+@example("3")
+@example("-3")
+@example("\u00b2")
+@example("\u0663")
+@example("->")
+def test_every_one_line_signature_name_round_trips_through_a_family(name):
+    text = (
+        f"signature {quote_label(name)} = mul:2\n"
+        f"family F = builtin samevars sig {quote_label(name)} depth 2\n"
+    )
+    doc = parse_document(text)
+    assert doc.lookup("family", "F")["sig"] is doc.lookup("signature", name)
+    assert print_document(doc) == text
+
+
+def test_a_quoted_builtin_word_prints_bare():
+    doc = parse_document('hor H = builtin ka mode "axiomatic"\n')
+    assert print_document(doc) == "hor H = builtin ka mode axiomatic\n"

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -120,6 +121,23 @@ def test_term_budget_refuses_before_building():
     with pytest.raises(BudgetError, match="up to depth 4 has 3132906 elements"):
         TermFunctor(SIG, 5).carrier(big)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_container_lift_over_the_cell_budget_is_refused_before_allocating(monkeypatch):
+    # 156 lists pass a 200-element budget; their 156 x 156 lift does not
+    # pass the 20,000-cell budget derived from it
+    five = FiniteSet("five", [f"e{i}" for i in range(5)])
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the lift allocated before the cell check")
+
+    x = Rel.identity(five)
+    with carrier_budget(200):
+        ListFunctor(3).carrier(five)
+        monkeypatch.setattr(np, "zeros", no_matrix)
+        with pytest.raises(BudgetError, match=re.escape(
+                "list(len 3) lift of a relation 'five' -> 'five' has 156 x 156 = 24336 cells, budget 20000")):
+            ListFunctor(3).lift(x)
 
 
 @pytest.mark.parametrize("n_vars", [1, 2, 3])
