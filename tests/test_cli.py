@@ -115,6 +115,47 @@ def test_hor_lift_rep(capsys):
     assert "exactness-finding" in out
 
 
+UNSOUND = (
+    "set T = t\n"
+    "set E = e0 e1\n"
+    "rel sat : T -> E = (t, e0)\n"
+    "preorder ord : E = (e0, e0) (e0, e1) (e1, e1)\n"
+    "representation broken = traces T exprs E models sat leq ord\n"
+)
+UNSOUND_VERDICTS = (
+    "verdict reflexivity: ok\n"
+    "verdict transitivity: ok\n"
+    "verdict soundness: VIOLATION  [via link (e0, e1)]\n"
+    "witness: (t, e1)\n"
+)
+
+
+def test_build_product_reports_an_unsound_factor(capsys, tmp_path):
+    path = tmp_path / "product.doc"
+    path.write_text(
+        UNSOUND
+        + "rel full : T -> E = (t, e0) (t, e1)\n"
+        + "representation sound = traces T exprs E models full leq ord\n"
+    )
+    rc, out, err = run(capsys, "build", "product", str(path))
+    assert (rc, err) == (1, "")
+    assert out == (
+        "command: build product\n"
+        "subject: product factors\n" + UNSOUND_VERDICTS + "exit: 1\n"
+    )
+
+
+def test_hor_lift_rep_reports_an_unsound_base(capsys, tmp_path):
+    path = tmp_path / "lift.doc"
+    path.write_text(UNSOUND + "hor monoid = builtin mon depth 2\n")
+    rc, out, err = run(capsys, "hor", "lift-rep", str(path))
+    assert (rc, err) == (1, "")
+    assert out == (
+        "command: hor lift-rep\n"
+        "subject: representation 'broken'\n" + UNSOUND_VERDICTS + "exit: 1\n"
+    )
+
+
 def test_hor_instantiate_ka_exact(capsys):
     rc, out, _ = run(capsys, "hor", "instantiate", doc("ka.doc"), "--set", "A")
     assert rc == 0

@@ -4,7 +4,8 @@ Each command of `golden_reports.json` runs through `cli.main` in process,
 from the repository root, in the text and the structured format; its
 stdout and exit code must equal the recorded ones byte for byte.  The set
 is the README's CLI commands plus the term-side commands (monoid
-structures and the term families).  Regenerate the data with
+structures and the term families) plus one command for each branch of
+the command layer that those do not reach.  Regenerate the data with
 `python3 tests/test_golden_reports.py` only for a change that means to
 alter report bytes, and say so where the change is described.
 """
@@ -45,6 +46,13 @@ COMMANDS = [
     "check naturality corpus/families.doc --family flatten",
     "check linearity corpus/families.doc --family letters",
     "check naturality corpus/families.doc --family letters",
+    # one command per branch of the command layer not reached above
+    "check linearity corpus/families.doc --family member_of --side left --mode functions",
+    "check linearity corpus/families.doc --family flatten --side right",
+    "check naturality corpus/families.doc --family wrap --seed 5 --samples 3",
+    "laws relcore corpus/families.doc",
+    "build membership corpus/membership2.doc --set S --powerset-cap 2",
+    "build trivial corpus/pair.doc --rel y",
 ]
 FORMATS = [[], ["--format", "structured"]]
 
