@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .document import Document, DocumentError, parse_document
 from .errors import BudgetError, CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
@@ -26,6 +27,7 @@ from .kleene import ka_hor
 from .laws import LawConfig, relation_law_suite
 from .morphism import product, validate_morphism
 from .naturality import (
+    IndexedFunction,
     ProbeUniverse,
     classify_linearity,
     is_natural_relation,
@@ -39,9 +41,8 @@ from .naturality import (
     term_unit,
     varlist_family,
 )
-from .naturality import IndexedFunction
 from .reduction import compose_reductions, validate_reduction, validate_syntactic_closure
-from .report import Report, from_law_report, from_verdicts, render
+from .report import render
 from .represent import (
     exactness_finding,
     is_exact,
@@ -50,7 +51,7 @@ from .represent import (
     validate_representation,
     validation_report,
 )
-from .verdict import Verdict
+from .verdict import LawReport
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -143,12 +144,13 @@ def _probe_config(doc: Document | None):
     return found[0].obj if len(found) == 1 else {}
 
 
-def _probes(doc: Document | None, args) -> ProbeUniverse:
-    cfg = _probe_config(doc)
-    max_size = args.probe_max if args.probe_max is not None else cfg.get("max", 3)
-    samples = args.samples if args.samples is not None else cfg.get("samples", 25)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return ProbeUniverse(max_size=max_size, rel_samples=samples, seed=seed)
+def _scope_settings(args, config: dict, **names) -> dict:
+    """Keyword arguments for the scope settings a flag gives or, failing
+    that, `config` (a probes line); `names` maps a probes key to its
+    argument name.  A setting that neither gives keeps its default."""
+    flags = {"max": args.probe_max, "samples": args.samples, "seed": args.seed}
+    given = {**config, **{k: v for k, v in flags.items() if v is not None}}
+    return {name: given[key] for key, name in names.items() if key in given}
 
 
 def _build_family(config: dict, args):
@@ -180,156 +182,106 @@ def _build_hor(config: dict):
     return ka_hor(config.get("size", 3), config.get("words", 2), leq_mode=mode)
 
 
-def _carrier_scope(*sets) -> str:
+def _scoped(report: LawReport, *sets) -> LawReport:
+    """`report`, scoped to the given declared carriers unless its checker
+    set a scope."""
     inside = ", ".join(f"{len(s)} {s.name}" for s in sets)
-    return f"exhaustive over declared carriers ({inside})"
+    report.scope = report.scope or f"exhaustive over declared carriers ({inside})"
+    return report
 
 
-def _cmd_check(args, doc: Document) -> Report:
-    command = f"check {args.what}"
+def _exactness(rep, bound: str = "") -> LawReport:
+    """Validation, then exactness if the representation is sound."""
+    report = _scoped(validate_representation(rep), rep.traces, rep.exprs)
+    report.scope += bound
+    if report.passed:
+        report.add(is_exact(rep))
+    return report
+
+
+def _cmd_check(args, doc: Document) -> LawReport:
     if args.what == "rep":
         rep = _named(doc, "representation", args.name)
-        lr = validate_representation(rep)
-        return from_law_report(command, lr, scope=_carrier_scope(rep.traces, rep.exprs))
+        return _scoped(validate_representation(rep), rep.traces, rep.exprs)
     if args.what == "exact":
-        rep = _named(doc, "representation", args.name)
-        verdicts = list(validate_representation(rep).verdicts)
-        verdicts.append(is_exact(rep))
-        return from_verdicts(
-            command, f"representation {rep.name!r}", verdicts,
-            scope=_carrier_scope(rep.traces, rep.exprs),
-        )
+        return _exactness(_named(doc, "representation", args.name))
     if args.what == "morphism":
         m = _named(doc, "morphism", args.name)
-        lr = validate_morphism(m)
-        return from_law_report(
-            command, lr, scope=_carrier_scope(m.source.exprs, m.target.exprs)
-        )
+        return _scoped(validate_morphism(m), m.source.exprs, m.target.exprs)
     if args.what == "reduction":
         r = _named(doc, "reduction", args.name)
-        lr = validate_reduction(r)
-        return from_law_report(
-            command, lr, scope=_carrier_scope(r.source.exprs, r.target.exprs)
-        )
+        return _scoped(validate_reduction(r), r.source.exprs, r.target.exprs)
     if args.what == "closure":
         coarse, fine, down = _named(doc, "closure", args.name)
-        lr = validate_syntactic_closure(coarse, fine, down)
-        return from_law_report(command, lr, scope=_carrier_scope(coarse.exprs))
-    family = _named(doc, "family", args.family if args.family else args.name)
-    probes = _probes(doc, args)
+        return _scoped(validate_syntactic_closure(coarse, fine, down), coarse.exprs)
+    family = _named(doc, "family", args.family or args.name)
+    probes = ProbeUniverse(**_scope_settings(
+        args, _probe_config(doc), max="max_size", samples="rel_samples", seed="seed"
+    ))
     built = _build_family(family, args)
     if args.what == "naturality":
-        if isinstance(built, IndexedFunction):
-            v = is_natural_transformation(built, probes)
-        else:
-            v = is_natural_relation(built, probes)
-        return from_verdicts(
-            command, built.name, [v], scope=probes.scope, seed=probes.seed
-        )
+        natural = is_natural_transformation if isinstance(built, IndexedFunction) else is_natural_relation
+        return LawReport(built.name, [natural(built, probes)], probes.scope, probes.seed)
     rho = built.graph_family() if isinstance(built, IndexedFunction) else built
     if args.side == "both" and args.mode == "both":
-        lr = classify_linearity(rho, probes)
-    else:
-        mode = args.mode if args.mode != "both" else "relations"
-        lr = linearity_check(rho, probes, side=args.side, mode=mode)
-    return from_law_report(command, lr, seed=probes.seed)
+        return classify_linearity(rho, probes)
+    mode = args.mode if args.mode != "both" else "relations"
+    return linearity_check(rho, probes, side=args.side, mode=mode)
 
 
-def _cmd_build(args, doc: Document) -> Report:
-    command = f"build {args.what}"
+def _cmd_build(args, doc: Document) -> LawReport:
     if args.what == "trivial":
-        x = _named(doc, "rel", args.rel)
-        rep = trivial_representation(x)
-        verdicts = list(validate_representation(rep).verdicts)
-        verdicts.append(is_exact(rep))
-        return from_verdicts(
-            command, f"representation {rep.name!r}", verdicts,
-            scope=_carrier_scope(rep.traces, rep.exprs),
-        )
+        return _exactness(trivial_representation(_named(doc, "rel", args.rel)))
     if args.what == "membership":
-        a = _named(doc, "set", args.set_name)
         cap = args.powerset_cap if args.powerset_cap is not None else 4
-        rep = membership_representation(a, cap=cap)
-        verdicts = list(validate_representation(rep).verdicts)
-        verdicts.append(is_exact(rep))
-        return from_verdicts(
-            command, f"representation {rep.name!r}", verdicts,
-            scope=_carrier_scope(rep.traces, rep.exprs) + f", subset bound {cap}",
-        )
-    r1, r2 = _two_named(doc, "representation", args.left, args.right)
-    pre = []
-    for rep in (r1, r2):
-        report = validate_representation(rep)
-        if not report.passed:
-            pre.extend(report.verdicts)
-    if pre:
-        return from_verdicts(command, "product factors", pre)
-    rp, p1, p2 = product(r1, r2)
-    verdicts = list(validate_representation(rp).verdicts)
+        rep = membership_representation(_named(doc, "set", args.set_name), cap=cap)
+        return _exactness(rep, f", subset bound {cap}")
+    factors = _two_named(doc, "representation", args.left, args.right)
+    unsound = [lr for lr in map(validate_representation, factors) if not lr.passed]
+    if unsound:
+        return LawReport("product factors", [v for lr in unsound for v in lr.verdicts])
+    rp, p1, p2 = product(*factors)
+    report = _scoped(validate_representation(rp), rp.traces, rp.exprs)
     for tag, m in (("left-projection", p1), ("right-projection", p2)):
-        for v in validate_morphism(m).verdicts:
-            verdicts.append(Verdict(f"{tag}-{v.law}", v.ok, v.witness, v.note))
-    return from_verdicts(
-        command, f"representation {rp.name!r}", verdicts,
-        scope=_carrier_scope(rp.traces, rp.exprs),
-    )
+        report.verdicts += [replace(v, law=f"{tag}-{v.law}") for v in validate_morphism(m).verdicts]
+    return report
 
 
-def _cmd_reduce(args, doc: Document) -> Report:
-    first, second = _two_named(doc, "reduction", args.first, args.second)
-    composite = compose_reductions(first, second)
-    lr = validate_reduction(composite)
-    return from_law_report(
-        "reduce compose", lr,
-        scope=_carrier_scope(composite.source.exprs, composite.target.exprs),
-    )
+def _cmd_reduce(args, doc: Document) -> LawReport:
+    composite = compose_reductions(*_two_named(doc, "reduction", args.first, args.second))
+    return _scoped(validate_reduction(composite), composite.source.exprs, composite.target.exprs)
 
 
-def _cmd_hor(args, doc: Document) -> Report:
-    command = f"hor {args.what}"
+def _cmd_hor(args, doc: Document) -> LawReport:
     h = _build_hor(_named(doc, "hor", args.hor_name))
     if args.what == "instantiate":
-        a = _named(doc, "set", args.set_name)
-        rep = instantiate(h, a)
-        verdicts = validation_report(rep).verdicts
-        verdicts.append(exactness_finding(rep))
-        return from_verdicts(
-            command, f"representation {rep.name!r}", verdicts,
-            scope=_carrier_scope(rep.traces, rep.exprs),
-        )
+        rep = instantiate(h, _named(doc, "set", args.set_name))
+        report = validation_report(rep)
+        report.add(exactness_finding(rep))
+        return _scoped(report, rep.traces, rep.exprs)
     if args.what == "arrow":
-        f = _named(doc, "fun", args.fun_name)
-        m = hor_arrow(h, f)
-        lr = validate_morphism(m)
-        return from_law_report(
-            command, lr, scope=_carrier_scope(m.source.exprs, m.target.exprs)
-        )
+        m = hor_arrow(h, _named(doc, "fun", args.fun_name))
+        return _scoped(validate_morphism(m), m.source.exprs, m.target.exprs)
     if args.what == "lift-preorder":
         order = _named(doc, "preorder", args.preorder_name)
-        p = PreorderedSet(order.src, order)
-        lr = check_tilde_soundness(h, p)
-        return from_law_report(command, lr, scope=_carrier_scope(order.src))
+        return _scoped(check_tilde_soundness(h, PreorderedSet(order.src, order)), order.src)
     rep = _named(doc, "representation", args.name)
     base = validate_representation(rep)
     if not base.passed:
-        return from_law_report(command, base)
-    lifted, lr = hat_report(h, rep)
-    return from_law_report(
-        command, lr, scope=_carrier_scope(lifted.traces, lifted.exprs)
-    )
+        return base
+    lifted, report = hat_report(h, rep)
+    return _scoped(report, lifted.traces, lifted.exprs)
 
 
-def _cmd_laws(args, doc: Document | None) -> Report:
-    cfg = _probe_config(doc)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    samples = args.samples if args.samples is not None else cfg.get("samples", 1000)
-    exhaustive_max = args.probe_max if args.probe_max is not None else 2
-    config = LawConfig(exhaustive_max=exhaustive_max, samples=samples, seed=seed)
-    lr = relation_law_suite(config)
-    return from_law_report("laws relcore", lr, seed=seed)
+def _cmd_laws(args, doc: Document | None) -> LawReport:
+    # a probes line's max sizes the probe carriers, not the law suite
+    config = {k: v for k, v in _probe_config(doc).items() if k != "max"}
+    return relation_law_suite(LawConfig(**_scope_settings(
+        args, config, max="exhaustive_max", samples="samples", seed="seed"
+    )))
 
 
-def _dispatch(args) -> Report:
+def _dispatch(args) -> LawReport:
     doc = None
     if getattr(args, "doc", None) is not None:
         try:
@@ -338,15 +290,10 @@ def _dispatch(args) -> Report:
         except OSError as e:
             raise DocumentError(f"cannot read {args.doc!r}: {e.strerror}") from None
         doc = parse_document(text)
-    if args.group == "check":
-        return _cmd_check(args, doc)
-    if args.group == "build":
-        return _cmd_build(args, doc)
-    if args.group == "reduce":
-        return _cmd_reduce(args, doc)
-    if args.group == "hor":
-        return _cmd_hor(args, doc)
-    return _cmd_laws(args, doc)
+    commands = {
+        "check": _cmd_check, "build": _cmd_build, "reduce": _cmd_reduce, "hor": _cmd_hor, "laws": _cmd_laws,
+    }
+    return commands[args.group](args, doc)
 
 
 def main(argv=None) -> int:
@@ -368,8 +315,8 @@ def main(argv=None) -> int:
         first_line = str(e).partition("\n")[0]
         print(f"error: inconsistency: {first_line}", file=sys.stderr)
         return 3
-    sys.stdout.write(render(report, args.format))
-    return report.status
+    sys.stdout.write(render(f"{args.group} {args.what}", report, args.format))
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -68,6 +68,8 @@ _PUNCT_WORDS = ("=", ":", "->")
 # closing quote (empty when missing) or a bare word
 _TOKEN = re.compile(rf'[ \t]*(?:(#.*)|([(),])|"((?:[^"\\]|\\[\\"])*)("?)|({_BARE}))')
 _ESCAPE = re.compile(r"\\(.)")
+# an integer as the printer writes it back: ASCII digits, an optional minus
+_INTEGER = re.compile("-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,13 @@ class Document:
         self.decls.append(decl)
         self.by_name[decl.name] = decl
 
-    def lookup(self, kind: str, name: str, line: int | None = None):
+    def lookup(self, kind: str, name: str, line: int | None = None, column: int | None = None):
         decl = self.by_name.get(name)
         if decl is None:
-            raise DocumentError(f"unknown {kind} {name!r}", line)
+            raise DocumentError(f"unknown {kind} {name!r}", line, column)
         if decl.kind != kind:
             raise DocumentError(
-                f"{name!r} is a {decl.kind}, expected a {kind}", line
+                f"{name!r} is a {decl.kind}, expected a {kind}", line, column
             )
         return decl.obj
 
@@ -176,18 +178,17 @@ class _Cursor:
             raise DocumentError(f"expected {text!r}, got {t.text!r}", t.line, t.column)
         return t
 
-    def label(self, what: str = "name") -> str:
+    def label(self, what: str = "name") -> Token:
         t = self.take(what)
         if not t.quoted and (t.text in _PUNCT_WORDS or t.text in "(),"):
             raise DocumentError(f"expected {what}, got {t.text!r}", t.line, t.column)
-        return t.text
+        return t
 
     def integer(self, what: str = "number") -> int:
         t = self.take(what)
-        try:
-            return int(t.text)
-        except ValueError:
-            raise DocumentError(f"expected {what}, got {t.text!r}", t.line, t.column) from None
+        if not _INTEGER.fullmatch(t.text):
+            raise DocumentError(f"expected {what}, got {t.text!r}", t.line, t.column)
+        return int(t.text)
 
     def finish(self):
         if not self.done:
@@ -201,8 +202,8 @@ def _slot(kind: str, what: str):
     """A header slot: a label naming an earlier declaration of `kind`."""
 
     def read(cur: _Cursor, doc: Document):
-        label = cur.label(what)
-        return label, doc.lookup(kind, label, cur.lineno)
+        t = cur.label(what)
+        return t.text, doc.lookup(kind, t.text, t.line, t.column)
 
     return read
 
@@ -370,7 +371,7 @@ def _builtin(builtins: dict, kind: str):
                 continue
             val = cur.take("parameter value")
             if value is Signature:
-                config[key.text] = doc.lookup("signature", val.text, val.line)
+                config[key.text] = doc.lookup("signature", val.text, val.line, val.column)
                 config["sig_name"] = val.text
             elif val.text in value:
                 config[key.text] = val.text
@@ -465,7 +466,7 @@ def parse_document(text: str) -> Document:
             )
         header, read, _ = _KINDS[head.text]
         cur = _Cursor(tokens[1:], lineno)
-        name = cur.label("declaration name")
+        name = cur.label("declaration name").text
         pieces, objs = [], []
         for word in header.split():
             if word in _SLOTS:

@@ -11,7 +11,7 @@ regular-expression built-in lives in the kleene module.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -170,11 +170,11 @@ def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     ))
 
     rl = linearity_check(h.models_family(), probes, side="right", mode="relations").verdicts[0]
-    satisfaction = Verdict("satisfaction-right-linear", rl.ok, rl.witness, rl.note)
+    satisfaction = replace(rl, law="satisfaction-right-linear")
     report.add(satisfaction)
 
     nat = is_natural_relation(h.leq_family(), probes)
-    report.add(Verdict("order-natural", nat.ok, nat.witness, nat.note if not nat.ok else ""))
+    report.add(replace(nat, law="order-natural", note=nat.note if not nat.ok else ""))
 
     # e -> I(e) into subsets of traces must commute with renaming; this is
     # the same statement as right-linearity, so the two verdicts must agree

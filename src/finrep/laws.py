@@ -139,7 +139,7 @@ def _by_sizes(law: str, check, sizes, arity: int) -> Verdict:
 
 def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
     """Adjunction and function-residual laws, exhaustive then sampled."""
-    report = LawReport(subject="relation-algebra laws")
+    report = LawReport("relation-algebra laws", seed=config.seed)
     sizes = range(config.exhaustive_max + 1)
     report.add(_by_sizes("residual-adjunction-exhaustive", _adjunction_at, sizes, 3))
     report.add(_by_sizes("function-residual-exhaustive", _function_residual_at, sizes, 5))

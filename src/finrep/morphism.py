@@ -23,6 +23,7 @@ from .rel import (
     graph,
     inter,
     is_included,
+    on_carriers,
     product_set,
     sum_set,
     union,
@@ -40,10 +41,10 @@ class Morphism:
     validated: bool = False
 
     def __post_init__(self):
-        if self.phi.src is not self.source.exprs or self.phi.tgt is not self.target.exprs:
-            raise CarrierMismatch("translation must go source exprs -> target exprs")
-        if self.psi.src is not self.target.traces or self.psi.tgt is not self.source.traces:
-            raise CarrierMismatch("trace relation must go target traces -> source traces")
+        on_carriers(self.phi, self.source.exprs, self.target.exprs,
+                    "translation must go source exprs -> target exprs")
+        on_carriers(self.psi, self.target.traces, self.source.traces,
+                    "trace relation must go target traces -> source traces")
 
 
 def validate_morphism(m: Morphism) -> LawReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -269,16 +269,17 @@ def linearity_check(
 ) -> LawReport:
     """Linearity means the family commutes with lifted relations; the
     functions mode checks the equivalent equational form on graphs."""
-    report = LawReport(subject=f"linearity of {rho.name}")
+    report = LawReport(f"linearity of {rho.name}", scope=probes.scope, seed=probes.seed)
     for s in ("left", "right") if side == "both" else (side,):
         report.add(_linearity(rho, probes, s, mode))
-    report.scope = probes.scope
     return report
 
 
 def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport:
     """Both sides in both modes, plus naturality and mode agreement."""
-    report = LawReport(subject=f"linearity classification of {rho.name}")
+    report = LawReport(
+        f"linearity classification of {rho.name}", scope=probes.scope, seed=probes.seed
+    )
     lf, rf, lr, rr = (
         _linearity(rho, probes, side, mode)
         for mode in ("functions", "relations")
@@ -287,7 +288,7 @@ def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport
     nat = is_natural_relation(rho, probes)
     for v in (lf, rf, lr, rr):
         report.add(v)
-    report.add(Verdict("natural-relation", nat.ok, nat.witness))
+    report.add(replace(nat, law="natural-relation", note=""))
     report.add(
         Verdict(
             "modes-agree",
@@ -295,7 +296,6 @@ def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport
             note="the equational and relational readings must classify alike",
         )
     )
-    report.scope = probes.scope
     return report
 
 

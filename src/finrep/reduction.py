@@ -11,7 +11,7 @@ ordinary violation verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
 from .rel import (
@@ -24,6 +24,7 @@ from .rel import (
     equal_verdict,
     graph,
     is_included,
+    on_carriers,
 )
 from .represent import (
     Representation,
@@ -45,12 +46,12 @@ class Reduction:
     validated: bool = False
 
     def __post_init__(self):
-        if self.phi.src is not self.source.exprs or self.phi.tgt is not self.target.exprs:
-            raise CarrierMismatch("forward translation must go source exprs -> target exprs")
-        if self.tau.src is not self.target.exprs or self.tau.tgt is not self.source.exprs:
-            raise CarrierMismatch("backward translation must go target exprs -> source exprs")
-        if self.psi.src is not self.target.traces or self.psi.tgt is not self.source.traces:
-            raise CarrierMismatch("trace relation must go target traces -> source traces")
+        on_carriers(self.phi, self.source.exprs, self.target.exprs,
+                    "forward translation must go source exprs -> target exprs")
+        on_carriers(self.tau, self.target.exprs, self.source.exprs,
+                    "backward translation must go target exprs -> source exprs")
+        on_carriers(self.psi, self.target.traces, self.source.traces,
+                    "trace relation must go target traces -> source traces")
 
 
 def validate_reduction(r: Reduction) -> LawReport:
@@ -157,8 +158,7 @@ def transfer_exactness(r: Reduction) -> LawReport:
     if not r.source.validated:
         raise ValueError("source representation fails validation")
 
-    residual = is_exact(r.source)
-    residual = Verdict("exactness-residual-route", residual.ok, residual.witness)
+    residual = replace(is_exact(r.source), law="exactness-residual-route")
     setwise = _setwise_exactness(r.source)
     report = LawReport(subject=f"exactness transfer onto {r.source.name!r}")
     report.add(residual)
@@ -221,7 +221,7 @@ class ClosureHypotheses:
         exact = (
             is_exact(self.r2) if self.r2.validated else Verdict("exactness", False)
         )
-        report.add(Verdict("target-exact-hypothesis", exact.ok, exact.witness))
+        report.add(replace(exact, law="target-exact-hypothesis"))
         return report
 
 
@@ -272,10 +272,9 @@ def reduction_morphism_candidates(r: Reduction) -> LawReport:
         Morphism(r.target, r.source, r.tau, converse(r.psi))
     )
     report = LawReport(subject="morphism candidates of a reduction")
-    for v in forward.verdicts:
-        report.add(Verdict(f"forward-{v.law}", v.ok, v.witness, v.note))
-    for v in backward.verdicts:
-        report.add(Verdict(f"backward-{v.law}", v.ok, v.witness, v.note))
+    for tag, lr in (("forward", forward), ("backward", backward)):
+        for v in lr.verdicts:
+            report.add(replace(v, law=f"{tag}-{v.law}"))
     for rep in (r.source, r.target):
         if not rep.validated:
             validate_representation(rep)

@@ -1,54 +1,22 @@
-"""Deterministic rendering of check results.
+"""Deterministic rendering of a command's law report.
 
-Both forms carry the same content: command echo, per-law verdicts with
-witnesses named by element label, the finite scope the claim was checked
-under, the sampling seed when one was used, and the exit status.  Nothing
-time- or path-dependent goes in, so identical runs render identical bytes.
+Both forms carry the same content: the command echo, the report's subject
+and per-law verdicts with witnesses named by element label, the finite
+scope the claim was checked under, the sampling seed when one was used,
+and the exit status, 0 when every verdict passed and 1 otherwise.
+Nothing time- or path-dependent goes in, so identical runs render
+identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .verdict import LawReport, Verdict
-
-
-@dataclass
-class Report:
-    command: str
-    subject: str
-    verdicts: list[Verdict] = field(default_factory=list)
-    scope: str = ""
-    seed: int | None = None
-
-    @property
-    def status(self) -> int:
-        return 0 if all(v.ok for v in self.verdicts) else 1
+from .verdict import LawReport
 
 
-def from_law_report(command: str, lr: LawReport, scope: str = "", seed: int | None = None) -> Report:
-    return Report(
-        command=command,
-        subject=lr.subject,
-        verdicts=list(lr.verdicts),
-        scope=lr.scope or scope,
-        seed=seed,
-    )
-
-
-def from_verdicts(
-    command: str,
-    subject: str,
-    verdicts: list[Verdict],
-    scope: str = "",
-    seed: int | None = None,
-) -> Report:
-    return Report(command=command, subject=subject, verdicts=verdicts, scope=scope, seed=seed)
-
-
-def render_text(r: Report) -> str:
-    lines = [f"command: {r.command}", f"subject: {r.subject}"]
+def render_text(command: str, r: LawReport) -> str:
+    lines = [f"command: {command}", f"subject: {r.subject}"]
     for v in r.verdicts:
         mark = "ok" if v.ok else "VIOLATION"
         line = f"verdict {v.law}: {mark}"
@@ -61,13 +29,13 @@ def render_text(r: Report) -> str:
         lines.append(f"scope: {r.scope}")
     if r.seed is not None:
         lines.append(f"seed: {r.seed}")
-    lines.append(f"exit: {r.status}")
+    lines.append(f"exit: {0 if r.passed else 1}")
     return "\n".join(lines) + "\n"
 
 
-def render_structured(r: Report) -> str:
+def render_structured(command: str, r: LawReport) -> str:
     tree = {
-        "command": r.command,
+        "command": command,
         "subject": r.subject,
         "verdicts": [
             {
@@ -80,11 +48,11 @@ def render_structured(r: Report) -> str:
         ],
         "scope": r.scope,
         "seed": r.seed,
-        "exit": r.status,
+        "exit": 0 if r.passed else 1,
     }
     return json.dumps(tree, indent=2) + "\n"
 
 
-def render(r: Report, fmt: str) -> str:
+def render(command: str, r: LawReport, fmt: str) -> str:
     assert fmt in ("text", "structured")
-    return render_text(r) if fmt == "text" else render_structured(r)
+    return render_text(command, r) if fmt == "text" else render_structured(command, r)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CarrierMismatch, UnvalidatedError
+from .errors import UnvalidatedError
 from .fset import FiniteSet, check_cells, locate_subsets, powerset_of
 from .rel import (
     FuncTable,
@@ -25,6 +25,7 @@ from .rel import (
     is_included,
     is_preorder,
     membership_rel,
+    on_carriers,
     over,
     under,
 )
@@ -43,12 +44,9 @@ class Representation:
     validation: LawReport | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.models.src is not self.traces or self.models.tgt is not self.exprs:
-            raise CarrierMismatch(
-                f"satisfaction of {self.name!r} must go traces -> exprs"
-            )
-        if self.leq.src is not self.exprs or self.leq.tgt is not self.exprs:
-            raise CarrierMismatch(f"order of {self.name!r} must be square on exprs")
+        on_carriers(self.models, self.traces, self.exprs,
+                    "satisfaction of %r must go traces -> exprs", self.name)
+        on_carriers(self.leq, self.exprs, self.exprs, "order of %r must be square on exprs", self.name)
 
 
 def same_representation(r1: Representation, r2: Representation) -> bool:
@@ -75,10 +73,8 @@ class SpecTheory:
     leq: Rel
 
     def __post_init__(self):
-        if self.chi.src is not self.traces or self.chi.tgt is not self.exprs:
-            raise CarrierMismatch("characteristic map must go traces -> exprs")
-        if self.leq.src is not self.exprs or self.leq.tgt is not self.exprs:
-            raise CarrierMismatch("order must be square on exprs")
+        on_carriers(self.chi, self.traces, self.exprs, "characteristic map must go traces -> exprs")
+        on_carriers(self.leq, self.exprs, self.exprs, "order must be square on exprs")
 
 
 def validate_representation(rep: Representation) -> LawReport:

@@ -1,8 +1,9 @@
 """Verdicts and law reports.
 
-Every checker in the workbench reports through these two shapes so the
-command line layer can render any result uniformly.  Witnesses always name
-elements by label, never by index.
+Every checker in the workbench reports through these two shapes, and a
+law report is also what every command renders: its subject, its verdicts,
+the finite scope they were checked under and, for a sampled scope, the
+seed.  Witnesses always name elements by label, never by index.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class LawReport:
     subject: str
     verdicts: list[Verdict] = field(default_factory=list)
     scope: str = ""
+    seed: int | None = None
 
     @property
     def passed(self) -> bool:

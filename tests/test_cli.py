@@ -48,6 +48,21 @@ def test_check_rep_broken_soundness_witness(capsys):
     assert "witness: (t, e1)" in out
 
 
+def test_check_exact_on_an_unsound_representation_reports_its_validation(capsys):
+    rc, out, err = run(capsys, "check", "exact", doc("broken-soundness.doc"))
+    assert (rc, err) == (1, "")
+    assert out == (
+        "command: check exact\n"
+        "subject: representation 'broken'\n"
+        "verdict reflexivity: ok\n"
+        "verdict transitivity: ok\n"
+        "verdict soundness: VIOLATION  [via link (e0, e1)]\n"
+        "witness: (t, e1)\n"
+        "scope: exhaustive over declared carriers (1 T, 2 E)\n"
+        "exit: 1\n"
+    )
+
+
 def test_check_reduction_four_verdicts(capsys):
     rc, out, _ = run(capsys, "check", "reduction", doc("closure-two-elt.doc"))
     assert rc == 0
@@ -381,7 +396,7 @@ def test_vacuous_probes_declaration_exits_2(capsys, tmp_path, decl):
 
 @pytest.mark.parametrize("text, argv, message", [
     ("signature S = mul:2\nfamily F = builtin term-unit sig 3\n", ["check", "naturality"],
-     "line 2: unknown signature '3'"),
+     "line 2, column 34: unknown signature '3'"),
     ("signature S = mul:2\nfamily F = builtin samevars sig S depth x\n", ["check", "naturality"],
      "line 2, column 41: expected parameter value, got 'x'"),
     ("family F = builtin membership cap x\n", ["check", "naturality"],

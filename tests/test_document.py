@@ -1,7 +1,6 @@
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finrep.errors import BudgetError, TheoremInconsistencyError
-from finrep.fset import FiniteSet, carrier_budget, powerset_of
+from finrep.fset import FiniteSet, carrier_budget
 from finrep.functors import (
     ComposedFunctor,
     IdentityFunctor,

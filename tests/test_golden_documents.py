@@ -130,6 +130,12 @@ DOCUMENTS = [
     ("probe-not-a-number", "probes P = max x\n"),
     ("probe-superscript", "probes P = samples \u00b2\n"),
     ("probe-below-one", "probes P = seed 5 samples 0\n"),
+    # integers are ASCII digits with an optional minus, as printed back
+    ("parameter-plus-sign", "family F = builtin membership cap +3\n"),
+    ("parameter-underscore", "family F = builtin membership cap 1_0\n"),
+    ("parameter-arabic-indic-digit", "family F = builtin membership cap \u0663\n"),
+    ("parameter-trailing-nbsp", "signature S = mul:2\nfamily F = builtin term-unit sig S depth 2\u00a0\n"),
+    ("parameter-leading-ideographic-space", "hor H = builtin mon depth \u30002\n"),
 ]
 
 

@@ -1,4 +1,3 @@
-import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -34,9 +33,8 @@ from finrep.hor import (
 )
 from finrep.morphism import compose_morphisms, morphisms_equal
 from finrep.naturality import ProbeUniverse, probe_carrier, varlist_family, is_natural_transformation
-from finrep.rel import FuncTable, Rel, compose_func, star, union
+from finrep.rel import FuncTable, Rel, compose_func, star
 from finrep.represent import membership_representation, trivial_representation
-from finrep.verdict import LawReport
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 P1 = ProbeUniverse(max_size=1)

@@ -16,7 +16,7 @@ from finrep.morphism import (
     product_universal,
     validate_morphism,
 )
-from finrep.rel import FuncTable, Rel, cograph, compose, graph, union
+from finrep.rel import Rel
 from finrep.represent import (
     is_exact,
     membership_representation,

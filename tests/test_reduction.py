@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finrep.errors import CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
+from finrep.errors import CarrierMismatch, UnvalidatedError
 from finrep.fset import FiniteSet
 from finrep.generate import (
     carrier,

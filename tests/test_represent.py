@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from finrep.errors import BudgetError, UnvalidatedError
-from finrep.fset import FiniteSet, carrier_budget, powerset_of
+from finrep.fset import FiniteSet, carrier_budget
 from finrep.generate import (
     carrier,
     random_exact_representation,
     random_sound_representation,
 )
-from finrep.rel import FuncTable, Rel, is_preorder, under
+from finrep.rel import FuncTable, Rel, is_preorder
 from finrep.represent import (
     Representation,
     SpecTheory,
