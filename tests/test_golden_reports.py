@@ -53,6 +53,15 @@ COMMANDS = [
     "laws relcore corpus/families.doc",
     "build membership corpus/membership2.doc --set S --powerset-cap 2",
     "build trivial corpus/pair.doc --rel y",
+    # the builtins at their defaults, and --powerset-cap filling a cap
+    # the declaration leaves out but not one it gives
+    "check linearity corpus/defaults.doc --family member",
+    "check linearity corpus/defaults.doc --family unit",
+    "check linearity corpus/defaults.doc --family member --powerset-cap 1",
+    "check linearity corpus/defaults.doc --family joins --powerset-cap 1",
+    "check naturality corpus/defaults.doc --family joins",
+    "hor instantiate corpus/defaults.doc --hor regs --set A",
+    "hor arrow corpus/defaults.doc --hor terms --fun swap",
 ]
 FORMATS = [[], ["--format", "structured"]]
 
