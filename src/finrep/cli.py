@@ -12,9 +12,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .document import Document, DocumentError, parse_document
+from .document import FAMILY_BUILTINS, HOR_BUILTINS, Document, DocumentError, parse_document
 from .errors import BudgetError, CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
-from .fset import carrier_budget
+from .fset import SUBSET_CAP, carrier_budget
 from .hor import (
     PreorderedSet,
     check_tilde_soundness,
@@ -53,6 +53,18 @@ from .represent import (
 )
 from .verdict import LawReport
 
+# each builtin's builder, called with the parameters its declaration gives
+FAMILY_BUILDERS = {
+    "membership": membership_family,
+    "singleton": powerset_unit,
+    "union": powerset_union,
+    "term-unit": term_unit,
+    "term-flatten": term_flatten,
+    "varlist": varlist_family,
+    "samevars": samevars_family,
+}
+HOR_BUILDERS = {"mon": mon_hor, "ka": ka_hor}
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -60,11 +72,12 @@ def _parser() -> argparse.ArgumentParser:
         description="finite checkers for representations, reductions, and liftings",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--probe-max", type=int, default=None, help="largest probe carrier (default 3; 2 for laws relcore)")
-    common.add_argument("--powerset-cap", type=int, default=None, help="subset bound for powerset builders (default 4)")
-    common.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
-    common.add_argument("--samples", type=int, default=None, help="sampled relations per carrier pair")
-    common.add_argument("--budget", type=int, default=None, help="carrier element budget override")
+    common.add_argument("--probe-max", type=int, help=(
+        f"largest probe carrier (default {ProbeUniverse.max_size}; {LawConfig.exhaustive_max} for laws relcore)"))
+    common.add_argument("--powerset-cap", type=int, help=f"subset bound for powerset builders (default {SUBSET_CAP})")
+    common.add_argument("--seed", type=int, help=f"sampling seed (default {ProbeUniverse.seed})")
+    common.add_argument("--samples", type=int, help="sampled relations per carrier pair")
+    common.add_argument("--budget", type=int, help="carrier element budget override")
     common.add_argument("--format", choices=["text", "structured"], default="text")
 
     sub = parser.add_subparsers(dest="group", required=True)
@@ -153,33 +166,14 @@ def _scope_settings(args, config: dict, **names) -> dict:
     return {name: given[key] for key, name in names.items() if key in given}
 
 
-def _build_family(config: dict, args):
-    builtin = config["builtin"]
-    cap = config.get("cap", args.powerset_cap if args.powerset_cap is not None else 4)
-    if builtin == "membership":
-        return membership_family(cap)
-    if builtin == "singleton":
-        return powerset_unit(cap)
-    if builtin == "union":
-        return powerset_union(cap, config.get("outer", 1 << cap))
-    sig = config.get("sig")
-    if sig is None:
-        raise DocumentError(f"{builtin} family needs sig <signature>")
-    depth = config.get("depth", 2)
-    builders = {
-        "term-unit": term_unit,
-        "term-flatten": term_flatten,
-        "varlist": varlist_family,
-        "samevars": samevars_family,
-    }
-    return builders[builtin](sig, depth)
-
-
-def _build_hor(config: dict):
-    if config["builtin"] == "mon":
-        return mon_hor(config.get("depth", 3))
-    mode = config.get("mode", "semantic")
-    return ka_hor(config.get("size", 3), config.get("words", 2), leq_mode=mode)
+def _built(builders: dict, grammar: dict, config: dict, cap: int | None):
+    """The builtin `config` names, called with the parameters it gives;
+    `cap` (--powerset-cap) fills a cap the builtin takes and `config` omits."""
+    params = grammar[config["builtin"]]
+    given = {key: config[key] for key in params if key in config}
+    if cap is not None and "cap" in params:
+        given.setdefault("cap", cap)
+    return builders[config["builtin"]](**given)
 
 
 def _scoped(report: LawReport, *sets) -> LawReport:
@@ -218,7 +212,7 @@ def _cmd_check(args, doc: Document) -> LawReport:
     probes = ProbeUniverse(**_scope_settings(
         args, _probe_config(doc), max="max_size", samples="rel_samples", seed="seed"
     ))
-    built = _build_family(family, args)
+    built = _built(FAMILY_BUILDERS, FAMILY_BUILTINS, family, args.powerset_cap)
     if args.what == "naturality":
         natural = is_natural_transformation if isinstance(built, IndexedFunction) else is_natural_relation
         return LawReport(built.name, [natural(built, probes)], probes.scope, probes.seed)
@@ -233,7 +227,7 @@ def _cmd_build(args, doc: Document) -> LawReport:
     if args.what == "trivial":
         return _exactness(trivial_representation(_named(doc, "rel", args.rel)))
     if args.what == "membership":
-        cap = args.powerset_cap if args.powerset_cap is not None else 4
+        cap = args.powerset_cap if args.powerset_cap is not None else SUBSET_CAP
         rep = membership_representation(_named(doc, "set", args.set_name), cap=cap)
         return _exactness(rep, f", subset bound {cap}")
     factors = _two_named(doc, "representation", args.left, args.right)
@@ -253,7 +247,7 @@ def _cmd_reduce(args, doc: Document) -> LawReport:
 
 
 def _cmd_hor(args, doc: Document) -> LawReport:
-    h = _build_hor(_named(doc, "hor", args.hor_name))
+    h = _built(HOR_BUILDERS, HOR_BUILTINS, _named(doc, "hor", args.hor_name), args.powerset_cap)
     if args.what == "instantiate":
         rep = instantiate(h, _named(doc, "set", args.set_name))
         report = validation_report(rep)

@@ -29,8 +29,8 @@ the header's words and the printer writes the same words back, so printing
 a parsed document and reparsing it gives the same document back.  Builtin
 families and higher-order structures list each parameter with the kind of
 value it takes (`FAMILY_BUILTINS`, `HOR_BUILTINS`), so a parameter the
-builtin does not take, or a value of the wrong kind, is refused where it
-is read.
+builtin does not take, a value of the wrong kind or a missing signature
+is refused where it is read.
 """
 
 from __future__ import annotations
@@ -324,7 +324,8 @@ def _operations(cur: _Cursor, doc: Document, name: str) -> Signature:
 
 
 # Each builtin's parameters and the value each takes: an integer, a
-# declared signature, or one of a few words.
+# declared signature, or one of a few words.  A parameter is a keyword of
+# the builtin's builder, which gives every one a default but a signature.
 FAMILY_BUILTINS = {
     "membership": {"cap": int},
     "singleton": {"cap": int},
@@ -381,6 +382,9 @@ def _builtin(builtins: dict, kind: str):
                     val.line,
                     val.column,
                 )
+        for key, value in params.items():
+            if value is Signature and key not in config:
+                raise DocumentError(f"{b.text} {kind} needs {key} <signature>", b.line, b.column)
         return config
 
     return read

@@ -23,6 +23,7 @@ _fresh = itertools.count()
 _unanchored: dict[tuple, object] = {}  # memo for recipes naming no carrier
 _budget = 200_000
 _CELLS_PER_ELEMENT = 100  # a generated relation's cells per budgeted element
+SUBSET_CAP = 4  # the default bound on a carrier whose subsets are built
 _MISSING = object()
 
 
@@ -156,7 +157,7 @@ def product_of(a: FiniteSet, b: FiniteSet) -> FiniteSet:
     return intern(("product", a, b), build)
 
 
-def powerset_of(a: FiniteSet, cap: int = 4) -> FiniteSet:
+def powerset_of(a: FiniteSet, cap: int = SUBSET_CAP) -> FiniteSet:
     """All subsets of `a`, ordered by (size, then member labels).
 
     payload: bit mask over base indices, bit i for base element i; only
@@ -181,7 +182,7 @@ def powerset_of(a: FiniteSet, cap: int = 4) -> FiniteSet:
     return intern(("pow", a), build)
 
 
-def membership_matrix(a: FiniteSet, cap: int = 4):
+def membership_matrix(a: FiniteSet, cap: int = SUBSET_CAP):
     """`powerset_of(a, cap)` and its read-only membership matrix, bool
     |a| x |P(a)|: cell (i, j) is set when base element i is in subset j.
     The matrix is memoized on the powerset as a bare array, so it holds no

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TheoremInconsistencyError
-from .fset import FiniteSet, check_budget, check_cells, intern, locate_subsets, membership_matrix, powerset_of
+from .fset import SUBSET_CAP, FiniteSet, check_budget, check_cells, intern, locate_subsets, membership_matrix, powerset_of
 from .rel import FuncTable, Rel, product, residual
 
 
@@ -197,7 +197,7 @@ class PowersetFunctor(Functor):
 
     key = ("pow",)
 
-    def __init__(self, cap: int = 4):
+    def __init__(self, cap: int = SUBSET_CAP):
         self.cap = cap
         self.name = f"powerset(cap {cap})"
 

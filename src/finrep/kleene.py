@@ -19,6 +19,8 @@ from .rel import Rel, column_classes, star, under, union
 from .verdict import LawReport, Verdict
 
 _WORD_BITS = 64
+# expressions whose derivable upper sets are searched for a completeness gap
+_GAP_SCAN_LIMIT = 200
 
 
 # head codes of the index arrays; a letter is the hole
@@ -268,30 +270,25 @@ def axiomatic_leq(alphabet: FiniteSet, expr_size_cap: int, axiom_pairs) -> Rel:
     return star(union(Rel.identity(exprs), Rel(exprs, exprs, m)))
 
 
-def ka_hor(
-    expr_size_cap: int = 3,
-    word_len_cap: int = 2,
-    leq_mode: str = "semantic",
-    axioms=None,
-) -> HOR:
-    """Words against expressions, polymorphic in the alphabet."""
-    if leq_mode not in ("semantic", "axiomatic"):
-        raise ValueError(f"ka order mode must be semantic or axiomatic, got {leq_mode!r}")
-    if axioms is None:
-        axioms = generate_axiom_instances
+def ka_hor(size: int = 3, words: int = 2, mode: str = "semantic") -> HOR:
+    """Words of length at most `words` against expressions of at most
+    `size` nodes, polymorphic in the alphabet; the order is language
+    inclusion (semantic) or derivability from the axiom instances."""
+    if mode not in ("semantic", "axiomatic"):
+        raise ValueError(f"ka order mode must be semantic or axiomatic, got {mode!r}")
 
     def models_gen(a):
-        return models_matrix(a, expr_size_cap, word_len_cap)
+        return models_matrix(a, size, words)
 
     def leq_gen(a):
-        if leq_mode == "semantic":
-            return semantic_leq(a, expr_size_cap, word_len_cap)
-        return axiomatic_leq(a, expr_size_cap, axioms(a, expr_size_cap))
+        if mode == "semantic":
+            return semantic_leq(a, size, words)
+        return axiomatic_leq(a, size, generate_axiom_instances(a, size))
 
     return HOR(
-        name=f"ka({leq_mode}, size {expr_size_cap}, words {word_len_cap})",
-        t_functor=ListFunctor(word_len_cap),
-        e_functor=RegexFunctor(expr_size_cap),
+        name=f"ka({mode}, size {size}, words {words})",
+        t_functor=ListFunctor(words),
+        e_functor=RegexFunctor(size),
         models_gen=models_gen,
         leq_gen=leq_gen,
     )
@@ -340,10 +337,10 @@ def ka_completeness_report(
     expr_size_cap: int,
     word_len_cap: int,
     axioms=None,
-    gap_scan_limit: int = 200,
 ) -> LawReport:
     """Soundness of the instance list plus the first measured gap: a true
-    bounded-language inclusion the instances cannot derive."""
+    bounded-language inclusion the instances cannot derive, searched from
+    the first _GAP_SCAN_LIMIT expressions."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
     if axioms is None:  # the generated instances, kept as an array
         pairs = _axiom_pairs(RegexFunctor(expr_size_cap).arrays(alphabet)[1])
@@ -366,7 +363,7 @@ def ka_completeness_report(
     order = np.argsort(pairs[:, 0], kind="stable")
     succ = pairs[order, 1]
     start = np.searchsorted(pairs[order, 0], np.arange(len(exprs) + 1))
-    scanned = max(0, min(len(exprs), gap_scan_limit))
+    scanned = min(len(exprs), _GAP_SCAN_LIMIT)
     for i in range(scanned):
         missed = ((masks[i] & ~masks) == 0) & ~_derivable(i, succ, start)
         if missed.any():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import TheoremInconsistencyError
-from .fset import FiniteSet, check_cells, intern, locate_subsets, membership_matrix, powerset_of
+from .fset import SUBSET_CAP, FiniteSet, check_cells, intern, locate_subsets, membership_matrix, powerset_of
 from .functors import (
     ComposedFunctor,
     Functor,
@@ -320,7 +320,7 @@ def is_linear_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> Law
 
 # ------------------------------------------------------ builtin families
 
-def membership_family(cap: int = 4) -> IndexedRelation:
+def membership_family(cap: int = SUBSET_CAP) -> IndexedRelation:
     return IndexedRelation(
         "membership",
         IdentityFunctor(),
@@ -329,7 +329,7 @@ def membership_family(cap: int = 4) -> IndexedRelation:
     )
 
 
-def powerset_unit(cap: int = 4) -> IndexedFunction:
+def powerset_unit(cap: int = SUBSET_CAP) -> IndexedFunction:
     pf = PowersetFunctor(cap)
 
     def at(a):
@@ -339,22 +339,24 @@ def powerset_unit(cap: int = 4) -> IndexedFunction:
     return IndexedFunction("singleton", IdentityFunctor(), pf, at)
 
 
-def powerset_union(cap: int = 4, outer_cap: int = 16) -> IndexedFunction:
+def powerset_union(cap: int = SUBSET_CAP, outer: int | None = None) -> IndexedFunction:
+    """Union of families of subsets; the outer bound defaults to 2^cap,
+    so every family over a carrier within the cap is in the carrier."""
+    outer = 1 << cap if outer is None else outer
     inner = PowersetFunctor(cap)
-    outer = PowersetFunctor(outer_cap)
 
     def at(a):
         p, in_p = membership_matrix(a, cap)
-        pp, in_pp = membership_matrix(p, outer_cap)
+        pp, in_pp = membership_matrix(p, outer)
         # column F of ∈a ; ∈Pa is the union of the family F
         return FuncTable(pp, p, locate_subsets(p, product(in_p, in_pp)))
 
     return IndexedFunction(
-        "union", ComposedFunctor(outer, inner), inner, at
+        "union", ComposedFunctor(PowersetFunctor(outer), inner), inner, at
     )
 
 
-def term_unit(sig: Signature, depth: int) -> IndexedFunction:
+def term_unit(sig: Signature, depth: int = 2) -> IndexedFunction:
     tf = TermFunctor(sig, depth)
 
     def at(a):  # the variables lead the carrier
@@ -363,7 +365,7 @@ def term_unit(sig: Signature, depth: int) -> IndexedFunction:
     return IndexedFunction("term-unit", IdentityFunctor(), tf, at)
 
 
-def term_flatten(sig: Signature, depth: int) -> IndexedFunction:
+def term_flatten(sig: Signature, depth: int = 2) -> IndexedFunction:
     """Substitution collapse: terms whose variables are terms flatten into
     one carrier deep enough to hold every image.  The carrier over `a` at
     depth `depth` is a prefix of the deeper one, so a variable's image is
@@ -394,7 +396,7 @@ def max_var_count(sig: Signature, depth: int) -> int:
     return max(widest ** (depth - 1), 1)
 
 
-def varlist_family(sig: Signature, depth: int) -> IndexedFunction:
+def varlist_family(sig: Signature, depth: int = 2) -> IndexedFunction:
     tf = TermFunctor(sig, depth)
     lf = ListFunctor(max_var_count(sig, depth))
 
@@ -406,7 +408,7 @@ def varlist_family(sig: Signature, depth: int) -> IndexedFunction:
     return IndexedFunction("variable-list", tf, lf, at)
 
 
-def samevars_family(sig: Signature, depth: int) -> IndexedRelation:
+def samevars_family(sig: Signature, depth: int = 2) -> IndexedRelation:
     ell = varlist_family(sig, depth)
     tf = ell.source
 

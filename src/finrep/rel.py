@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CarrierMismatch
-from .fset import FiniteSet, membership_matrix, product_of, sum_of
+from .fset import SUBSET_CAP, FiniteSet, membership_matrix, product_of, sum_of
 from .verdict import LawReport, Verdict
 
 
@@ -345,7 +345,7 @@ def product_set(a: FiniteSet, b: FiniteSet) -> tuple[FiniteSet, FuncTable, FuncT
     return p, pr1, pr2
 
 
-def membership_rel(a: FiniteSet, cap: int = 4) -> Rel:
+def membership_rel(a: FiniteSet, cap: int = SUBSET_CAP) -> Rel:
     """Element-of relation a ⇸ powerset(a)."""
     p, m = membership_matrix(a, cap)
     return Rel(a, p, m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnvalidatedError
-from .fset import FiniteSet, check_cells, locate_subsets, powerset_of
+from .fset import SUBSET_CAP, FiniteSet, check_cells, locate_subsets, powerset_of
 from .rel import (
     FuncTable,
     Rel,
@@ -139,7 +139,7 @@ def interpret(rep: Representation, e: str) -> tuple[str, ...]:
     return tuple(t for i, t in enumerate(rep.traces.elements) if col[i])
 
 
-def check_interpretation_identity(rep: Representation, cap: int = 4) -> Verdict:
+def check_interpretation_identity(rep: Representation, cap: int = SUBSET_CAP) -> Verdict:
     """Satisfaction must factor through membership in the interpretation table."""
     member = membership_rel(rep.traces, cap)
     interp = FuncTable(rep.exprs, member.tgt, locate_subsets(member.tgt, rep.models.m))
@@ -154,7 +154,7 @@ def trivial_representation(x: Rel, name: str | None = None) -> Representation:
     return Representation(name, x.src, x.tgt, x, under(x, x), validated=True)
 
 
-def membership_representation(a: FiniteSet, cap: int = 4) -> Representation:
+def membership_representation(a: FiniteSet, cap: int = SUBSET_CAP) -> Representation:
     """Subsets as expressions, ordered by subset inclusion.  The order is
     read from the subset masks, not from the membership matrix, so it
     stays an independent oracle for the residual route."""

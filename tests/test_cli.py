@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import resource
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from finrep import fset
-from finrep.cli import main
+from finrep.cli import FAMILY_BUILDERS, HOR_BUILDERS, main
+from finrep.document import FAMILY_BUILTINS, HOR_BUILTINS
 from finrep.errors import TheoremInconsistencyError
+from finrep.functors import Signature
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -417,8 +420,11 @@ def test_vacuous_probes_declaration_exits_2(capsys, tmp_path, decl):
      "line 2, column 25: ka mode must be semantic or axiomatic, got 'frob'"),
     ('set A = a b\nhor H = builtin ka mode "semantic x"\n', ["hor", "instantiate"],
      "line 2, column 25: ka mode must be semantic or axiomatic, got 'semantic x'"),
+    ("signature S = mul:2\nfamily F = builtin term-unit depth 2\n", ["check", "naturality"],
+     "line 2, column 20: term-unit family needs sig <signature>"),
 ], ids=["sig-number", "depth-word", "cap-word", "outer-word", "size-word", "mon-depth-word",
-        "arity-superscript", "cap-superscript", "unknown-parameter", "mode-word", "mode-two-words"])
+        "arity-superscript", "cap-superscript", "unknown-parameter", "mode-word", "mode-two-words",
+        "sig-missing"])
 def test_builtin_parameters_are_typed_at_parse_time(capsys, tmp_path, text, argv, message):
     path = tmp_path / "params.doc"
     path.write_text(text, encoding="utf-8")
@@ -426,6 +432,21 @@ def test_builtin_parameters_are_typed_at_parse_time(capsys, tmp_path, text, argv
     assert (rc, out) == (2, "")
     assert "Traceback" not in err
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("grammar, builders", [(FAMILY_BUILTINS, FAMILY_BUILDERS), (HOR_BUILTINS, HOR_BUILDERS)],
+                         ids=["family", "hor"])
+def test_each_builder_takes_exactly_the_declared_parameters(grammar, builders):
+    # the command layer calls a builder with the parameters a declaration
+    # gives, so the grammar and the builders must not drift apart
+    assert builders.keys() == grammar.keys()
+    for name, declared in grammar.items():
+        params = inspect.signature(builders[name]).parameters
+        assert params.keys() == declared.keys(), name
+        for key, p in params.items():
+            assert p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY), (name, key)
+            # the grammar requires exactly the parameters without a default
+            assert (p.default is p.empty) == (declared[key] is Signature), (name, key)
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]])

@@ -125,6 +125,7 @@ DOCUMENTS = [
     ("parameter-duplicate", "family F = builtin membership cap 3 cap 4\n"),
     ("parameter-value-missing", "family F = builtin membership cap\n"),
     ("parameter-unknown-signature", "family F = builtin varlist sig S\n"),
+    ("parameter-sig-missing", "signature S = mul:2\nfamily F = builtin term-unit depth 2\n"),
     ("probe-unknown-parameter", "probes P = depth 3\n"),
     ("probe-duplicate-parameter", "probes P = max 2 max 3\n"),
     ("probe-not-a-number", "probes P = max x\n"),

@@ -265,7 +265,7 @@ def test_bad_size_bound_or_order_mode_is_a_value_error():
     with pytest.raises(ValueError):
         RegexFunctor(0)
     with pytest.raises(ValueError):
-        ka_hor(3, 2, leq_mode="bogus")
+        ka_hor(3, 2, mode="bogus")
 
 
 def test_carrier_interned_and_size_closed():
@@ -570,7 +570,7 @@ def test_axiomatic_leq_below_semantic():
 
 
 def test_axiomatic_mode_sound_not_exact():
-    h = ka_hor(3, 2, leq_mode="axiomatic")
+    h = ka_hor(3, 2, mode="axiomatic")
     r = instantiate(h, AB)
     assert validate_representation(r).passed
     assert not is_exact(r).ok
