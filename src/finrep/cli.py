@@ -151,10 +151,11 @@ def _two_named(doc: Document, kind: str, first: str | None, second: str | None):
 
 
 def _probe_config(doc: Document | None):
-    if doc is None:
-        return {}
-    found = [d for d in doc.decls if d.kind == "probes"]
-    return found[0].obj if len(found) == 1 else {}
+    """The document's probes line, at most one; none gives no settings."""
+    found = [d.obj for d in doc.decls if d.kind == "probes"] if doc is not None else []
+    if len(found) > 1:
+        raise DocumentError(f"document declares {len(found)} probes lines, expected at most one")
+    return found[0] if found else {}
 
 
 def _scope_settings(args, config: dict, **names) -> dict:
