@@ -124,11 +124,16 @@ def check_budget(total: int, what: str, *args):
         raise BudgetError(f"{what % args} has {total} elements, budget {_budget}")
 
 
+def cell_budget() -> int:
+    """The cell budget: 100 cells per element of the carrier budget."""
+    return _CELLS_PER_ELEMENT * _budget
+
+
 def check_cells(rows: int, cols: int, what: str, *args):
     """Refuse a generated relation of `rows` x `cols` cells, described as
-    `what % args`, over the cell budget: 100 cells per element of the
-    carrier budget, checked before the matrix is allocated."""
-    limit = _CELLS_PER_ELEMENT * _budget
+    `what % args`, over the cell budget, checked before the matrix is
+    allocated."""
+    limit = cell_budget()
     if rows * cols > limit:
         raise BudgetError(f"{what % args} has {rows} x {cols} = {rows * cols} cells, budget {limit}")
 

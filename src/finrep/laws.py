@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fset import FiniteSet
+from .errors import BudgetError
+from .fset import FiniteSet, cell_budget
 from .rel import (
     FuncTable,
     Rel,
@@ -41,6 +42,7 @@ class LawConfig:
 _SAMPLE_BLOCK = 256
 # cells a stacked temporary of the exhaustive laws aims to stay under
 _STACK_CELLS = 1 << 16
+_EXHAUSTIVE = ("residual-adjunction-exhaustive", "function-residual-exhaustive")
 _SAMPLED = ("residual-adjunction-sampled", "function-residual-sampled")
 
 
@@ -124,6 +126,18 @@ def _function_residual_at(n0, na, nb, nc, nd):
         yield _function_residual(fs[:, None], gs, x[:, None, None, None], ys[:, None, None])
 
 
+def exhaustive_instances(n: int) -> tuple[int, int]:
+    """Instances of the two exhaustive laws over sizes 0..n, in closed form.
+    The adjunction takes every x: a ⇸ b, y: b ⇸ c and z: a ⇸ c, so sizes
+    (a, b, c) give 2^(ab+bc+ca).  The function residual takes every
+    x: n0 ⇸ nb, y: n0 ⇸ nc, f: na -> nb and g: nd -> nc, which gives
+    2^(n0 nb + n0 nc) nb^na nc^nd; its sum splits into a square per n0."""
+    sizes = range(n + 1)
+    adjunction = sum(2 ** (a * b + b * c + c * a) for a, b, c in itertools.product(sizes, repeat=3))
+    reach = (sum(2 ** (n0 * m) * sum(m ** k for k in sizes) for m in sizes) for n0 in sizes)
+    return adjunction, sum(r * r for r in reach)
+
+
 def _by_sizes(law: str, check, sizes, arity: int) -> Verdict:
     """The first size tuple, in product order, at which a result array of
     `check(*sizes)` holds a failing instance, else a pass noted with the
@@ -140,9 +154,15 @@ def _by_sizes(law: str, check, sizes, arity: int) -> Verdict:
 def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
     """Adjunction and function-residual laws, exhaustive then sampled."""
     report = LawReport("relation-algebra laws", seed=config.seed)
+    # refused before any stack is built, at the first size over the cell
+    # budget: the counts grow with the size, so no larger one is counted
+    for top in range(config.exhaustive_max + 1):
+        for law, count in zip(_EXHAUSTIVE, exhaustive_instances(top)):
+            if count > cell_budget():
+                raise BudgetError(f"{law} to size {top} has {count} instances, budget {cell_budget()}")
     sizes = range(config.exhaustive_max + 1)
-    report.add(_by_sizes("residual-adjunction-exhaustive", _adjunction_at, sizes, 3))
-    report.add(_by_sizes("function-residual-exhaustive", _function_residual_at, sizes, 5))
+    for law, check, arity in zip(_EXHAUSTIVE, (_adjunction_at, _function_residual_at), (3, 5)):
+        report.add(_by_sizes(law, check, sizes, arity))
 
     rng = np.random.default_rng(config.seed)
     n = config.sample_size

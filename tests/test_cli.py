@@ -312,8 +312,12 @@ def _two_gib_address_space():
        ["check", "linearity", "--family", "f", "--mode", mode, "--probe-max", "3"],
        "lift through term({'mul': 2}, depth 4) at 'probe3' has 21612 x 21612 = 467078544 cells, budget 20000000")
       for family in ("term-unit", "samevars") for mode in ("relations", "functions")),
+    *((None, ["laws", "relcore", "--probe-max", top],
+       "residual-adjunction-exhaustive to size 3 has 140823792 instances, budget 20000000")
+      for top in ("3", "6")),
 ], ids=["powerset", "sum", "subset-order", "union-outer-powerset", "union-lift", "union-lift-probe4",
-        "term-unit-relations", "term-unit-functions", "samevars-relations", "samevars-functions"])
+        "term-unit-relations", "term-unit-functions", "samevars-relations", "samevars-functions",
+        "laws-probe3", "laws-probe6"])
 def test_derived_carriers_over_the_budget_exit_2_in_a_bounded_child(tmp_path, text, argv, refusal):
     # refused before anything that size is built; the address-space limit
     # and the timeout turn a regression into a failure, not a hang
@@ -395,6 +399,19 @@ def test_vacuous_probes_declaration_exits_2(capsys, tmp_path, decl):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: line 3") and "must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [["check", "naturality", "--family", "f"], ["laws", "relcore"]])
+def test_a_second_probes_line_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "probes.doc"
+    path.write_text(
+        "family f = builtin membership cap 2\n"
+        "probes P = max 2 samples 4 seed 1\n"
+        "probes Q = max 3 samples 9 seed 2\n"
+    )
+    rc, out, err = run(capsys, *argv, str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: document declares 2 probes lines, expected at most one\n"
 
 
 @pytest.mark.parametrize("text, argv, message", [

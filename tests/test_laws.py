@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from finrep import laws, rel
-from finrep.fset import FiniteSet
+from finrep.errors import BudgetError
+from finrep.fset import FiniteSet, carrier_budget
 from finrep.laws import (
     LawConfig,
     all_functions,
     all_relations,
+    exhaustive_instances,
     preorder_characterizations,
     random_func,
     random_rel,
@@ -135,6 +137,28 @@ def test_law_suite_notes_at_zero_and_one_sample(samples):
         f"ok  [{samples} samples at size 4]", f"ok  [{samples} samples at size 4]",
     ]
     assert report.scope == f"exhaustive to size 2, {samples} samples at size 4, seed 0"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_exhaustive_instances_in_closed_form_are_the_counted_ones(n):
+    report = relation_law_suite(LawConfig(exhaustive_max=n, samples=0))
+    assert [v.note for v in report.verdicts[:2]] == [f"{k} instances" for k in exhaustive_instances(n)]
+
+
+def test_exhaustive_laws_over_the_cell_budget_are_refused_before_any_stack(monkeypatch):
+    def no_stack(*shape):
+        raise AssertionError("a stack was built")
+
+    monkeypatch.setattr(laws, "relation_stack", no_stack)
+    monkeypatch.setattr(laws, "function_stack", no_stack)
+    with pytest.raises(BudgetError) as refused:
+        relation_law_suite(LawConfig(exhaustive_max=9))
+    assert str(refused.value) == (
+        "residual-adjunction-exhaustive to size 3 has 140823792 instances, budget 20000000")
+    with carrier_budget(2_000_000), pytest.raises(BudgetError) as refused:  # 200,000,000 cells
+        relation_law_suite(LawConfig(exhaustive_max=3))
+    assert str(refused.value) == (
+        "function-residual-exhaustive to size 3 has 469180139 instances, budget 200000000")
 
 
 def _square_rels(n):
