@@ -232,9 +232,10 @@ def _cmd_build(args, doc: Document) -> LawReport:
         rep = membership_representation(_named(doc, "set", args.set_name), cap=cap)
         return _exactness(rep, f", subset bound {cap}")
     factors = _two_named(doc, "representation", args.left, args.right)
-    unsound = [lr for lr in map(validate_representation, factors) if not lr.passed]
+    unsound = [(f, lr) for f in factors if not (lr := validate_representation(f)).passed]
     if unsound:
-        return LawReport("product factors", [v for lr in unsound for v in lr.verdicts])
+        report = LawReport("product factors", [v for _, lr in unsound for v in lr.verdicts])
+        return _scoped(report, *dict.fromkeys(s for f, _ in unsound for s in (f.traces, f.exprs)))
     rp, p1, p2 = product(*factors)
     report = _scoped(validate_representation(rp), rp.traces, rp.exprs)
     for tag, m in (("left-projection", p1), ("right-projection", p2)):
@@ -261,7 +262,7 @@ def _cmd_hor(args, doc: Document) -> LawReport:
         order = _named(doc, "preorder", args.preorder_name)
         return _scoped(check_tilde_soundness(h, PreorderedSet(order.src, order)), order.src)
     rep = _named(doc, "representation", args.name)
-    base = validate_representation(rep)
+    base = _scoped(validate_representation(rep), rep.traces, rep.exprs)
     if not base.passed:
         return base
     lifted, report = hat_report(h, rep)

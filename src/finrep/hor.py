@@ -173,8 +173,7 @@ def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     satisfaction = replace(rl, law="satisfaction-right-linear")
     report.add(satisfaction)
 
-    nat = is_natural_relation(h.leq_family(), probes)
-    report.add(replace(nat, law="order-natural", note=nat.note if not nat.ok else ""))
+    report.add(replace(is_natural_relation(h.leq_family(), probes), law="order-natural"))
 
     # e -> I(e) into subsets of traces must commute with renaming; this is
     # the same statement as right-linearity, so the two verdicts must agree

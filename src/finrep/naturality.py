@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -256,8 +256,7 @@ def is_natural_relation(rho: IndexedRelation, probes: ProbeUniverse) -> Verdict:
     _check_squares(probes, rho.source, rho.target)
     squares = _squares(rho, probes.functions(), "right", "functions")
     return first_violation(
-        "natural-relation", ((is_included(lhs, rhs), f) for lhs, rhs, f in squares),
-        _func_note, probes.scope,
+        "natural-relation", ((is_included(lhs, rhs), f) for lhs, rhs, f in squares), _func_note
     )
 
 
@@ -285,10 +284,8 @@ def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport
         for mode in ("functions", "relations")
         for side in ("left", "right")
     )
-    nat = is_natural_relation(rho, probes)
-    for v in (lf, rf, lr, rr):
+    for v in (lf, rf, lr, rr, is_natural_relation(rho, probes)):
         report.add(v)
-    report.add(replace(nat, law="natural-relation", note=""))
     report.add(
         Verdict(
             "modes-agree",
@@ -309,8 +306,7 @@ def is_natural_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> Ve
         return Verdict("natural-transformation", False, (x,) if x else None)
 
     return first_violation(
-        "natural-transformation", ((square(f), f) for _, _, f in probes.functions()),
-        _func_note, probes.scope,
+        "natural-transformation", ((square(f), f) for _, _, f in probes.functions()), _func_note
     )
 
 

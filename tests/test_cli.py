@@ -146,6 +146,7 @@ UNSOUND_VERDICTS = (
     "verdict soundness: VIOLATION  [via link (e0, e1)]\n"
     "witness: (t, e1)\n"
 )
+UNSOUND_SCOPE = "scope: exhaustive over declared carriers (1 T, 2 E)\n"
 
 
 def test_build_product_reports_an_unsound_factor(capsys, tmp_path):
@@ -159,7 +160,7 @@ def test_build_product_reports_an_unsound_factor(capsys, tmp_path):
     assert (rc, err) == (1, "")
     assert out == (
         "command: build product\n"
-        "subject: product factors\n" + UNSOUND_VERDICTS + "exit: 1\n"
+        "subject: product factors\n" + UNSOUND_VERDICTS + UNSOUND_SCOPE + "exit: 1\n"
     )
 
 
@@ -170,7 +171,7 @@ def test_hor_lift_rep_reports_an_unsound_base(capsys, tmp_path):
     assert (rc, err) == (1, "")
     assert out == (
         "command: hor lift-rep\n"
-        "subject: representation 'broken'\n" + UNSOUND_VERDICTS + "exit: 1\n"
+        "subject: representation 'broken'\n" + UNSOUND_VERDICTS + UNSOUND_SCOPE + "exit: 1\n"
     )
 
 
