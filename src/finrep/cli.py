@@ -73,10 +73,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--probe-max", type=int, help=(
-        f"largest probe carrier (default {ProbeUniverse.max_size}; {LawConfig.exhaustive_max} for laws relcore)"))
+        f"largest probe carrier (default {ProbeUniverse.max_size}); for laws relcore the largest exhaustive "
+        f"size (default {LawConfig.exhaustive_max}), which a probes line's max does not set"))
     common.add_argument("--powerset-cap", type=int, help=f"subset bound for powerset builders (default {SUBSET_CAP})")
     common.add_argument("--seed", type=int, help=f"sampling seed (default {ProbeUniverse.seed})")
-    common.add_argument("--samples", type=int, help="sampled relations per carrier pair")
+    common.add_argument("--samples", type=int, help=(
+        f"sampled relations per carrier pair (default {ProbeUniverse.rel_samples}); for laws relcore "
+        f"the sampled instances (default {LawConfig.samples}), which a probes line's samples sets"))
     common.add_argument("--budget", type=int, help="carrier element budget override")
     common.add_argument("--format", choices=["text", "structured"], default="text")
 
