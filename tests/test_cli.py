@@ -438,11 +438,8 @@ def test_a_second_probes_line_exits_2(capsys, tmp_path, argv):
      "line 2, column 25: ka mode must be semantic or axiomatic, got 'frob'"),
     ('set A = a b\nhor H = builtin ka mode "semantic x"\n', ["hor", "instantiate"],
      "line 2, column 25: ka mode must be semantic or axiomatic, got 'semantic x'"),
-    ("signature S = mul:2\nfamily F = builtin term-unit depth 2\n", ["check", "naturality"],
-     "line 2, column 20: term-unit family needs sig <signature>"),
 ], ids=["sig-number", "depth-word", "cap-word", "outer-word", "size-word", "mon-depth-word",
-        "arity-superscript", "cap-superscript", "unknown-parameter", "mode-word", "mode-two-words",
-        "sig-missing"])
+        "arity-superscript", "cap-superscript", "unknown-parameter", "mode-word", "mode-two-words"])
 def test_builtin_parameters_are_typed_at_parse_time(capsys, tmp_path, text, argv, message):
     path = tmp_path / "params.doc"
     path.write_text(text, encoding="utf-8")
