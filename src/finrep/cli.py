@@ -219,7 +219,7 @@ def _cmd_check(args, doc: Document) -> LawReport:
     built = _built(FAMILY_BUILDERS, FAMILY_BUILTINS, family, args.powerset_cap)
     if args.what == "naturality":
         natural = is_natural_transformation if isinstance(built, IndexedFunction) else is_natural_relation
-        return LawReport(built.name, [natural(built, probes)], probes.scope, probes.seed)
+        return LawReport(built.name, [natural(built, probes)], probes.function_scope)
     rho = built.graph_family() if isinstance(built, IndexedFunction) else built
     if args.side == "both" and args.mode == "both":
         return classify_linearity(rho, probes)

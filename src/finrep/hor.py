@@ -248,7 +248,7 @@ def check_relational_hor_conditions(
     report.add(first_violation(
         "arrow-exchange", ((exchange(f), f) for _, _, f in probes.functions()), _arrow_note
     ))
-    report.scope = probes.scope
+    report.scope = probes.function_scope
     return report
 
 
@@ -258,17 +258,11 @@ def hor_trace_tables(h: HOR):
 
 
 def tilde_lift(h: HOR, p: PreorderedSet) -> Representation:
-    """Relax satisfaction along a preorder on the generators."""
+    """Relax satisfaction along a preorder on the generators: the hat lift
+    over the preorder read as a representation, its carrier on both sides
+    and its order as satisfaction and order alike."""
     a = p.carrier
-    rep = Representation(
-        name=f"{h.name}-over-{a.name}",
-        traces=h.t_functor.carrier(a),
-        exprs=h.e_functor.carrier(a),
-        models=compose(h.t_functor.lift(p.order), h.models_at(a)),
-        leq=star(union(h.e_functor.lift(p.order), h.leq_at(a))),
-    )
-    validate_representation(rep)
-    return rep
+    return hat_lift(h, Representation(a.name, a, a, p.order, p.order, validated=True))
 
 
 def check_tilde_soundness(h: HOR, p: PreorderedSet) -> LawReport:

@@ -47,24 +47,27 @@ class Morphism:
                     "trace relation must go target traces -> source traces")
 
 
+def order_preservation(f: FuncTable, src: Representation, tgt: Representation, law: str) -> Verdict:
+    """`f` (src exprs -> tgt exprs) maps ordered expressions to ordered ones."""
+    return is_included(
+        compose(cograph(f), src.leq), compose(tgt.leq, cograph(f)), law
+    )
+
+
+def models_transport(phi: FuncTable, psi: Rel, src: Representation, tgt: Representation) -> Verdict:
+    """Satisfaction in `tgt` of a translated expression is satisfaction in
+    `src` of the expression along the trace relation `psi`."""
+    return equal_verdict(
+        compose(tgt.models, cograph(phi)), compose(psi, src.models), "models-transport"
+    )
+
+
 def validate_morphism(m: Morphism) -> LawReport:
     report = LawReport(
         subject=f"morphism {m.source.name!r} -> {m.target.name!r}"
     )
-    report.add(
-        is_included(
-            compose(cograph(m.phi), m.source.leq),
-            compose(m.target.leq, cograph(m.phi)),
-            "order-preservation",
-        )
-    )
-    report.add(
-        equal_verdict(
-            compose(m.target.models, cograph(m.phi)),
-            compose(m.psi, m.source.models),
-            "models-transport",
-        )
-    )
+    report.add(order_preservation(m.phi, m.source, m.target, "order-preservation"))
+    report.add(models_transport(m.phi, m.psi, m.source, m.target))
     m.validated = report.passed
     return report
 
@@ -168,52 +171,30 @@ def product_universal(
     phi_count = len(rp.exprs) ** len(r.exprs)
     psi_count = 1 << cells if cells < 64 else budget + 1
     total = phi_count * psi_count
-    if total <= budget:
-        matches = 0
-        for phi in all_functions(r.exprs, rp.exprs):
-            for psi in all_relations(rp.traces, r.traces):
-                cand = Morphism(r, rp, phi, psi)
-                if not validate_morphism(cand).passed:
-                    continue
-                if not morphisms_equal(compose_morphisms(cand, p1), f1):
-                    continue
-                if not morphisms_equal(compose_morphisms(cand, p2), f2):
-                    continue
-                matches += 1
-                if not morphisms_equal(cand, g):
-                    report.add(
-                        Verdict(
-                            "uniqueness",
-                            False,
-                            note="a different mediating morphism satisfies both equations",
-                        )
-                    )
-                    return g, report
-        report.add(
-            Verdict(
-                "uniqueness",
-                matches == 1,
-                note=f"searched {total} candidates, {matches} satisfied the equations",
-            )
-        )
+    exhaustive = total <= budget
+    space = (
+        (Morphism(r, rp, phi, psi)
+         for phi in all_functions(r.exprs, rp.exprs)
+         for psi in all_relations(rp.traces, r.traces))
+        if exhaustive else candidates
+    )
+    matches, other = 0, False
+    for cand in space:
+        if (
+            validate_morphism(cand).passed
+            and morphisms_equal(compose_morphisms(cand, p1), f1)
+            and morphisms_equal(compose_morphisms(cand, p2), f2)
+        ):
+            matches += 1
+            if not morphisms_equal(cand, g):
+                other = True
+                break
+    if not exhaustive:
+        ok, note = not other, (f"space of {total} candidates over budget {budget}; "
+                               f"refutation-only over {len(candidates)} supplied")
+    elif other:
+        ok, note = False, "a different mediating morphism satisfies both equations"
     else:
-        refuted = None
-        for cand in candidates:
-            fits = (
-                validate_morphism(cand).passed
-                and morphisms_equal(compose_morphisms(cand, p1), f1)
-                and morphisms_equal(compose_morphisms(cand, p2), f2)
-            )
-            if fits and not morphisms_equal(cand, g):
-                refuted = cand
-        report.add(
-            Verdict(
-                "uniqueness",
-                refuted is None,
-                note=(
-                    f"space of {total} candidates over budget {budget}; "
-                    f"refutation-only over {len(candidates)} supplied"
-                ),
-            )
-        )
+        ok, note = matches == 1, f"searched {total} candidates, {matches} satisfied the equations"
+    report.add(Verdict("uniqueness", ok, note=note))
     return g, report

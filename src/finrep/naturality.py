@@ -92,9 +92,30 @@ class ProbeUniverse:
             yield Rel(a, b, rng.random((len(a), len(b))) < rng.uniform(0.2, 0.8))
 
     @property
+    def function_count(self) -> int:
+        """How many functions `functions` yields, in closed form."""
+        sizes = range(self.max_size + 1)
+        return sum(b ** a for a in sizes for b in sizes)
+
+    @property
+    def relation_count(self) -> int:
+        """How many relations `relations` yields, in closed form: a sampled
+        pair yields empty, full, three graphs and then the samples."""
+        sizes = range(self.max_size + 1)
+        return sum(
+            2 ** (a * b) if a * b <= _REL_EXHAUSTIVE_CELLS else 5 + self.rel_samples
+            for a in sizes for b in sizes
+        )
+
+    @property
+    def function_scope(self) -> str:
+        """The scope of a check that reads only the probe functions."""
+        return f"probe carriers of sizes 0..{self.max_size}, all functions"
+
+    @property
     def scope(self) -> str:
         return (
-            f"probe carriers of sizes 0..{self.max_size}, all functions, "
+            f"{self.function_scope}, "
             f"relations exhaustive up to {_REL_EXHAUSTIVE_CELLS} cells "
             f"then {self.rel_samples} samples (seed {self.seed})"
         )
@@ -146,19 +167,23 @@ class IndexedFunction:
         )
 
 
-def _check_squares(probes: ProbeUniverse, *functors: Functor):
+def _check_squares(probes: ProbeUniverse, arrows: int, *functors: Functor):
     """Refuse, before the first square, a scope whose squares are over the
     cell budget: no lift, graph or family component of a square is larger
     than n x n, n = |F top| for each functor F and the largest probe
-    carrier top.  The sizes are read off the interned carriers."""
+    carrier top, and the walk over `arrows` probe arrows reads at most
+    `arrows` such squares.  The sizes are read off the interned carriers."""
     top = probe_carrier(probes.max_size)
+    widest = 0
     for fun in functors:
         n = len(fun.carrier(top))
         check_cells(n, n, "lift through %s at %r", fun.name, top.name)
+        widest = max(widest, n)
+    check_cells(arrows, widest * widest, "probe walk of %d arrows to %r", arrows, top.name)
 
 
 def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
-    _check_squares(probes, fun)
+    _check_squares(probes, probes.function_count + probes.relation_count, fun)
     report = LawReport(subject=f"functor laws for {fun.name}")
     carriers = probes.carriers()
 
@@ -239,12 +264,12 @@ def _linearity(rho: IndexedRelation, probes: ProbeUniverse, side: str, mode: str
     """Functions mode asks each square to commute; relations mode asks
     for one inclusion, F x ; rho_b ⊆ rho_a ; G x on the left and the
     converse on the right."""
-    _check_squares(probes, rho.source, rho.target)
     if mode == "functions":
-        arrows, holds, note = probes.functions(), equal_verdict, _func_note
+        arrows, count, holds, note = probes.functions(), probes.function_count, equal_verdict, _func_note
     else:
-        arrows, note = probes.relations(), _rel_note
+        arrows, count, note = probes.relations(), probes.relation_count, _rel_note
         holds = is_included if side == "left" else lambda lhs, rhs: is_included(rhs, lhs)
+    _check_squares(probes, count, rho.source, rho.target)
     squares = _squares(rho, arrows, side, mode)
     return first_violation(
         f"{side}-linear-{mode}", ((holds(lhs, rhs), x) for lhs, rhs, x in squares), note
@@ -253,7 +278,7 @@ def _linearity(rho: IndexedRelation, probes: ProbeUniverse, side: str, mode: str
 
 def is_natural_relation(rho: IndexedRelation, probes: ProbeUniverse) -> Verdict:
     """Pulling back along any probe function keeps the family related."""
-    _check_squares(probes, rho.source, rho.target)
+    _check_squares(probes, probes.function_count, rho.source, rho.target)
     squares = _squares(rho, probes.functions(), "right", "functions")
     return first_violation(
         "natural-relation", ((is_included(lhs, rhs), f) for lhs, rhs, f in squares), _func_note
@@ -297,6 +322,8 @@ def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport
 
 
 def is_natural_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> Verdict:
+    _check_squares(probes, probes.function_count, phi.source, phi.target)
+
     def square(f):
         left = compose_func(phi.target.fmap(f), phi.func_at(f.src))
         right = compose_func(phi.func_at(f.tgt), phi.source.fmap(f))

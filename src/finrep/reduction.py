@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
+from .morphism import Morphism, models_transport, order_preservation, validate_morphism
 from .rel import (
     FuncTable,
     Rel,
@@ -21,7 +22,6 @@ from .rel import (
     compose,
     compose_func,
     converse,
-    equal_verdict,
     graph,
     is_included,
     on_carriers,
@@ -30,6 +30,7 @@ from .represent import (
     Representation,
     interpret,
     is_exact,
+    same_representation,
     trivial_representation,
     validate_representation,
 )
@@ -58,20 +59,8 @@ def validate_reduction(r: Reduction) -> LawReport:
     report = LawReport(
         subject=f"reduction {r.source.name!r} -> {r.target.name!r}"
     )
-    report.add(
-        is_included(
-            compose(cograph(r.tau), r.target.leq),
-            compose(r.source.leq, cograph(r.tau)),
-            "tau-monotone",
-        )
-    )
-    report.add(
-        equal_verdict(
-            compose(r.target.models, cograph(r.phi)),
-            compose(r.psi, r.source.models),
-            "models-transport",
-        )
-    )
+    report.add(order_preservation(r.tau, r.target, r.source, "tau-monotone"))
+    report.add(models_transport(r.phi, r.psi, r.source, r.target))
     report.add(
         is_included(
             compose(cograph(r.tau), cograph(r.phi)),
@@ -103,8 +92,6 @@ def identity_reduction(rep: Representation) -> Reduction:
 
 def compose_reductions(r: Reduction, r2: Reduction) -> Reduction:
     """Diagrammatic order: r first, then r2."""
-    from .represent import same_representation
-
     if not same_representation(r.target, r2.source):
         raise CarrierMismatch("reductions do not chain")
     return Reduction(
@@ -265,8 +252,6 @@ def reduction_morphism_candidates(r: Reduction) -> LawReport:
     """
     if not r.validated:
         raise UnvalidatedError("reduction is not validated")
-    from .morphism import Morphism, validate_morphism
-
     forward = validate_morphism(Morphism(r.source, r.target, r.phi, r.psi))
     backward = validate_morphism(
         Morphism(r.target, r.source, r.tau, converse(r.psi))

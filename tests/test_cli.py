@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from finrep import fset
+from finrep import fset, rel
 from finrep.cli import FAMILY_BUILDERS, HOR_BUILDERS, main
 from finrep.document import FAMILY_BUILTINS, HOR_BUILTINS
 from finrep.errors import TheoremInconsistencyError
@@ -107,6 +107,17 @@ def test_reduce_compose(capsys):
     rc, out, _ = run(capsys, "reduce", "compose", doc("chain.doc"))
     assert rc == 0
     assert out.count("verdict ") == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "compose", doc("chain.doc"), "--first", "step1"], "name both reductions or neither"),
+    (["build", "product", doc("pair.doc"), "--right", "second"], "name both representations or neither"),
+    (["reduce", "compose", doc("closure-two-elt.doc")], "document declares 1 reductions, name two explicitly"),
+    (["build", "product", doc("membership2.doc")], "document declares 1 representations, name two explicitly"),
+])
+def test_two_declarations_are_named_both_or_neither(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_hor_instantiate_mon(capsys):
@@ -208,9 +219,18 @@ def test_check_linearity_varlist_linear(capsys):
 
 
 def test_probes_declaration_feeds_scope(capsys):
-    rc, out, _ = run(capsys, "check", "naturality", doc("families.doc"), "--family", "wrap")
-    assert rc == 0
+    rc, out, _ = run(capsys, "check", "linearity", doc("families.doc"), "--family", "wrap")
+    assert rc == 1
     assert "sizes 0..2" in out and "6 samples" in out
+
+
+def test_naturality_states_only_the_function_scope(capsys):
+    # naturality reads probe functions, never the sampled relations
+    rc, out, _ = run(capsys, "check", "naturality", doc("families.doc"), "--family", "wrap",
+                     "--seed", "7", "--samples", "3")
+    assert rc == 0
+    assert "scope: probe carriers of sizes 0..2, all functions\n" in out
+    assert "seed" not in out and "samples" not in out
 
 
 def test_laws_relcore(capsys):
@@ -316,9 +336,15 @@ def _two_gib_address_space():
     *((None, ["laws", "relcore", "--probe-max", top],
        "residual-adjunction-exhaustive to size 3 has 140823792 instances, budget 20000000")
       for top in ("3", "6")),
+    # every square fits the budget, but not the walk over all of them
+    (None, ["check", "naturality", doc("families.doc"), "--family", "letters", "--probe-max", "7"],
+     "probe walk of 1419768 arrows to 'probe7' has 1419768 x 5184 = 7360077312 cells, budget 20000000"),
+    (None, ["check", "linearity", doc("families.doc"), "--family", "member_of", "--mode", "relations",
+            "--probe-max", "3", "--samples", "1000000"],
+     "probe walk of 1000182 arrows to 'probe3' has 1000182 x 64 = 64011648 cells, budget 20000000"),
 ], ids=["powerset", "sum", "subset-order", "union-outer-powerset", "union-lift", "union-lift-probe4",
         "term-unit-relations", "term-unit-functions", "samevars-relations", "samevars-functions",
-        "laws-probe3", "laws-probe6"])
+        "laws-probe3", "laws-probe6", "naturality-function-walk", "linearity-relation-walk"])
 def test_derived_carriers_over_the_budget_exit_2_in_a_bounded_child(tmp_path, text, argv, refusal):
     # refused before anything that size is built; the address-space limit
     # and the timeout turn a regression into a failure, not a hang
@@ -344,8 +370,6 @@ def test_document_with_unicode_spaces_in_labels_exits_0(capsys, tmp_path):
 
 def test_document_preorder_checked_once(capsys, monkeypatch):
     # the parser and the representation check read one report of `subset`
-    from finrep import rel
-
     squares = []
     product = rel.product
 

@@ -62,6 +62,12 @@ COMMANDS = [
     "check naturality corpus/defaults.doc --family joins",
     "hor instantiate corpus/defaults.doc --hor regs --set A",
     "hor arrow corpus/defaults.doc --hor terms --fun swap",
+    # naming the two reductions or factors: both, one, or none when the
+    # document does not declare exactly two
+    "reduce compose corpus/chain.doc --first step1 --second step2",
+    "build product corpus/pair.doc --left first --right second",
+    "reduce compose corpus/chain.doc --first step1",
+    "reduce compose corpus/closure-two-elt.doc",
 ]
 FORMATS = [[], ["--format", "structured"]]
 

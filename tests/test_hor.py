@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -31,10 +32,17 @@ from finrep.hor import (
     tilde_mon_rule_check,
     validate_hor,
 )
+from finrep.kleene import ka_hor
 from finrep.morphism import compose_morphisms, morphisms_equal
 from finrep.naturality import ProbeUniverse, probe_carrier, varlist_family, is_natural_transformation
-from finrep.rel import FuncTable, Rel, compose_func, star
-from finrep.represent import membership_representation, trivial_representation
+from finrep.rel import FuncTable, Rel, compose, compose_func, star, union
+from finrep.represent import (
+    Representation,
+    membership_representation,
+    trivial_representation,
+    validate_representation,
+)
+from finrep.verdict import Verdict
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 P1 = ProbeUniverse(max_size=1)
@@ -142,6 +150,24 @@ def test_corrupting_one_order_component_breaks_naturality():
     assert "->" in verdicts["order-natural"].note
 
 
+def test_emptying_one_satisfaction_component_breaks_interpretation_naturality():
+    # with nothing satisfied over probe1, renaming probe0 into it loses
+    # the empty list's satisfaction of `one`
+    base = mon_hor(2)
+
+    def models_gen(a):
+        m = base.models_gen(a)
+        return Rel.empty(m.src, m.tgt) if a is probe_carrier(1) else m
+
+    report = validate_hor(HOR("emptied-mon", base.t_functor, base.e_functor, models_gen, base.leq_gen), P2)
+    verdicts = {v.law: v for v in report.verdicts}
+    assert verdicts["per-set-representations"].ok
+    assert verdicts["interpretation-naturality"] == Verdict(
+        "interpretation-naturality", False, ("one",), "probe0->probe1")
+    assert not verdicts["satisfaction-right-linear"].ok
+    assert verdicts["interpretation-matches-right-linearity"].ok
+
+
 def test_tilde_lift_frozen_facts():
     lifted = tilde_lift(mon_hor(3), _pq_chain())
     assert lifted.validated
@@ -172,6 +198,46 @@ def test_tilde_discrete_order_equals_instantiate():
     assert lifted.traces is plain.traces and lifted.exprs is plain.exprs
     assert lifted.models == plain.models
     assert lifted.leq == plain.leq
+
+
+def _preorders(n: int):
+    """Every preorder on n points."""
+    g = FiniteSet(f"g{n}", [f"g{i}" for i in range(n)])
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in itertools.product([False, True], repeat=len(off)):
+        m = np.eye(n, dtype=bool)
+        for (i, j), bit in zip(off, bits):
+            m[i, j] = bit
+        if (star(Rel(g, g, m)).m == m).all():
+            yield PreorderedSet(g, Rel(g, g, m))
+
+
+def _tilde_reference(h: HOR, p: PreorderedSet) -> Representation:
+    """The tilde lift's own formula: satisfaction relaxed by the lifted
+    preorder, and the order closed under it."""
+    a = p.carrier
+    return Representation(
+        f"{h.name}-over-{a.name}",
+        h.t_functor.carrier(a),
+        h.e_functor.carrier(a),
+        compose(h.t_functor.lift(p.order), h.models_at(a)),
+        star(union(h.e_functor.lift(p.order), h.leq_at(a))),
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mon_hor(2), lambda: ka_hor(3, 2), lambda: ka_hor(3, 2, "axiomatic"),
+], ids=["mon", "ka-semantic", "ka-axiomatic"])
+def test_tilde_lift_is_its_own_formula(make):
+    # the hat-lift route against the formula it replaced, over every
+    # preorder on two and three points
+    h = make()
+    for p in [*_preorders(2), *_preorders(3)]:
+        lifted, want = tilde_lift(h, p), _tilde_reference(h, p)
+        assert lifted.name == want.name
+        assert lifted.traces is want.traces and lifted.exprs is want.exprs
+        assert lifted.models == want.models and lifted.leq == want.leq
+        assert lifted.validation.verdicts == validate_representation(want).verdicts
 
 
 def test_rule_closure_matches_lifted_order():

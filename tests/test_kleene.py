@@ -600,6 +600,15 @@ def test_completeness_report_shape():
     assert (exprs.index(lo), exprs.index(hi)) not in pairs
 
 
+def test_completeness_report_without_a_gap():
+    # instances listing the whole semantic order derive every true inclusion
+    pairs = np.argwhere(semantic_leq(AB, 2, 2).m).tolist()
+    report = ka_completeness_report(AB, 2, 2, axioms=lambda a, cap: pairs)
+    assert report.passed and report.scope == ""
+    assert report.verdicts[1] == Verdict(
+        "completeness-gap", True, note="no gap among the first 8 expressions at this bound")
+
+
 def test_completeness_report_degenerate():
     report = ka_completeness_report(AB, 2, 2, axioms=lambda a, cap: [])
     assert report.passed

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from finrep import naturality
-from finrep.errors import CarrierMismatch, TheoremInconsistencyError
-from finrep.fset import FiniteSet
+from finrep.errors import BudgetError, CarrierMismatch, TheoremInconsistencyError
+from finrep.fset import FiniteSet, carrier_budget
 from finrep.functors import (
     ComposedFunctor,
     IdentityFunctor,
@@ -33,6 +33,7 @@ from finrep.naturality import (
     varlist_family,
 )
 from finrep.rel import FuncTable, Rel, graph
+from finrep.verdict import Verdict
 from term_trees import enumerate_term_trees, term_node, term_var, var_list
 
 SIG = Signature.of({"mul": 2, "one": 0})
@@ -261,6 +262,45 @@ def test_size_parity_family_is_not_natural():
     v = is_natural_relation(IndexedRelation("parity", ident, ident, at), P2)
     assert not v.ok
     assert v.witness is not None
+
+
+def test_constant_family_is_not_natural_and_names_the_moved_element():
+    # a -> a sending everything to the first element: renaming x0 to x1
+    # moves the image on one path and not on the other
+    ident = IdentityFunctor()
+
+    def at(a):
+        return FuncTable(a, a, np.zeros(len(a), dtype=int))
+
+    v = is_natural_transformation(IndexedFunction("first", ident, ident, at), P2)
+    assert v == Verdict("natural-transformation", False, ("x0",), "probe1->probe2 [x0>x1]")
+
+
+def test_probe_walks_over_the_cell_budget_are_refused_before_any_square(monkeypatch):
+    # 60 probe functions at max 3 through 4 x 4 squares: 960 cells fit a
+    # cell budget of 1000 and not one of 900
+    unit = term_unit(Signature.of({"one": 0}), 1)
+    looked_up = []
+    fam = IndexedFunction("unit", unit.source, unit.target, lambda a: looked_up.append(a) or unit.at(a))
+    probes = ProbeUniverse(3)
+    assert (probes.function_count, len(fam.target.carrier(probe_carrier(3)))) == (60, 4)
+    with carrier_budget(10):
+        assert is_natural_transformation(fam, probes).ok
+    looked_up.clear()
+    monkeypatch.setattr(naturality, "_squares", None)  # is_natural_relation reaches no square
+    with carrier_budget(9):
+        with pytest.raises(BudgetError, match=r"^probe walk of 60 arrows to 'probe3' has 60 x 16 = 960 cells"):
+            is_natural_transformation(fam, probes)
+        with pytest.raises(BudgetError, match=r"^probe walk of 60 arrows"):
+            is_natural_relation(fam.graph_family(), probes)
+    assert looked_up == []
+
+
+@pytest.mark.parametrize("max_size, samples", [(0, 25), (2, 0), (3, 25), (4, 3)])
+def test_closed_form_counts_match_the_walks(max_size, samples):
+    probes = ProbeUniverse(max_size, samples, seed=1)
+    assert probes.function_count == len(list(probes.functions()))
+    assert probes.relation_count == len(list(probes.relations()))
 
 
 def test_head_of_list_partial_family_is_natural():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import finrep.rel as relmod
 from finrep.errors import CarrierMismatch
-from finrep.fset import FiniteSet
+from finrep.fset import FiniteSet, powerset_of
 from finrep.rel import (
     FuncTable,
     Rel,
@@ -168,8 +168,6 @@ def test_compose_func_is_function_composition():
 
 def test_membership_relation_function_verdicts():
     # one trace can sit in several subsets: total but not univalent
-    from finrep.fset import powerset_of
-
     a = FiniteSet("rmemb", ["a", "b"])
     p = powerset_of(a)
     memb = Rel(a, p, [[bool(mask >> i & 1) for mask in p.payload] for i in range(len(a))])

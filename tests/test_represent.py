@@ -8,6 +8,7 @@ from finrep.fset import FiniteSet, carrier_budget
 from finrep.generate import (
     carrier,
     random_exact_representation,
+    random_preorder,
     random_sound_representation,
 )
 from finrep.rel import FuncTable, Rel, is_preorder
@@ -217,7 +218,6 @@ def test_spec_theory_rejects_non_preorder():
 
 def test_spec_theories_always_validate_random():
     rng = np.random.default_rng(13)
-    from finrep.generate import random_preorder
     from finrep.laws import random_func
 
     for i in range(100):
