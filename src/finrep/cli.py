@@ -223,8 +223,7 @@ def _cmd_check(args, doc: Document) -> LawReport:
     rho = built.graph_family() if isinstance(built, IndexedFunction) else built
     if args.side == "both" and args.mode == "both":
         return classify_linearity(rho, probes)
-    mode = args.mode if args.mode != "both" else "relations"
-    return linearity_check(rho, probes, side=args.side, mode=mode)
+    return linearity_check(rho, probes, side=args.side, mode=args.mode)
 
 
 def _cmd_build(args, doc: Document) -> LawReport:

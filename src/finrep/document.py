@@ -341,6 +341,14 @@ HOR_BUILTINS = {
 }
 
 
+def _parameter_key(cur: _Cursor) -> Token:
+    """A parameter name: a bare word that is an identifier."""
+    key = cur.take("parameter name")
+    if key.quoted or not key.text.isidentifier():
+        raise DocumentError(f"expected parameter name, got {key.text!r}", key.line, key.column)
+    return key
+
+
 def _builtin(builtins: dict, kind: str):
     """The body `builtin NAME (KEY VALUE)*`, read into a config dict; a
     signature's label is kept under `sig_name` for the printer."""
@@ -355,11 +363,7 @@ def _builtin(builtins: dict, kind: str):
             )
         config, params = {"builtin": b.text}, builtins[b.text]
         while not cur.done:
-            key = cur.take("parameter name")
-            if key.quoted or not key.text.isidentifier():
-                raise DocumentError(
-                    f"expected parameter name, got {key.text!r}", key.line, key.column
-                )
+            key = _parameter_key(cur)
             if key.text not in params:
                 raise DocumentError(
                     f"{b.text} {kind} does not take parameter {key.text!r}", key.line, key.column
@@ -401,7 +405,7 @@ def _show_config(config: dict) -> str:
 def _probe_config(cur: _Cursor, doc: Document, name: str) -> dict:
     config = {}
     while not cur.done:
-        key = cur.take("parameter name")
+        key = _parameter_key(cur)
         if key.text not in ("max", "samples", "seed"):
             raise DocumentError(
                 f"unknown probe parameter {key.text!r}", key.line, key.column

@@ -30,6 +30,7 @@ from .morphism import Morphism, validate_morphism
 from .naturality import (
     IndexedRelation,
     ProbeUniverse,
+    check_walk,
     is_natural_relation,
     linearity_check,
     max_var_count,
@@ -43,16 +44,17 @@ from .rel import (
     compose,
     equal_verdict,
     is_included,
-    is_preorder,
     on_carriers,
     product,
+    require_preorder,
     star,
-    under,
     union,
 )
 from .represent import (
     Representation,
     exactness_finding,
+    interpretations,
+    semantic_containment,
     validate_representation,
     validation_report,
 )
@@ -68,9 +70,7 @@ class PreorderedSet:
 
     def __post_init__(self):
         on_carriers(self.order, self.carrier, self.carrier, "order off its carrier %s", self.carrier.name)
-        report = is_preorder(self.order)
-        if not report.passed:
-            raise ValueError(f"order is not a preorder: {report.first_failure.describe()}")
+        require_preorder(self.order)
 
 
 @dataclass
@@ -144,10 +144,6 @@ def hor_arrow(h: HOR, f: FuncTable) -> Morphism:
     return m
 
 
-def _interpretation_sets(rep: Representation) -> list[frozenset]:
-    return [frozenset(np.flatnonzero(rep.models.m[:, j])) for j in range(len(rep.exprs))]
-
-
 def _arrow_note(f: FuncTable) -> str:
     return f"{f.src.name}->{f.tgt.name}"
 
@@ -180,11 +176,12 @@ def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     def interpretation_commutes(f):
         ra, rb = instance(f.src), instance(f.tgt)
         tf, ef = h.t_functor.fmap(f), h.e_functor.fmap(f)
-        ia, ib = _interpretation_sets(ra), _interpretation_sets(rb)
+        ia, ib = interpretations(ra), interpretations(rb)
         moved = next((e for e, traces, k in zip(ra.exprs.elements, ia, ef.table)
                       if frozenset(tf.table[t] for t in traces) != ib[k]), None)
         return moved is None or Verdict("interpretation-naturality", False, (moved,))
 
+    check_walk(probes, probes.function_count, h.t_functor.carrier, h.e_functor.carrier)
     interpretation = first_violation(
         "interpretation-naturality",
         ((interpretation_commutes(f), f) for _, _, f in probes.functions()),
@@ -214,6 +211,8 @@ def check_relational_hor_conditions(
     relation per probe function (target traces to source traces).  The
     three conditions characterize which such tables assemble into a
     set-indexed representation."""
+    carriers = probes.carriers()
+    check_walk(probes, 2 * len(carriers) + probes.function_count, t_obj, e_functor.carrier)
     report = LawReport(subject="relational trace-functor conditions")
 
     def models_at(a):
@@ -222,7 +221,7 @@ def check_relational_hor_conditions(
 
     def self_residual(a):
         leq = leq_gen(a)
-        return equal_verdict(leq, under(leq, leq))
+        return equal_verdict(leq, semantic_containment(leq, f"order at {a.name}"))
 
     def exchange(f):
         try:
@@ -236,7 +235,6 @@ def check_relational_hor_conditions(
     def at_carrier(a):
         return f"at carrier {a.name}"
 
-    carriers = probes.carriers()
     report.add(first_violation(
         "order-self-residual", ((self_residual(a), a) for a in carriers), at_carrier
     ))

@@ -15,7 +15,8 @@ from .errors import BudgetError
 from .fset import FiniteSet, check_budget, check_cells, intern
 from .functors import HOLE, ListFunctor, SyntaxFunctor, SyntaxIndex, syntax_finder
 from .hor import HOR
-from .rel import Rel, column_classes, star, under, union
+from .rel import Rel, column_classes, star
+from .represent import semantic_containment
 from .verdict import LawReport, Verdict
 
 _WORD_BITS = 64
@@ -188,8 +189,16 @@ def semantic_leq(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) -> 
     return Rel(exprs, exprs, m)
 
 
-def _axiom_pairs(ix: SyntaxIndex) -> np.ndarray:
-    """Sorted distinct (below, above) instance pairs as an (m, 2) array."""
+def generate_axiom_instances(alphabet: FiniteSet, expr_size_cap: int) -> np.ndarray:
+    """Instance pairs (below, above) of the usual equational axioms for
+    union, concatenation, and one unfolding of star, restricted to the
+    expressions whose composites stay inside the carrier: sorted, distinct,
+    as an (m, 2) array.
+
+    Each axiom shape is a mask over the carrier's index arrays: an instance
+    only exists when both sides are in the carrier, so matching one side
+    and looking up the rewritten partner finds every instance."""
+    ix = RegexFunctor(expr_size_cap).arrays(alphabet)[1]
     kind, left, right = ix.head, ix.kids[:, 0], ix.kids[:, 1]
     find = syntax_finder(ix)
     zero, eps = (int(np.flatnonzero(kind == k)[0]) for k in (ZERO, EPS))
@@ -247,27 +256,14 @@ def _axiom_pairs(ix: SyntaxIndex) -> np.ndarray:
     return np.stack(divmod(codes, n), axis=1)
 
 
-def generate_axiom_instances(alphabet: FiniteSet, expr_size_cap: int) -> list[tuple[int, int]]:
-    """Instance pairs (below, above) of the usual equational axioms for
-    union, concatenation, and one unfolding of star, restricted to the
-    expressions whose composites stay inside the carrier.
-
-    Each axiom shape is a mask over the carrier's index arrays: an instance
-    only exists when both sides are in the carrier, so matching one side
-    and looking up the rewritten partner finds every instance."""
-    below, above = _axiom_pairs(RegexFunctor(expr_size_cap).arrays(alphabet)[1]).T.tolist()
-    return list(zip(below, above))
-
-
-def axiomatic_leq(alphabet: FiniteSet, expr_size_cap: int, axiom_pairs) -> Rel:
-    """Reflexive-transitive closure of the instance pairs.  Dense; meant
-    for carriers small enough to validate on probes."""
+def axiomatic_leq(alphabet: FiniteSet, expr_size_cap: int, axiom_pairs: np.ndarray) -> Rel:
+    """Reflexive-transitive closure of the (m, 2) instance pairs.  Dense;
+    meant for carriers small enough to validate on probes."""
     exprs = RegexFunctor(expr_size_cap).carrier(alphabet)
     check_cells(len(exprs), len(exprs), "axiomatic order over %r", exprs.name)
-    pairs = np.array(axiom_pairs, dtype=np.int64).reshape(-1, 2)
     m = np.zeros((len(exprs), len(exprs)), dtype=bool)
-    m[pairs[:, 0], pairs[:, 1]] = True
-    return star(union(Rel.identity(exprs), Rel(exprs, exprs, m)))
+    m[axiom_pairs[:, 0], axiom_pairs[:, 1]] = True
+    return star(Rel(exprs, exprs, m))
 
 
 def ka_hor(size: int = 3, words: int = 2, mode: str = "semantic") -> HOR:
@@ -310,7 +306,7 @@ def ka_semantic_exactness(alphabet: FiniteSet, expr_size_cap: int, word_len_cap:
     reps = FiniteSet(f"classes({exprs.name})", [exprs.elements[i] for i in first])
     sat = Rel(words, reps, models[:, first])
     rep_masks = masks[first]
-    differ = under(sat, sat).m != ((rep_masks[:, None] & ~rep_masks[None, :]) == 0)
+    differ = semantic_containment(sat, reps.name).m != ((rep_masks[:, None] & ~rep_masks[None, :]) == 0)
     if differ.any():
         i, j = divmod(int(np.argmax(differ)), len(first))
         return Verdict("semantic-exactness", False, witness=(reps.elements[i], reps.elements[j]))
@@ -336,16 +332,13 @@ def ka_completeness_report(
     alphabet: FiniteSet,
     expr_size_cap: int,
     word_len_cap: int,
-    axioms=None,
+    axioms=generate_axiom_instances,
 ) -> LawReport:
     """Soundness of the instance list plus the first measured gap: a true
     bounded-language inclusion the instances cannot derive, searched from
     the first _GAP_SCAN_LIMIT expressions."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
-    if axioms is None:  # the generated instances, kept as an array
-        pairs = _axiom_pairs(RegexFunctor(expr_size_cap).arrays(alphabet)[1])
-    else:
-        pairs = np.array(axioms(alphabet, expr_size_cap), dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(axioms(alphabet, expr_size_cap), dtype=np.int64).reshape(-1, 2)
     report = LawReport(subject=f"axiomatic order over {len(exprs)} expressions")
     law = "axiom-instances-sound"
     unsound = np.flatnonzero(masks[pairs[:, 0]] & ~masks[pairs[:, 1]])

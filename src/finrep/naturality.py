@@ -97,15 +97,16 @@ class ProbeUniverse:
         sizes = range(self.max_size + 1)
         return sum(b ** a for a in sizes for b in sizes)
 
+    def relation_count_between(self, m: int, n: int) -> int:
+        """How many relations `relations_between` yields for carriers of sizes
+        m and n: all, or empty, full, three graphs and then the samples."""
+        return 2 ** (m * n) if m * n <= _REL_EXHAUSTIVE_CELLS else 5 + self.rel_samples
+
     @property
     def relation_count(self) -> int:
-        """How many relations `relations` yields, in closed form: a sampled
-        pair yields empty, full, three graphs and then the samples."""
+        """How many relations `relations` yields, in closed form."""
         sizes = range(self.max_size + 1)
-        return sum(
-            2 ** (a * b) if a * b <= _REL_EXHAUSTIVE_CELLS else 5 + self.rel_samples
-            for a in sizes for b in sizes
-        )
+        return sum(self.relation_count_between(a, b) for a in sizes for b in sizes)
 
     @property
     def function_scope(self) -> str:
@@ -167,23 +168,42 @@ class IndexedFunction:
         )
 
 
-def _check_squares(probes: ProbeUniverse, arrows: int, *functors: Functor):
-    """Refuse, before the first square, a scope whose squares are over the
-    cell budget: no lift, graph or family component of a square is larger
-    than n x n, n = |F top| for each functor F and the largest probe
-    carrier top, and the walk over `arrows` probe arrows reads at most
-    `arrows` such squares.  The sizes are read off the interned carriers."""
+def check_walk(probes: ProbeUniverse, arrows: int, *carriers):
+    """Refuse, before the first square, a walk of `arrows` squares of n x n
+    cells over the cell budget: n is the largest |C top| for each map C of
+    a probe carrier to a carrier (a functor's `carrier`, a trace table)."""
     top = probe_carrier(probes.max_size)
-    widest = 0
-    for fun in functors:
-        n = len(fun.carrier(top))
-        check_cells(n, n, "lift through %s at %r", fun.name, top.name)
-        widest = max(widest, n)
+    widest = max(len(at(top)) for at in carriers)
     check_cells(arrows, widest * widest, "probe walk of %d arrows to %r", arrows, top.name)
 
 
+def _check_squares(probes: ProbeUniverse, arrows: int, *functors: Functor):
+    """`check_walk` through the functors' carriers, after refusing a single
+    lift through one of them over the cell budget."""
+    top = probe_carrier(probes.max_size)
+    for fun in functors:
+        n = len(fun.carrier(top))
+        check_cells(n, n, "lift through %s at %r", fun.name, top.name)
+    check_walk(probes, arrows, *(fun.carrier for fun in functors))
+
+
+def _functor_law_walk(probes: ProbeUniverse) -> int:
+    """The steps of `check_functor_laws`' walks: two per carrier, one per
+    function, the composable function pairs a -> b -> c, consecutive
+    relation pairs per carrier pair (monotone), and per carrier triple the
+    pairs zipped from its two halves' relations (functorial)."""
+    sizes = range(probes.max_size + 1)
+    count = probes.relation_count_between
+    return (
+        2 * len(sizes) + probes.function_count
+        + sum(sum(b ** a for a in sizes) * sum(c ** b for c in sizes) for b in sizes)
+        + sum(count(a, b) - 1 for a in sizes for b in sizes)
+        + sum(min(count(a, b), count(b, c)) for a, b, c in itertools.product(sizes, repeat=3))
+    )
+
+
 def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
-    _check_squares(probes, probes.function_count + probes.relation_count, fun)
+    _check_squares(probes, _functor_law_walk(probes), fun)
     report = LawReport(subject=f"functor laws for {fun.name}")
     carriers = probes.carriers()
 
@@ -292,10 +312,12 @@ def linearity_check(
     mode: str = "relations",
 ) -> LawReport:
     """Linearity means the family commutes with lifted relations; the
-    functions mode checks the equivalent equational form on graphs."""
+    functions mode checks the equivalent equational form on graphs.  With
+    both modes the functions mode goes first, as in the classification."""
     report = LawReport(f"linearity of {rho.name}", scope=probes.scope, seed=probes.seed)
-    for s in ("left", "right") if side == "both" else (side,):
-        report.add(_linearity(rho, probes, s, mode))
+    for m in ("functions", "relations") if mode == "both" else (mode,):
+        for s in ("left", "right") if side == "both" else (side,):
+            report.add(_linearity(rho, probes, s, m))
     return report
 
 
@@ -304,11 +326,7 @@ def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport
     report = LawReport(
         f"linearity classification of {rho.name}", scope=probes.scope, seed=probes.seed
     )
-    lf, rf, lr, rr = (
-        _linearity(rho, probes, side, mode)
-        for mode in ("functions", "relations")
-        for side in ("left", "right")
-    )
+    lf, rf, lr, rr = linearity_check(rho, probes, "both", "both").verdicts
     for v in (lf, rf, lr, rr, is_natural_relation(rho, probes)):
         report.add(v)
     report.add(

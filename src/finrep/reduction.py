@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
 from .morphism import Morphism, models_transport, order_preservation, validate_morphism
 from .rel import (
@@ -28,11 +30,11 @@ from .rel import (
 )
 from .represent import (
     Representation,
-    interpret,
+    interpretations,
     is_exact,
+    passes_validation,
     same_representation,
     trivial_representation,
-    validate_representation,
 )
 from .verdict import LawReport, Verdict
 
@@ -108,24 +110,18 @@ def self_reduction(rep: Representation):
     """Identity-shaped reduction onto the trivial representation of its
     own satisfaction.  Validates exactly when `rep` is exact; the report
     pinpoints the failing law otherwise."""
-    target = trivial_representation(rep.models)
-    red = Reduction(
-        rep,
-        target,
-        FuncTable.identity(rep.exprs),
-        FuncTable.identity(rep.exprs),
-        Rel.identity(rep.traces),
-    )
+    red = replace(identity_reduction(rep), target=trivial_representation(rep.models), validated=False)
     return red, validate_reduction(red)
 
 
 def _setwise_exactness(rep: Representation) -> Verdict:
-    # second route: compare satisfying-trace sets directly, no residual
-    for i, e in enumerate(rep.exprs.elements):
-        ie = set(interpret(rep, e))
-        for j, f in enumerate(rep.exprs.elements):
-            if ie <= set(interpret(rep, f)) and not rep.leq.m[i, j]:
-                return Verdict("exactness-setwise-route", False, witness=(e, f))
+    # second route: compare satisfying-trace sets directly, no residual;
+    # the pairs the order misses, in row-major order
+    sets = interpretations(rep)
+    for i, j in zip(*np.nonzero(~rep.leq.m)):
+        if sets[i] <= sets[j]:
+            return Verdict("exactness-setwise-route", False,
+                           witness=(rep.exprs.elements[i], rep.exprs.elements[j]))
     return Verdict("exactness-setwise-route", True)
 
 
@@ -134,15 +130,11 @@ def transfer_exactness(r: Reduction) -> LawReport:
     two independent routes that must also agree with each other."""
     if not r.validated:
         raise UnvalidatedError("reduction is not validated")
-    if not r.target.validated:
-        validate_representation(r.target)
-    if not r.target.validated:
+    if not passes_validation(r.target):
         raise ValueError("target representation fails validation")
     if not is_exact(r.target).ok:
         raise ValueError("target representation is not exact")
-    if not r.source.validated:
-        validate_representation(r.source)
-    if not r.source.validated:
+    if not passes_validation(r.source):
         raise ValueError("source representation fails validation")
 
     residual = replace(is_exact(r.source), law="exactness-residual-route")
@@ -183,33 +175,17 @@ def validate_syntactic_closure(
     return report
 
 
-@dataclass(eq=False)
-class ClosureHypotheses:
+def closure_hypotheses(r1: Representation, r2: Representation) -> LawReport:
     """Side conditions under which the closure and reduction readings of a
     map necessarily agree."""
-
-    r1: Representation
-    r2: Representation
-
-    def __post_init__(self):
-        if self.r1.traces is not self.r2.traces or self.r1.exprs is not self.r2.exprs:
-            raise CarrierMismatch("hypotheses compare representations over shared carriers")
-
-    def check(self) -> LawReport:
-        report = LawReport(subject="closure hypotheses")
-        report.add(
-            is_included(self.r2.leq, self.r1.leq, "order-hypothesis")
-        )
-        report.add(
-            is_included(self.r2.models, self.r1.models, "satisfaction-hypothesis")
-        )
-        if not self.r2.validated:
-            validate_representation(self.r2)
-        exact = (
-            is_exact(self.r2) if self.r2.validated else Verdict("exactness", False)
-        )
-        report.add(replace(exact, law="target-exact-hypothesis"))
-        return report
+    if r1.traces is not r2.traces or r1.exprs is not r2.exprs:
+        raise CarrierMismatch("hypotheses compare representations over shared carriers")
+    report = LawReport(subject="closure hypotheses")
+    report.add(is_included(r2.leq, r1.leq, "order-hypothesis"))
+    report.add(is_included(r2.models, r1.models, "satisfaction-hypothesis"))
+    exact = is_exact(r2) if passes_validation(r2) else Verdict("exactness", False)
+    report.add(replace(exact, law="target-exact-hypothesis"))
+    return report
 
 
 def closure_reduction_equivalence(
@@ -217,7 +193,7 @@ def closure_reduction_equivalence(
 ) -> LawReport:
     """Under the hypotheses, the two readings of `down` stand or fall
     together; without them, only the two verdicts are reported."""
-    hyp = ClosureHypotheses(r1, r2).check()
+    hyp = closure_hypotheses(r1, r2)
     red = Reduction(
         r1,
         r2,
@@ -260,21 +236,17 @@ def reduction_morphism_candidates(r: Reduction) -> LawReport:
     for tag, lr in (("forward", forward), ("backward", backward)):
         for v in lr.verdicts:
             report.add(replace(v, law=f"{tag}-{v.law}"))
-    for rep in (r.source, r.target):
-        if not rep.validated:
-            validate_representation(rep)
-    if r.source.validated and r.target.validated:
-        if is_exact(r.source).ok and is_exact(r.target).ok:
-            if not forward.passed:
-                raise TheoremInconsistencyError(
-                    "both representations exact, yet the forward pair is not a morphism:\n"
-                    + report.describe()
-                )
-            report.add(
-                Verdict(
-                    "exact-exact-forward-morphism",
-                    True,
-                    note="both representations exact; forward pair confirmed",
-                )
+    if all(passes_validation(rep) and is_exact(rep).ok for rep in (r.source, r.target)):
+        if not forward.passed:
+            raise TheoremInconsistencyError(
+                "both representations exact, yet the forward pair is not a morphism:\n"
+                + report.describe()
             )
+        report.add(
+            Verdict(
+                "exact-exact-forward-morphism",
+                True,
+                note="both representations exact; forward pair confirmed",
+            )
+        )
     return report

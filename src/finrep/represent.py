@@ -27,6 +27,7 @@ from .rel import (
     membership_rel,
     on_carriers,
     over,
+    require_preorder,
     under,
 )
 from .verdict import LawReport, Verdict
@@ -100,6 +101,12 @@ def validate_representation(rep: Representation) -> LawReport:
     return report
 
 
+def passes_validation(rep: Representation) -> bool:
+    """Whether the representation is sound, validating it now only if it
+    has not passed yet."""
+    return rep.validated or validate_representation(rep).passed
+
+
 def validation_report(rep: Representation) -> LawReport:
     """The report of the representation's last validation, validating it
     now only if it has none; a fresh copy the caller may extend."""
@@ -108,10 +115,12 @@ def validation_report(rep: Representation) -> LawReport:
     return LawReport(rep.validation.subject, list(rep.validation.verdicts))
 
 
-def semantic_containment(rep: Representation) -> Rel:
-    """Expressions ordered by inclusion of their satisfying-trace sets."""
-    check_cells(len(rep.exprs), len(rep.exprs), "semantic containment of %r", rep.name)
-    return under(rep.models, rep.models)
+def semantic_containment(models: Rel, name: str) -> Rel:
+    """Expressions ordered by inclusion of their satisfying-trace sets: the
+    self-residual of the satisfaction `models` of representation `name`,
+    refused over the cell budget before it is allocated."""
+    check_cells(len(models.tgt), len(models.tgt), "semantic containment of %r", name)
+    return under(models, models)
 
 
 def trace_preorder(rep: Representation) -> Rel:
@@ -122,7 +131,7 @@ def trace_preorder(rep: Representation) -> Rel:
 def is_exact(rep: Representation) -> Verdict:
     if not rep.validated:
         raise UnvalidatedError(f"representation {rep.name!r} has not been validated")
-    return is_included(semantic_containment(rep), rep.leq, "exactness")
+    return is_included(semantic_containment(rep.models, rep.name), rep.leq, "exactness")
 
 
 def exactness_finding(rep: Representation) -> Verdict:
@@ -133,10 +142,9 @@ def exactness_finding(rep: Representation) -> Verdict:
     return Verdict("exactness-finding", True, sem.witness, note)
 
 
-def interpret(rep: Representation, e: str) -> tuple[str, ...]:
-    """Satisfying traces of one expression, in trace-carrier order."""
-    col = rep.models.m[:, rep.exprs.index(e)]
-    return tuple(t for i, t in enumerate(rep.traces.elements) if col[i])
+def interpretations(rep: Representation) -> list[frozenset[int]]:
+    """For each expression, the indices of the traces that satisfy it."""
+    return [frozenset(np.flatnonzero(col).tolist()) for col in rep.models.m.T]
 
 
 def check_interpretation_identity(rep: Representation, cap: int = SUBSET_CAP) -> Verdict:
@@ -151,7 +159,7 @@ def trivial_representation(x: Rel, name: str | None = None) -> Representation:
     """Expressions ordered by the self-residual of the given satisfaction."""
     if name is None:
         name = f"trivial({x.src.name}|{x.tgt.name})"
-    return Representation(name, x.src, x.tgt, x, under(x, x), validated=True)
+    return Representation(name, x.src, x.tgt, x, semantic_containment(x, name), validated=True)
 
 
 def membership_representation(a: FiniteSet, cap: int = SUBSET_CAP) -> Representation:
@@ -173,11 +181,7 @@ def membership_representation(a: FiniteSet, cap: int = SUBSET_CAP) -> Representa
 
 def spec_theory_to_representation(s: SpecTheory) -> Representation:
     """Each trace satisfies everything above its characteristic expression."""
-    order = is_preorder(s.leq)
-    if not order.passed:
-        bad = order.first_failure
-        raise ValueError(f"order is not a preorder: {bad.describe()}")
-    models = compose(graph(s.chi), s.leq)
+    models = compose(graph(s.chi), require_preorder(s.leq))
     return Representation(
         f"spec({s.traces.name}|{s.exprs.name})",
         s.traces,

@@ -1,11 +1,12 @@
-"""Pointwise reference for the morphism and reduction laws.
+"""Pointwise reference for the representation, morphism and reduction laws.
 
 Each law is read from its definition element by element, with Python
 sets and loops over element labels; nothing here goes through the
 relation kernel.  A representation is `Rep(traces, exprs, models, leq)`:
 two label lists and two sets of label pairs.  A translation is a dict
 from labels to labels, and a trace relation a set of (target trace,
-source trace) pairs.
+source trace) pairs.  `read_document` reads the representations of a
+document whose labels are bare words from its text.
 
 Each law returns `(law, ok, witness, note)` in the shape of the
 package's verdicts: an inclusion fails at its first extra pair in
@@ -81,3 +82,70 @@ def reduction_laws(src: Rep, tgt: Rep, phi: dict, tau: dict, psi: set) -> list:
         inclusion("roundtrip-up", src.exprs, src.exprs, {(back[x], x) for x in src.exprs}, src.leq),
         inclusion("roundtrip-down", src.exprs, src.exprs, {(x, back[x]) for x in src.exprs}, src.leq),
     ]
+
+
+def read_document(text: str) -> dict:
+    """The declarations of a document made of `set`, `rel`, `preorder` and
+    `representation` lines with bare labels: a set is its label list, a
+    relation or preorder its set of pairs, a representation a `Rep`.  A
+    preorder that is not reflexive and transitive is refused with
+    ValueError, as the format refuses it."""
+    decls = {}
+    for line in text.splitlines():
+        words = line.replace("(", " ").replace(")", " ").replace(",", " ").split()
+        if not words:
+            continue
+        kind, name = words[0], words[1]
+        body = words[words.index("=") + 1:]
+        if kind == "set":
+            decls[name] = body
+        elif kind in ("rel", "preorder"):
+            pairs = set(zip(body[::2], body[1::2]))
+            if kind == "preorder":
+                labels = decls[words[3]]
+                if not (reflexivity(labels, pairs)[1] and transitivity(labels, pairs)[1]):
+                    raise ValueError(f"preorder {name!r} is not a preorder")
+            decls[name] = pairs
+        else:  # representation R = traces T exprs E models sat leq ord
+            traces, exprs, models, leq = (decls[w] for w in body[1::2])
+            decls[name] = Rep(traces, exprs, models, leq)
+    return decls
+
+
+def reflexivity(exprs, leq):
+    return inclusion("reflexivity", exprs, exprs, {(x, x) for x in exprs}, leq)
+
+
+def transitivity(exprs, leq):
+    through = {(x, z) for (x, y) in leq for (y2, z) in leq if y2 == y}
+    return inclusion("transitivity", exprs, exprs, through, leq)
+
+
+def soundness(rep: Rep):
+    """Enlarging an expression along the order keeps its traces: (t, e)
+    satisfied and e <= f give (t, f) satisfied.  A failure names its link
+    (e, f), with e the first expression that carries t up to f."""
+    reached = {(t, f) for (t, e) in rep.models for (e2, f) in rep.leq if e2 == e}
+    law, ok, witness, _ = inclusion("soundness", rep.traces, rep.exprs, reached, rep.models)
+    if ok:
+        return law, ok, witness, ""
+    t, f = witness
+    link = next(e for e in rep.exprs if (t, e) in rep.models and (e, f) in rep.leq)
+    return law, False, witness, f"via link ({link}, {f})"
+
+
+def representation_laws(rep: Rep) -> list:
+    """The order is a preorder, and the representation is sound."""
+    return [reflexivity(rep.exprs, rep.leq), transitivity(rep.exprs, rep.leq), soundness(rep)]
+
+
+def semantic_containment(rep: Rep) -> set:
+    """(e, f) when every trace that satisfies e satisfies f."""
+    sat = {e: {t for t in rep.traces if (t, e) in rep.models} for e in rep.exprs}
+    return {(e, f) for e in rep.exprs for f in rep.exprs if sat[e] <= sat[f]}
+
+
+def exactness(rep: Rep):
+    """The order holds every semantic containment; a failure names the
+    first one it misses, in row-major order."""
+    return inclusion("exactness", rep.exprs, rep.exprs, semantic_containment(rep), rep.leq)

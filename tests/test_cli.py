@@ -213,6 +213,30 @@ def test_check_linearity_side_flag(capsys):
     assert rc == 0
 
 
+def test_one_side_in_both_modes_checks_functions_first(capsys):
+    # --mode both is the default: one side names both of its modes
+    rc, out, _ = run(capsys, "check", "linearity", doc("families.doc"), "--family", "member_of", "--side", "left")
+    assert rc == 1
+    laws = [line.split(":")[0] for line in out.splitlines() if line.startswith("verdict ")]
+    assert laws == ["verdict left-linear-functions", "verdict left-linear-relations"]
+
+
+def test_build_trivial_refuses_its_order_before_allocating(capsys, monkeypatch, tmp_path):
+    # 5000 expressions: the 5000 x 5000 order is refused before the residual runs
+    big = tmp_path / "wide.doc"
+    labels = " ".join(f"e{i}" for i in range(5000))
+    big.write_text(f"set T = t\nset E = {labels}\nrel x : T -> E = (t, e0)\n", encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("the residual ran")
+
+    monkeypatch.setattr(rel, "residual", refuse)
+    rc, out, err = run(capsys, "build", "trivial", str(big), "--rel", "x")
+    assert (rc, out) == (2, "")
+    assert err == ("error: budget exceeded: semantic containment of 'trivial(T|E)' has "
+                   "5000 x 5000 = 25000000 cells, budget 20000000\n")
+
+
 def test_check_linearity_varlist_linear(capsys):
     rc, out, _ = run(capsys, "check", "linearity", doc("families.doc"), "--family", "letters")
     assert rc == 0

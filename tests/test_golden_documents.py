@@ -127,6 +127,7 @@ DOCUMENTS = [
     ("parameter-unknown-signature", "family F = builtin varlist sig S\n"),
     ("parameter-sig-missing", "signature S = mul:2\nfamily F = builtin term-unit depth 2\n"),
     ("probe-unknown-parameter", "probes P = depth 3\n"),
+    ("probe-parameter-name-quoted", 'probes P = "max" 2\n'),
     ("probe-duplicate-parameter", "probes P = max 2 max 3\n"),
     ("probe-not-a-number", "probes P = max x\n"),
     ("probe-superscript", "probes P = samples \u00b2\n"),

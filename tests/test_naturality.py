@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finrep import naturality
+from finrep import functors, hor, naturality
 from finrep.errors import BudgetError, CarrierMismatch, TheoremInconsistencyError
 from finrep.fset import FiniteSet, carrier_budget
 from finrep.functors import (
@@ -301,6 +301,77 @@ def test_closed_form_counts_match_the_walks(max_size, samples):
     probes = ProbeUniverse(max_size, samples, seed=1)
     assert probes.function_count == len(list(probes.functions()))
     assert probes.relation_count == len(list(probes.relations()))
+
+
+@pytest.mark.parametrize("max_size, samples", [(0, 25), (1, 25), (2, 0), (3, 2), (3, 25)])
+def test_functor_law_walk_counts_every_step(monkeypatch, max_size, samples):
+    # every case each law's walk reads, counted as first_violation reads
+    # it, on a functor that passes every law so that no walk stops early
+    steps = []
+    read = naturality.first_violation
+
+    def counted(law, cases, *args, **kwargs):
+        cases = list(cases)
+        steps.append(len(cases))
+        return read(law, cases, *args, **kwargs)
+
+    monkeypatch.setattr(naturality, "first_violation", counted)
+    probes = ProbeUniverse(max_size, samples, seed=1)
+    assert check_functor_laws(ListFunctor(1), probes).passed
+    assert sum(steps) == naturality._functor_law_walk(probes)
+
+
+def test_functor_laws_count_the_composable_pairs():
+    # 499 functions and 391 relations at max 4, but 133,799 composable
+    # pairs: the walk is refused, where counting arrows alone let it run
+    probes = ProbeUniverse(4)
+    assert (probes.function_count, probes.relation_count) == (499, 391)
+    with pytest.raises(BudgetError, match=r"^probe walk of 135813 arrows to 'probe4' has 135813 x 441 = "):
+        check_functor_laws(ListFunctor(2), probes)
+
+
+def test_every_probe_check_refuses_an_over_budget_scope_before_any_lift_or_fmap(monkeypatch):
+    # at max 3 (60 functions, 207 relations) and a cell budget of 3000,
+    # the first walk of every check is over: functions through 8 x 8
+    # squares already read 3840 cells, and every square here fits alone
+    def refuse(*args):
+        raise AssertionError("a lift or fmap ran before the budget check")
+
+    for cls in (IdentityFunctor, PowersetFunctor, functors.ContainerFunctor, ComposedFunctor):
+        monkeypatch.setattr(cls, "lift", refuse)
+        monkeypatch.setattr(cls, "fmap", refuse)
+    member, unit, mon = membership_family(), powerset_unit(), hor.mon_hor(2)
+    t_obj, t_rel = hor.hor_trace_tables(mon)
+    checks = [
+        lambda: check_functor_laws(ListFunctor(2), P3),
+        *(lambda s=s, m=m: linearity_check(member, P3, side=s, mode=m)
+          for s in ("left", "right", "both") for m in ("functions", "relations", "both")),
+        lambda: classify_linearity(member, P3),
+        lambda: is_natural_relation(member, P3),
+        lambda: is_natural_transformation(unit, P3),
+        lambda: hor.validate_hor(mon, P3),
+        lambda: hor.check_relational_hor_conditions(t_obj, t_rel, mon.e_functor, mon.models_gen, mon.leq_gen, P3),
+    ]
+    with carrier_budget(30):
+        for check in checks:
+            with pytest.raises(BudgetError, match=r"^probe walk of \d+ arrows to 'probe3' has .* budget 3000$"):
+                check()
+
+
+def test_the_interpretation_walk_of_a_structure_is_budgeted_by_its_trace_side():
+    # pairs against singletons at max 4 with no samples: the 241 relations
+    # on 21 x 21 squares (106281 cells) and the 499 functions on 5 x 5
+    # order squares fit a cell budget of 200000, the 499 functions on
+    # 21 x 21 trace squares (220059 cells) do not
+    pairs, singles = ListFunctor(2), ListFunctor(1)
+    h = hor.HOR("pairs", pairs, singles, models_gen=lambda a: Rel.full(pairs.carrier(a), singles.carrier(a)),
+                leq_gen=lambda a: Rel.identity(singles.carrier(a)))
+    probes = ProbeUniverse(4, 0)
+    with carrier_budget(2201):
+        hor.validate_hor(h, probes)
+    with carrier_budget(2000), pytest.raises(
+            BudgetError, match=r"^probe walk of 499 arrows to 'probe4' has 499 x 441 = 220059 cells"):
+        hor.validate_hor(h, probes)
 
 
 def test_head_of_list_partial_family_is_natural():

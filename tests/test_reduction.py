@@ -11,11 +11,13 @@ from finrep.generate import (
     random_func,
     random_rel,
     random_reduction_instance,
+    random_sound_representation,
     surjection_with_section,
 )
 from finrep.reduction import (
-    ClosureHypotheses,
     Reduction,
+    _setwise_exactness,
+    closure_hypotheses,
     closure_reduction_equivalence,
     compose_reductions,
     identity_reduction,
@@ -33,6 +35,7 @@ from finrep.represent import (
     trivial_representation,
     validate_representation,
 )
+from finrep.verdict import Verdict
 
 
 def _closure_pair():
@@ -150,6 +153,40 @@ def test_transfer_exactness_on_generated_instances():
         assert report.passed
 
 
+def _interpret(rep, e):
+    """Satisfying traces of one expression, in trace-carrier order."""
+    col = rep.models.m[:, rep.exprs.index(e)]
+    return tuple(t for i, t in enumerate(rep.traces.elements) if col[i])
+
+
+def _setwise_reference(rep):
+    # the label-set loop the set-wise route replaced: two label sets per pair
+    for i, e in enumerate(rep.exprs.elements):
+        ie = set(_interpret(rep, e))
+        for j, f in enumerate(rep.exprs.elements):
+            if ie <= set(_interpret(rep, f)) and not rep.leq.m[i, j]:
+                return Verdict("exactness-setwise-route", False, witness=(e, f))
+    return Verdict("exactness-setwise-route", True)
+
+
+def test_setwise_route_matches_the_label_set_loop_and_the_residual_route():
+    # random sound representations, most of them inexact: the set-wise
+    # route names the same first missed containment as the loop it
+    # replaced and as the residual route
+    rng = np.random.default_rng(19)
+    inexact = 0
+    for i in range(300):
+        t = carrier(f"wt{i}", int(rng.integers(0, 5)))
+        e = carrier(f"we{i}", int(rng.integers(0, 6)))
+        r = random_sound_representation(rng, t, e)
+        got = _setwise_exactness(r)
+        assert got == _setwise_reference(r)
+        residual = is_exact(r)
+        assert (got.ok, got.witness) == (residual.ok, residual.witness)
+        inexact += not got.ok
+    assert inexact > 150
+
+
 def test_transfer_exactness_on_closure_instance():
     coarse, fine, down = _closure_pair()
     red = Reduction(
@@ -245,7 +282,7 @@ def test_equivalence_over_generated_instances_and_random_maps():
         t = carrier(f"qt{i}", int(rng.integers(1, 4)))
         e = carrier(f"qe{i}", int(rng.integers(1, 5)))
         coarse, fine = random_closure_instance(rng, t, e)
-        hyp = ClosureHypotheses(coarse, fine).check()
+        hyp = closure_hypotheses(coarse, fine)
         assert hyp.passed, hyp.describe()
         for _ in range(8):
             down = random_func(rng, e, e)

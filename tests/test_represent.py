@@ -16,7 +16,7 @@ from finrep.represent import (
     Representation,
     SpecTheory,
     check_interpretation_identity,
-    interpret,
+    interpretations,
     is_exact,
     membership_representation,
     semantic_containment,
@@ -128,14 +128,13 @@ def test_semantic_containment_of_membership_is_subset_order():
     for n in range(5):
         a = carrier(f"s{n}", n)
         r = membership_representation(a, cap=4)
-        assert semantic_containment(r) == r.leq
+        assert semantic_containment(r.models, r.name) == r.leq
 
 
-def test_interpret_membership(two):
+def test_interpretations_of_membership(two):
     r = membership_representation(two)
-    assert interpret(r, "{a}") == ("a",)
-    assert interpret(r, "{}") == ()
-    assert interpret(r, "{a,b}") == ("a", "b")
+    sets = dict(zip(r.exprs.elements, interpretations(r)))
+    assert sets == {"{}": frozenset(), "{a}": {0}, "{b}": {1}, "{a,b}": {0, 1}}
 
 
 def test_interpretation_identity_random():
@@ -164,7 +163,7 @@ def test_soundness_restated_and_exactness_as_coincidence():
     e = carrier("ce", 4)
     for _ in range(100):
         r = random_sound_representation(rng, t, e)
-        sem = semantic_containment(r)
+        sem = semantic_containment(r.models, r.name)
         assert is_preorder(sem).passed
         # soundness, read through the adjunction
         assert (r.leq.m & ~sem.m).sum() == 0
@@ -172,22 +171,22 @@ def test_soundness_restated_and_exactness_as_coincidence():
             assert r.leq == sem
 
 
-def test_interpret_monotone_and_converse_for_exact():
+def test_interpretations_monotone_and_converse_for_exact():
     rng = np.random.default_rng(6)
     t = carrier("mt", 3)
     e = carrier("me", 4)
     for _ in range(60):
         r = random_sound_representation(rng, t, e)
-        for e1 in r.exprs:
-            for e2 in r.exprs:
-                if r.leq.holds(e1, e2):
-                    assert set(interpret(r, e1)) <= set(interpret(r, e2))
+        sets = interpretations(r)
+        for i, j in np.argwhere(r.leq.m):
+            assert sets[i] <= sets[j]
         x = random_exact_representation(rng, t, e)
         validate_representation(x)
-        for e1 in x.exprs:
-            for e2 in x.exprs:
-                if set(interpret(x, e1)) <= set(interpret(x, e2)):
-                    assert x.leq.holds(e1, e2)
+        sets = interpretations(x)
+        for i, si in enumerate(sets):
+            for j, sj in enumerate(sets):
+                if si <= sj:
+                    assert x.leq.m[i, j]
 
 
 def test_spec_theory_identity_case():
@@ -203,7 +202,7 @@ def test_spec_theory_unfolds_order():
     chi = FuncTable.from_map(t, e, {"t": "e0"})
     leq = Rel.from_pairs(e, e, [("e0", "e0"), ("e1", "e1"), ("e0", "e1")])
     r = spec_theory_to_representation(SpecTheory(t, e, chi, leq))
-    assert interpret(r, "e1") == ("t",)
+    assert interpretations(r)[e.index("e1")] == {t.index("t")}
     assert validate_representation(r).passed
 
 
@@ -230,5 +229,5 @@ def test_spec_theories_always_validate_random():
 def test_semantic_containment_refused_over_the_cell_budget():
     rep = membership_representation(FiniteSet("four", ["a", "b", "c", "d"]))
     with carrier_budget(2), pytest.raises(BudgetError, match="16 x 16 = 256 cells, budget 200"):
-        semantic_containment(rep)
-    assert semantic_containment(rep).count() == 81
+        semantic_containment(rep.models, rep.name)
+    assert semantic_containment(rep.models, rep.name).count() == 81
