@@ -205,11 +205,12 @@ def membership_matrix(a: FiniteSet, cap: int = SUBSET_CAP):
 
 def locate_subsets(p: FiniteSet, cols) -> np.ndarray:
     """Index in the powerset carrier `p` of the subset that each column of
-    the bool matrix `cols` (one row per base element) selects."""
+    the bool matrix `cols` (one row per base element, any leading batch
+    axes) selects."""
 
     def build():  # the index of each subset, looked up by its mask
         rank = np.empty(len(p), dtype=np.int64)
         rank[list(p.payload)] = np.arange(len(p))
         return rank
 
-    return intern(("rank", p), build)[(1 << np.arange(len(cols))) @ cols]
+    return intern(("rank", p), build)[(1 << np.arange(cols.shape[-2])) @ cols]

@@ -157,7 +157,11 @@ def enumerate_terms(sig: Signature, max_depth: int, n_vars: int) -> SyntaxIndex:
 
 
 class Functor:
-    """Object map, arrow map, and relation lifting, bounded."""
+    """Object map, arrow map, and relation lifting, bounded.  A subclass maps
+    stacks with any leading batch axes: `fmaps(a, b, tables)` function
+    tables a -> b (..., |a|) and `lifts(a, b, xs)` relations a ⇸ b (..., |a|,
+    |b|), each returning the carriers over a and b and the mapped stack;
+    `fmap` and `lift` pass one arrow, unbatched."""
 
     key: tuple
     name: str
@@ -166,10 +170,10 @@ class Functor:
         raise NotImplementedError
 
     def fmap(self, f: FuncTable) -> FuncTable:
-        raise NotImplementedError
+        return FuncTable(*self.fmaps(f.src, f.tgt, f.table))
 
     def lift(self, x: Rel) -> Rel:
-        raise NotImplementedError
+        return Rel(*self.lifts(x.src, x.tgt, x.m))
 
     def __repr__(self):
         return f"Functor({self.name})"
@@ -182,11 +186,10 @@ class IdentityFunctor(Functor):
     def carrier(self, a):
         return a
 
-    def fmap(self, f):
-        return f
+    def lifts(self, a, b, xs):
+        return a, b, xs
 
-    def lift(self, x):
-        return x
+    fmaps = lifts
 
 
 class PowersetFunctor(Functor):
@@ -204,20 +207,22 @@ class PowersetFunctor(Functor):
     def carrier(self, a):
         return powerset_of(a, self.cap)
 
-    def fmap(self, f):
-        pa, ma = membership_matrix(f.src, self.cap)
-        pb = self.carrier(f.tgt)
-        cograph = f.table == np.arange(len(f.tgt))[:, None]
+    def fmaps(self, a, b, tables):
+        (pa, ma), pb = membership_matrix(a, self.cap), self.carrier(b)
+        cographs = tables[..., None, :] == np.arange(len(b))[:, None]
         # column X of cograph(f) ; ∈a is the direct image f[X]
-        return FuncTable(pa, pb, locate_subsets(pb, product(cograph, ma)))
+        return pa, pb, locate_subsets(pb, product(cographs, ma))
 
-    def lift(self, x):
-        pa, ma = membership_matrix(x.src, self.cap)
-        pb, mb = membership_matrix(x.tgt, self.cap)
-        check_cells(len(pa), len(pb), "powerset lift of a relation %r -> %r", x.src.name, x.tgt.name)
-        fwd = residual(ma, product(x.m, mb))
-        bwd = residual(mb, product(x.m.T, ma))
-        return Rel(pa, pb, fwd & bwd.T)
+    def lifts(self, a, b, xs):
+        pa, ma = membership_matrix(a, self.cap)
+        pb, mb = membership_matrix(b, self.cap)
+        check_cells(len(pa), len(pb), "powerset lift of a relation %r -> %r", a.name, b.name)
+        fwd = residual(ma, product(xs, mb))
+        bwd = residual(mb, product(xs.swapaxes(-1, -2), ma))
+        return pa, pb, fwd & bwd.swapaxes(-1, -2)
+
+    # own names on the class, where the benchmark tracer rebinds them
+    fmap, lift = Functor.fmap, Functor.lift
 
 
 class ContainerFunctor(Functor):
@@ -227,13 +232,13 @@ class ContainerFunctor(Functor):
     relates equal shapes pointwise."""
 
     def shapes(self, a):
-        """The carrier over `a` and its table, built once per carrier: shape ->
-        (k, elements in code order; a code reads the k positions in base |a|).
-        Bounds limit shapes only, so each shape has all |a|^k fillings."""
-        c = self.carrier(a)
+        """The carrier over `a` and its table, built once per base carrier:
+        shape -> (k, elements in code order; a code reads the k positions in
+        base |a|).  Bounds limit shapes only, so each shape has all |a|^k
+        fillings.  The carrier's budget is checked where it is asked for."""
 
         def build():
-            groups = {}
+            c, groups = self.carrier(a), {}
             for i, (shape, positions) in enumerate(self.splits(a)):
                 groups.setdefault(shape, []).append((i, *positions))
             table = {}
@@ -244,32 +249,53 @@ class ContainerFunctor(Functor):
                     raise TheoremInconsistencyError(
                         f"shape {shape!r} of carrier {c.name!r} has {len(ix)} of {len(a) ** k} fillings")
                 table[shape] = (k, ix[np.argsort(pos @ len(a) ** np.arange(k - 1, -1, -1))])
-            return table
+            return c, table
 
-        return c, intern(("shapes", c), build)
+        return intern(("shapes", *self.key, a), build)
 
-    def fmap(self, f):
-        (ca, sa), (cb, sb) = self.shapes(f.src), self.shapes(f.tgt)
-        table = np.empty(len(ca), dtype=np.int64)
-        image = [np.zeros(1, dtype=np.int64)]  # image[k]: target codes in source code order
+    def fmaps(self, a, b, tables):
+        (ca, sa), (cb, sb) = self.shapes(a), self.shapes(b)
+        # positions first and batch axes last, so one table runs unbatched
+        out = np.empty((*tables.shape[:-1], len(ca)), dtype=np.int64)
+        codes, at = tables.T, out.T
+        image = [np.zeros((1, *codes.shape[1:]), dtype=np.int64)]  # image[k]: target codes in source code order
         for shape, (k, where) in sa.items():
             while len(image) <= k:
-                image.append((image[-1][:, None] * len(f.tgt) + f.table).ravel())
-            table[where] = sb[shape][1][image[k]]
-        return FuncTable(ca, cb, table)
+                p = image[-1][:, None] * len(b) + codes
+                image.append(p.reshape(p.shape[0] * p.shape[1], *p.shape[2:]))
+            at[where] = sb[shape][1][image[k]]
+        return ca, cb, out
 
-    def lift(self, x):
-        (ca, sa), (cb, sb) = self.shapes(x.src), self.shapes(x.tgt)
-        check_cells(len(ca), len(cb), "%s lift of a relation %r -> %r", self.name, x.src.name, x.tgt.name)
-        m = np.zeros((len(ca), len(cb)), dtype=bool)
-        power = [np.ones((1, 1), dtype=bool)]  # power[k]: k-fold Kronecker power of x
+    def lifts(self, a, b, xs):
+        (ca, sa), (cb, sb) = self.shapes(a), self.shapes(b)
+        check_cells(len(ca), len(cb), "%s lift of a relation %r -> %r", self.name, a.name, b.name)
+        # the lift of the converse, batch axes last: one relation runs unbatched
+        m = np.zeros((*xs.shape[:-2], len(ca), len(cb)), dtype=bool)
+        xt, mt = xs.T, m.T
+        power = [np.ones((1, 1, *xt.shape[2:]), dtype=bool)]  # power[k]: k-fold Kronecker powers of xt
         for shape in sa.keys() & sb.keys():
             (k, wa), (_, wb) = sa[shape], sb[shape]
             while len(power) <= k:
-                p = power[-1][:, None, :, None] & x.m[None, :, None, :]
-                power.append(p.reshape(p.shape[0] * p.shape[1], p.shape[2] * p.shape[3]))
-            m[wa[:, None], wb] = power[k]
-        return Rel(ca, cb, m)
+                p = power[-1][:, None, :, None] & xt[None, :, None, :]
+                power.append(p.reshape(p.shape[0] * p.shape[1], p.shape[2] * p.shape[3], *p.shape[4:]))
+            mt[wb[:, None], wa] = power[k]
+        return ca, cb, m
+
+    def size(self, a) -> int:
+        """Element count of the carrier over `a`, refused before it is built at
+        the first level over the budget: the running totals (`totals`) are
+        counted once per base carrier, the budget is checked per request."""
+
+        def count():
+            out = []
+            for level, total in self.totals(len(a)):
+                check_budget(total, self.bounded, a.name, level)
+                out.append((level, total))
+            return out
+
+        for level, total in intern(("totals", *self.key, a), count):
+            check_budget(total, self.bounded, a.name, level)
+        return total
 
 
 class ListFunctor(ContainerFunctor):
@@ -283,14 +309,14 @@ class ListFunctor(ContainerFunctor):
         self.key = ("list", max_len)
         self.name = f"list(len {max_len})"
 
-    def size(self, a) -> int:
-        """Element count of the carrier over `a`, counted before it is built
-        and refused at the first length over the budget."""
-        n, total = len(a), 0
+    bounded = "list carrier over %r up to length %d"
+
+    def totals(self, n: int):
+        """(length l, lists of length at most l) for l = 0..max_len."""
+        total = 0
         for l in range(self.max_len + 1):
             total += n ** l
-            check_budget(total, "list carrier over %r up to length %d", a.name, l)
-        return total
+            yield l, total
 
     def carrier(self, a):
         def build():
@@ -308,7 +334,7 @@ class ListFunctor(ContainerFunctor):
         return [(len(tup), tup) for tup in self.carrier(a).payload]
 
     # own names on the class, where the benchmark tracer rebinds them
-    fmap, lift = ContainerFunctor.fmap, ContainerFunctor.lift
+    fmap, lift = Functor.fmap, Functor.lift
 
 
 class SyntaxFunctor(ContainerFunctor):
@@ -349,16 +375,17 @@ class TermFunctor(SyntaxFunctor):
         self.name = f"term({dict(sig.ops)}, depth {max_depth})"
         self.stem = f"term{max_depth}"
 
-    def size(self, a) -> int:
-        """Element count of the carrier over `a`, counted before it is built
-        and refused at the first depth over the budget: T(1) = V + C and
-        T(d) = V + C + the sum of T(d-1)^k over operators of arity k >= 1."""
-        leaves = total = len(a) + sum(1 for _, k in self.sig.ops if k == 0)
+    bounded = "term carrier over %r up to depth %d"
+
+    def totals(self, n: int):
+        """(depth d, terms of depth at most d) for d = 1..max_depth:
+        T(1) = V + C and T(d) = V + C + the sum of T(d-1)^k over operators
+        of arity k >= 1."""
+        leaves = total = n + sum(1 for _, k in self.sig.ops if k == 0)
         for d in range(1, self.max_depth + 1):
             if d > 1:
                 total = leaves + sum(total ** k for _, k in self.sig.ops if k)
-            check_budget(total, "term carrier over %r up to depth %d", a.name, d)
-        return total
+            yield d, total
 
     def index(self, n_vars: int) -> SyntaxIndex:
         return enumerate_terms(self.sig, self.max_depth, n_vars)
@@ -377,7 +404,7 @@ class TermFunctor(SyntaxFunctor):
         return labels
 
     # own names on the class, where the benchmark tracer rebinds them
-    fmap, lift = ContainerFunctor.fmap, ContainerFunctor.lift
+    fmap, lift = Functor.fmap, Functor.lift
 
 
 class ComposedFunctor(Functor):
@@ -390,8 +417,8 @@ class ComposedFunctor(Functor):
     def carrier(self, a):
         return self.outer.carrier(self.inner.carrier(a))
 
-    def fmap(self, f):
-        return self.outer.fmap(self.inner.fmap(f))
+    def fmaps(self, a, b, tables):
+        return self.outer.fmaps(*self.inner.fmaps(a, b, tables))
 
-    def lift(self, x):
-        return self.outer.lift(self.inner.lift(x))
+    def lifts(self, a, b, xs):
+        return self.outer.lifts(*self.inner.lifts(a, b, xs))

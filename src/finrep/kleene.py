@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetError
-from .fset import FiniteSet, check_budget, check_cells, intern
+from .fset import FiniteSet, check_cells, intern
 from .functors import HOLE, ListFunctor, SyntaxFunctor, SyntaxIndex, syntax_finder
 from .hor import HOR
 from .rel import Rel, column_classes, star
@@ -40,18 +40,19 @@ class RegexFunctor(SyntaxFunctor):
         self.name = f"regex(size {size_cap})"
         self.stem = f"reg{size_cap}"
 
-    def size(self, a: FiniteSet) -> int:
-        """Element count of the carrier over `a`, counted before it is built
-        and refused at the first size over the budget: the letters, 0 and 1
-        at size 1; a star adds one node, + and . join two subtrees."""
-        by_size, total = [0, len(a) + 2], 0
+    bounded = "expression carrier over %r up to size %d"
+
+    def totals(self, n: int):
+        """(size s, expressions of at most s nodes) for s = 1..size_cap: the
+        letters, 0 and 1 at size 1; a star adds one node, + and . join two
+        subtrees."""
+        by_size, total = [0, n + 2], 0
         for s in range(1, self.size_cap + 1):
             if s > 1:
                 joins = sum([by_size[i] * by_size[s - 1 - i] for i in range(1, s - 1)])
                 by_size.append(by_size[s - 1] + 2 * joins)
             total += by_size[s]
-            check_budget(total, "expression carrier over %r up to size %d", a.name, s)
-        return total
+            yield s, total
 
     def index(self, letters: int) -> SyntaxIndex:
         """The carrier order, level by level: a level's stars over the level

@@ -100,9 +100,10 @@ def _function_residual(f, g, x, y) -> np.ndarray:
     return (u == oracle).all(axis=(-2, -1)) & included(lhs, rhs) & included(rhs, lhs)
 
 
-def _x_blocks(xs: np.ndarray, cells_per_x: int):
-    """Consecutive blocks of the leading relations xs, small enough that a
-    stacked temporary stays near _STACK_CELLS cells (one x at the least)."""
+def stack_blocks(xs: np.ndarray, cells_per_x: int):
+    """Consecutive blocks of the stack xs, small enough that a stacked
+    temporary of `cells_per_x` cells per x stays under _STACK_CELLS cells
+    (one x at the least)."""
     step = max(1, _STACK_CELLS // max(cells_per_x, 1))
     return (xs[lo:lo + step] for lo in range(0, len(xs), step))
 
@@ -111,7 +112,7 @@ def _adjunction_at(na, nb, nc):
     """The adjunction for every x: na ⇸ nb, y: nb ⇸ nc and z: na ⇸ nc, a
     block of x at a time; results index (x, z, y)."""
     xs, ys, zs = relation_stack(na, nb), relation_stack(nb, nc), relation_stack(na, nc)
-    for x in _x_blocks(xs, len(ys) * len(zs) * (na + nb) * nc):
+    for x in stack_blocks(xs, len(ys) * len(zs) * (na + nb) * nc):
         yield _adjunction(x[:, None, None], ys, zs[:, None])
 
 
@@ -122,7 +123,7 @@ def _function_residual_at(n0, na, nb, nc, nd):
     if not (len(fs) and len(gs)):
         return
     xs, ys = relation_stack(n0, nb), relation_stack(n0, nc)
-    for x in _x_blocks(xs, len(ys) * (len(fs) * len(gs) * na * nd + n0 * nb * nc)):
+    for x in stack_blocks(xs, len(ys) * (len(fs) * len(gs) * na * nd + n0 * nb * nc)):
         yield _function_residual(fs[:, None], gs, x[:, None, None, None], ys[:, None, None])
 
 

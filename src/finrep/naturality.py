@@ -4,6 +4,12 @@ Universal statements ("for every set, for every function...") are certified
 over a finite probe universe: one carrier per size up to a bound, every
 function between probe carriers, and relations either exhausted (small
 pairs) or sampled with a seed.  Every verdict states that scope.
+
+The probe arrows of each carrier pair are one stack, drawn once.  The
+linearity and naturality squares are evaluated a block of a stack at a
+time, through the functors' stacked `lifts` and `fmaps`, and each law's
+first failing arrow is read again as one square for its witness.  The
+functor laws and the `hor` walks read the stacks arrow by arrow.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .functors import (
     TermFunctor,
     syntax_finder,
 )
-from .laws import all_functions, all_relations
+from .laws import function_stack, relation_stack, stack_blocks
 from .rel import (
     FuncTable,
     Rel,
@@ -34,7 +40,9 @@ from .rel import (
     compose,
     compose_func,
     equal_verdict,
+    gather,
     graph,
+    included,
     inter,
     is_included,
     membership_rel,
@@ -53,43 +61,53 @@ def probe_carrier(n: int) -> FiniteSet:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeUniverse:
     max_size: int = 3
     rel_samples: int = 25
     seed: int = 0
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def carriers(self) -> list[FiniteSet]:
         return [probe_carrier(n) for n in range(self.max_size + 1)]
 
-    def functions(self):
-        for a in self.carriers():
-            for b in self.carriers():
-                for f in all_functions(a, b):
-                    yield a, b, f
+    def stack(self, mode: str, a: FiniteSet, b: FiniteSet) -> np.ndarray:
+        """The probe arrows a -> b of `mode`, stacked read-only, drawn once per
+        pair: every function table (n, |a|) in product order, or relations
+        (n, |a|, |b|), all of them in mask order up to 6 cells, else empty,
+        full, three graphs and then the samples, drawn from the seed."""
+        key = (mode, len(a), len(b))
+        got = self._stacks.get(key)
+        if got is None:
+            got = self._stacks[key] = self._draw(*key)
+            got.setflags(write=False)
+        return got
 
-    def relations(self):
-        for a in self.carriers():
-            for b in self.carriers():
-                for x in self.relations_between(a, b):
-                    yield a, b, x
-
-    def relations_between(self, a: FiniteSet, b: FiniteSet):
-        cells = len(a) * len(b)
-        if cells <= _REL_EXHAUSTIVE_CELLS:
-            yield from all_relations(a, b)
-            return
-        rng = np.random.default_rng((self.seed, len(a), len(b)))
-        yield Rel.empty(a, b)
-        yield Rel.full(a, b)
+    def _draw(self, mode: str, m: int, n: int) -> np.ndarray:
+        if mode == "functions":
+            return function_stack(m, n)
+        if m * n <= _REL_EXHAUSTIVE_CELLS:
+            return relation_stack(m, n)
+        rng = np.random.default_rng((self.seed, m, n))
         # graphs keep the sampled pool honest: function counterexamples
         # must stay visible to relation-mode checks
-        if len(b) > 0:
-            for _ in range(3):
-                table = rng.integers(0, len(b), size=len(a))
-                yield graph(FuncTable(a, b, table))
-        for _ in range(self.rel_samples):
-            yield Rel(a, b, rng.random((len(a), len(b))) < rng.uniform(0.2, 0.8))
+        graphs = [rng.integers(0, n, size=m)[:, None] == np.arange(n) for _ in range(3)]
+        samples = [rng.random((m, n)) < rng.uniform(0.2, 0.8) for _ in range(self.rel_samples)]
+        return np.stack([np.zeros((m, n), dtype=bool), np.ones((m, n), dtype=bool), *graphs, *samples])
+
+    def functions(self):
+        for a, b in itertools.product(self.carriers(), repeat=2):
+            for table in self.stack("functions", a, b):
+                yield a, b, FuncTable(a, b, table)
+
+    def relations(self):
+        for a, b in itertools.product(self.carriers(), repeat=2):
+            for x in self.relations_between(a, b):
+                yield a, b, x
+
+    def relations_between(self, a: FiniteSet, b: FiniteSet):
+        for m in self.stack("relations", a, b):
+            yield Rel(a, b, m)
 
     @property
     def function_count(self) -> int:
@@ -258,51 +276,83 @@ def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
     return report
 
 
-def _squares(rho: IndexedRelation, arrows, side: str, mode: str):
-    """The two paths (F x ; rho_t, rho_s ; G x) round each probe arrow.
+def _blocks(arrows: np.ndarray, *family):
+    """Blocks of a stack of probe arrows whose squares' stacked temporaries
+    stay under the stack budget: a square has at most n x n cells for the
+    widest carrier n of the family components `family`."""
+    widest = max(len(c) for r in family for c in (r.src, r.tgt))
+    return stack_blocks(arrows, widest * widest)
 
-    `arrows` yields (a, b, arrow).  In relations mode x is the probe
-    relation a ⇸ b itself, lifted, and both sides read this one square.
-    In functions mode x is the graph of the probe function (left, s = a,
-    t = b) or its cograph (right, s = b, t = a).  Yields the two paths
-    and the probe arrow; each family component is looked up once per
-    carrier.
-    """
+
+def _probe_blocks(probes: ProbeUniverse, mode: str, at):
+    """(a, b, block) per block of the `mode` probe arrows a -> b, in probe order."""
+    for a, b in itertools.product(probes.carriers(), repeat=2):
+        for x in _blocks(probes.stack(mode, a, b), at(a), at(b)):
+            yield a, b, x
+
+
+def _paths(rho: IndexedRelation, mode: str, side: str, a, b, ra: Rel, rb: Rel, x: np.ndarray):
+    """The two paths (F x ; rho_t, rho_s ; G x) round each arrow of the
+    stack x from a to b, stacked; ra and rb are the family at a and b.  In
+    relations mode x holds relations a ⇸ b, lifted.  In functions mode x
+    holds function tables, read as graphs (left, s = a, t = b) or cographs
+    (right, s = b, t = a)."""
+    if mode == "relations":
+        return product(rho.source.lifts(a, b, x)[2], rb.m), product(ra.m, rho.target.lifts(a, b, x)[2])
+    fx, gx = rho.source.fmaps(a, b, x)[2], rho.target.fmaps(a, b, x)[2]
+    if side == "left":
+        return gather(rb.m, fx, -2), product(ra.m, gx[..., None] == np.arange(len(rb.tgt)))
+    return product(fx[:, None, :] == np.arange(len(rb.src))[:, None], ra.m), gather(rb.m, gx, -1)
+
+
+# law -> (probe arrows, side of the square read, whether the square's paths
+# swap, whether they must be equal rather than the first within the second)
+_LAWS = {
+    "left-linear-functions": ("functions", "left", False, True),
+    "right-linear-functions": ("functions", "right", False, True),
+    "left-linear-relations": ("relations", "left", False, False),
+    "right-linear-relations": ("relations", "left", True, False),
+    "natural-relation": ("functions", "right", False, False),
+}
+
+
+def _square_verdicts(rho: IndexedRelation, probes: ProbeUniverse, laws: list[str]) -> list[Verdict]:
+    """The verdicts of `laws`, in that order.  Functions mode asks each
+    square to commute; relations mode asks for F x ; rho_b ⊆ rho_a ; G x on
+    the left and the converse on the right; naturality asks the right
+    functions square for the inclusion.  Laws reading one square share its
+    walk; a violation is the first failing arrow in probe order, read again
+    as one square for its witness.  Each component is looked up once."""
     at = functools.cache(rho.rel_at)
-    for a, b, arrow in arrows:
-        if mode == "relations":
-            fx, gx = rho.source.lift(arrow), rho.target.lift(arrow)
-        elif side == "left":
-            fx, gx = graph(rho.source.fmap(arrow)), graph(rho.target.fmap(arrow))
-        else:
-            fx, gx = cograph(rho.source.fmap(arrow)), cograph(rho.target.fmap(arrow))
-            a, b = b, a
-        yield compose(fx, at(b)), compose(at(a), gx), arrow
-
-
-def _linearity(rho: IndexedRelation, probes: ProbeUniverse, side: str, mode: str) -> Verdict:
-    """Functions mode asks each square to commute; relations mode asks
-    for one inclusion, F x ; rho_b ⊆ rho_a ; G x on the left and the
-    converse on the right."""
-    if mode == "functions":
-        arrows, count, holds, note = probes.functions(), probes.function_count, equal_verdict, _func_note
-    else:
-        arrows, count, note = probes.relations(), probes.relation_count, _rel_note
-        holds = is_included if side == "left" else lambda lhs, rhs: is_included(rhs, lhs)
-    _check_squares(probes, count, rho.source, rho.target)
-    squares = _squares(rho, arrows, side, mode)
-    return first_violation(
-        f"{side}-linear-{mode}", ((holds(lhs, rhs), x) for lhs, rhs, x in squares), note
-    )
+    walks = {}
+    for law in laws:
+        walks.setdefault(_LAWS[law][:2], []).append(law)
+    found = {}
+    for (mode, side), todo in walks.items():
+        count = probes.function_count if mode == "functions" else probes.relation_count
+        _check_squares(probes, count, rho.source, rho.target)
+        for a, b, x in _probe_blocks(probes, mode, at):
+            ra, rb = at(a), at(b)
+            src, tgt = (ra.src, rb.tgt) if side == "left" else (rb.src, ra.tgt)
+            lhs, rhs = _paths(rho, mode, side, a, b, ra, rb, x)
+            for law in list(todo):
+                swap, equal = _LAWS[law][2:]
+                small, big = (rhs, lhs) if swap else (lhs, rhs)
+                holds = included(small, big) & included(big, small) if equal else included(small, big)
+                if not holds.all():
+                    i = int(np.argmin(holds))
+                    square = (equal_verdict if equal else is_included)(Rel(src, tgt, small[i]), Rel(src, tgt, big[i]))
+                    note = _func_note(FuncTable(a, b, x[i])) if mode == "functions" else _rel_note(Rel(a, b, x[i]))
+                    found[law] = Verdict(law, False, square.witness, note)
+                    todo.remove(law)
+            if not todo:
+                break
+    return [found.get(law, Verdict(law, True)) for law in laws]
 
 
 def is_natural_relation(rho: IndexedRelation, probes: ProbeUniverse) -> Verdict:
     """Pulling back along any probe function keeps the family related."""
-    _check_squares(probes, probes.function_count, rho.source, rho.target)
-    squares = _squares(rho, probes.functions(), "right", "functions")
-    return first_violation(
-        "natural-relation", ((is_included(lhs, rhs), f) for lhs, rhs, f in squares), _func_note
-    )
+    return _square_verdicts(rho, probes, ["natural-relation"])[0]
 
 
 def linearity_check(
@@ -314,45 +364,40 @@ def linearity_check(
     """Linearity means the family commutes with lifted relations; the
     functions mode checks the equivalent equational form on graphs.  With
     both modes the functions mode goes first, as in the classification."""
-    report = LawReport(f"linearity of {rho.name}", scope=probes.scope, seed=probes.seed)
-    for m in ("functions", "relations") if mode == "both" else (mode,):
-        for s in ("left", "right") if side == "both" else (side,):
-            report.add(_linearity(rho, probes, s, m))
-    return report
+    modes = ("functions", "relations") if mode == "both" else (mode,)
+    sides = ("left", "right") if side == "both" else (side,)
+    laws = [f"{s}-linear-{m}" for m in modes for s in sides]
+    return LawReport(f"linearity of {rho.name}", _square_verdicts(rho, probes, laws),
+                     probes.scope, probes.seed)
 
 
 def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport:
     """Both sides in both modes, plus naturality and mode agreement."""
-    report = LawReport(
-        f"linearity classification of {rho.name}", scope=probes.scope, seed=probes.seed
-    )
-    lf, rf, lr, rr = linearity_check(rho, probes, "both", "both").verdicts
-    for v in (lf, rf, lr, rr, is_natural_relation(rho, probes)):
-        report.add(v)
-    report.add(
+    laws = [f"{s}-linear-{m}" for m in ("functions", "relations") for s in ("left", "right")]
+    lf, rf, lr, rr, _ = verdicts = _square_verdicts(rho, probes, [*laws, "natural-relation"])
+    verdicts.append(
         Verdict(
             "modes-agree",
             lf.ok == lr.ok and rf.ok == rr.ok,
             note="the equational and relational readings must classify alike",
         )
     )
-    return report
+    return LawReport(f"linearity classification of {rho.name}", verdicts, probes.scope, probes.seed)
 
 
 def is_natural_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> Verdict:
+    """G f after phi_a equals phi_b after F f for each probe function f:
+    a -> b; a violation names the first element where they differ."""
     _check_squares(probes, probes.function_count, phi.source, phi.target)
-
-    def square(f):
-        left = compose_func(phi.target.fmap(f), phi.func_at(f.src))
-        right = compose_func(phi.func_at(f.tgt), phi.source.fmap(f))
-        if left == right:
-            return True
-        x = next((lab for lab in left.src.elements if left(lab) != right(lab)), None)
-        return Verdict("natural-transformation", False, (x,) if x else None)
-
-    return first_violation(
-        "natural-transformation", ((square(f), f) for _, _, f in probes.functions()), _func_note
-    )
+    at = functools.cache(phi.func_at)
+    for a, b, x in _probe_blocks(probes, "functions", at):
+        pa, pb = at(a), at(b)
+        differ = phi.target.fmaps(a, b, x)[2][:, pa.table] != pb.table[phi.source.fmaps(a, b, x)[2]]
+        if differ.any():
+            i, j = np.argwhere(differ)[0]  # the first arrow, and its first element
+            lab = pa.src.elements[j]
+            return Verdict("natural-transformation", False, (lab,) if lab else None, _func_note(FuncTable(a, b, x[i])))
+    return Verdict("natural-transformation", True)
 
 
 def is_linear_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> LawReport:
@@ -471,19 +516,23 @@ def mu_p_counterexample_search(max_size: int = 3) -> dict:
             a, b = probe_carrier(na), probe_carrier(nb)
             cap = max(4, na, nb)
             mu = powerset_union(cap, 1 << cap).graph_family()
-            arrows = ((a, b, x) for x in all_relations(a, b))
-            for lhs, rhs, x in _squares(mu, arrows, "left", "relations"):
-                checked += 1
-                for side, small, big in (("left", lhs, rhs), ("right", rhs, lhs)):
-                    got = is_included(small, big)
-                    if not got.ok:
-                        return {
-                            "found": True,
-                            "side": side,
-                            "sizes": (na, nb),
-                            "relation": sorted(x.pairs()),
-                            "witness": got.witness,
-                        }
+            ra, rb = mu.rel_at(a), mu.rel_at(b)
+            for x in _blocks(relation_stack(na, nb), ra, rb):
+                lhs, rhs = _paths(mu, "relations", "left", a, b, ra, rb, x)
+                left, right = included(lhs, rhs), included(rhs, lhs)
+                bad = np.flatnonzero(~(left & right))
+                if len(bad):
+                    i = bad[0]
+                    side, small, big = ("left", lhs, rhs) if not left[i] else ("right", rhs, lhs)
+                    got = is_included(Rel(ra.src, rb.tgt, small[i]), Rel(ra.src, rb.tgt, big[i]))
+                    return {
+                        "found": True,
+                        "side": side,
+                        "sizes": (na, nb),
+                        "relation": sorted(Rel(a, b, x[i]).pairs()),
+                        "witness": got.witness,
+                    }
+                checked += len(x)
     raise TheoremInconsistencyError(
         f"union-family linearity search exhausted {checked} relations "
         f"over probe sizes 2..{max_size} without a violation"

@@ -29,3 +29,19 @@ def differential_cases():
     funcs = [FuncTable(abc, uv, t) for t in itertools.product(range(2), repeat=3)]
     funcs += [FuncTable(none, uv, []), FuncTable(one, pqr, [2])]
     return rels, funcs
+
+
+@pytest.fixture(scope="session")
+def differential_stacks(differential_cases):
+    """The differential cases grouped by carrier pair, for the stacked
+    `lifts` and `fmaps`: (relation groups, function groups), each group
+    `(a, b, stack, cases)` in case order."""
+
+    def groups(cases, read):
+        by_pair = {}
+        for case in cases:
+            by_pair.setdefault((case.src, case.tgt), []).append(case)
+        return [(a, b, np.stack([read(c) for c in group]), group) for (a, b), group in by_pair.items()]
+
+    rels, funcs = differential_cases
+    return groups(rels, lambda x: x.m), groups(funcs, lambda f: f.table)

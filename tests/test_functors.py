@@ -115,6 +115,26 @@ def test_budget_checked_on_every_request():
     assert len(ListFunctor(9).carrier(a)) == 29524
 
 
+@pytest.mark.parametrize("fun, small", [(ListFunctor(9), 1000), (TermFunctor(SIG, 3), 100), (RegexFunctor(3), 30)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_sizes_are_counted_once_and_budgeted_on_every_request(monkeypatch, fun, small):
+    # the level totals are counted once per base carrier, and a smaller
+    # budget refuses the built carrier as it refuses a fresh one
+    counted = []
+    totals = type(fun).totals
+    monkeypatch.setattr(type(fun), "totals", lambda self, n: counted.append(n) or totals(self, n))
+    a, fresh = FiniteSet("abc", ["a", "b", "c"]), FiniteSet("abc", ["a", "b", "c"])
+    c = fun.carrier(a)
+    assert fun.carrier(a) is c and fun.size(a) == len(c) and len(fun.shapes(a)[0]) == len(c)
+    assert counted == [3]
+    with carrier_budget(small):
+        with pytest.raises(BudgetError) as refused:
+            fun.carrier(fresh)
+        with pytest.raises(BudgetError, match=f"^{re.escape(str(refused.value))}$"):
+            fun.carrier(a)
+    assert fun.carrier(a) is c
+
+
 def test_term_budget_refuses_before_building():
     big = FiniteSet("big5", [f"e{i}" for i in range(5)])
     t0 = time.perf_counter()
@@ -338,12 +358,22 @@ def _pointwise_lift(fun, x):
     + [ComposedFunctor(ListFunctor(2), TermFunctor(SIG, 2))],
     ids=lambda fun: fun.name,
 )
-def test_container_fmap_and_lift_match_pointwise_readings(fun, differential_cases):
+def test_container_fmap_and_lift_match_pointwise_readings(fun, differential_cases, differential_stacks):
     rels, funcs = differential_cases
     for f in funcs:
         assert fun.fmap(f) == _pointwise_fmap(fun, f), (f.src.name, list(f.table))
     for x in rels:
         assert fun.lift(x) == _pointwise_lift(fun, x), x.m.tolist()
+    # the stacked maps, row by row, against the same readings
+    rel_groups, func_groups = differential_stacks
+    for a, b, tables, group in func_groups:
+        ca, cb, rows = fun.fmaps(a, b, tables)
+        assert (ca, cb) == (fun.carrier(a), fun.carrier(b))
+        assert rows.tolist() == [_pointwise_fmap(fun, f).table.tolist() for f in group]
+    for a, b, xs, group in rel_groups:
+        ca, cb, rows = fun.lifts(a, b, xs)
+        assert (ca, cb) == (fun.carrier(a), fun.carrier(b))
+        assert rows.tolist() == [_pointwise_lift(fun, x).m.tolist() for x in group]
 
 
 @pytest.mark.parametrize(

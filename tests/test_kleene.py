@@ -466,13 +466,22 @@ def _pointwise_lift(fun, x):
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4])
-def test_fmap_and_lift_match_pointwise_readings(cap, differential_cases):
+def test_fmap_and_lift_match_pointwise_readings(cap, differential_cases, differential_stacks):
     fun = RegexFunctor(cap)
     rels, funcs = differential_cases
     for f in funcs:
         assert fun.fmap(f) == _pointwise_fmap(fun, f), (f.src.name, list(f.table))
     for x in rels:
         assert fun.lift(x) == _pointwise_lift(fun, x), x.m.tolist()
+    rel_groups, func_groups = differential_stacks
+    for a, b, tables, group in func_groups:
+        ca, cb, rows = fun.fmaps(a, b, tables)
+        assert (ca, cb) == (fun.carrier(a), fun.carrier(b))
+        assert rows.tolist() == [_pointwise_fmap(fun, f).table.tolist() for f in group]
+    for a, b, xs, group in rel_groups:
+        ca, cb, rows = fun.lifts(a, b, xs)
+        assert (ca, cb) == (fun.carrier(a), fun.carrier(b))
+        assert rows.tolist() == [_pointwise_lift(fun, x).m.tolist() for x in group]
 
 
 def test_semantic_exactness_small_caps():

@@ -287,7 +287,7 @@ def test_probe_walks_over_the_cell_budget_are_refused_before_any_square(monkeypa
     with carrier_budget(10):
         assert is_natural_transformation(fam, probes).ok
     looked_up.clear()
-    monkeypatch.setattr(naturality, "_squares", None)  # is_natural_relation reaches no square
+    monkeypatch.setattr(naturality, "_paths", None)  # is_natural_relation reaches no square
     with carrier_budget(9):
         with pytest.raises(BudgetError, match=r"^probe walk of 60 arrows to 'probe3' has 60 x 16 = 960 cells"):
             is_natural_transformation(fam, probes)

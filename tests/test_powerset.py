@@ -107,13 +107,23 @@ def test_membership_matches_mask_decoding(differential_cases):
 
 
 @pytest.mark.parametrize("cap", [3, 4])
-def test_fmap_and_lift_match_mask_loops_on_differential_cases(cap, differential_cases):
+def test_fmap_and_lift_match_mask_loops_on_differential_cases(cap, differential_cases, differential_stacks):
     rels, funcs = differential_cases
     pf = PowersetFunctor(cap)
     for x in rels:
         assert pf.lift(x) == _mask_lift(pf, x)
     for f in funcs:
         assert pf.fmap(f) == _mask_fmap(pf, f)
+    # the stacked maps, row by row, against the same loops
+    rel_groups, func_groups = differential_stacks
+    for a, b, xs, group in rel_groups:
+        pa, pb, rows = pf.lifts(a, b, xs)
+        assert (pa, pb) == (pf.carrier(a), pf.carrier(b))
+        assert rows.tolist() == [_mask_lift(pf, x).m.tolist() for x in group]
+    for a, b, tables, group in func_groups:
+        pa, pb, rows = pf.fmaps(a, b, tables)
+        assert (pa, pb) == (pf.carrier(a), pf.carrier(b))
+        assert rows.tolist() == [_mask_fmap(pf, f).table.tolist() for f in group]
 
 
 def test_fmap_and_lift_match_mask_loops_between_probe_carriers():
@@ -134,6 +144,14 @@ def test_composed_powerset_matches_mask_loops():
         assert pp.lift(x) == _mask_lift(outer, _mask_lift(inner, x))
     for f in _probe_functions(small):
         assert pp.fmap(f) == _mask_fmap(outer, _mask_fmap(inner, f))
+    # the stacked maps, one stack per carrier pair, row by row
+    for a, b in itertools.product(small, repeat=2):
+        xs, fs = list(all_relations(a, b)), list(all_functions(a, b))
+        rows = pp.lifts(a, b, np.stack([x.m for x in xs]))[2]
+        assert rows.tolist() == [_mask_lift(outer, _mask_lift(inner, x)).m.tolist() for x in xs]
+        if fs:
+            rows = pp.fmaps(a, b, np.stack([f.table for f in fs]))[2]
+            assert rows.tolist() == [_mask_fmap(outer, _mask_fmap(inner, f)).table.tolist() for f in fs]
 
 
 def test_union_and_unit_match_mask_loops():
