@@ -128,7 +128,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check_scope_flags(args):
     """Refuse scope flags below the least value that keeps a check meaningful."""
-    for dest, floor in (("probe_max", 1), ("samples", 1), ("budget", 1), ("powerset_cap", 0)):
+    for dest, floor in (("probe_max", 1), ("samples", 1), ("seed", 0), ("budget", 1), ("powerset_cap", 0)):
         value = getattr(args, dest)
         if value is not None and value < floor:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least {floor}, got {value}")

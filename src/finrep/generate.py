@@ -1,8 +1,10 @@
-"""Seeded random instances for the sampling suites.
+"""Seeded random instances for the sampling suites: test support.
 
 Constructions here are correct by construction (sound, exact, law-abiding)
 so the suites can assert properties over them; the matching negative cases
-are produced by explicit mutation at the call sites.
+are produced by explicit mutation at the call sites.  Only tests import
+this module (`tests/test_imports.py` refuses it in the package); it stays
+in the package only because the tracer self-test imports `finrep.generate`.
 """
 
 from __future__ import annotations

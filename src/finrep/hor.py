@@ -17,15 +17,7 @@ import numpy as np
 
 from .errors import UnvalidatedError
 from .fset import FiniteSet, check_cells
-from .functors import (
-    Functor,
-    ListFunctor,
-    Signature,
-    TermFunctor,
-    syntax_finder,
-    syntax_of,
-    syntax_splits,
-)
+from .functors import Functor, ListFunctor, Signature, TermFunctor
 from .morphism import Morphism, validate_morphism
 from .naturality import (
     IndexedRelation,
@@ -310,33 +302,6 @@ def hat_report(h: HOR, r: Representation) -> tuple[Representation, LawReport]:
     return rep, report
 
 
-def hat_exactness_search(h: HOR, sizes=(1, 2), seed: int = 0, tries: int = 20) -> dict:
-    """Look for an exact parameter whose lift is inexact.  The report is
-    descriptive either way: absence at this bound proves nothing."""
-    from .generate import carrier, random_exact_representation
-
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for nt in sizes:
-        for ne in sizes:
-            for t in range(tries):
-                base_t = carrier(f"t{nt}", nt)
-                base_e = carrier(f"e{ne}", ne)
-                r = random_exact_representation(rng, base_t, base_e)
-                rep, report = hat_report(h, r)
-                checked += 1
-                finding = report.verdicts[-1]
-                if finding.witness is not None:
-                    return {
-                        "found": True,
-                        "checked": checked,
-                        "parameter": r,
-                        "lifted": rep,
-                        "witness": finding.witness,
-                    }
-    return {"found": False, "checked": checked}
-
-
 # ----------------------------------------------------------- monoid terms
 
 def mon_hor(depth: int = 3) -> HOR:
@@ -351,54 +316,6 @@ def mon_hor(depth: int = 3) -> HOR:
         models_gen=lambda a: cograph(ell.func_at(a)),
         leq_gen=eq.rel_at,
     )
-
-
-def eq_mon(term_carrier: FiniteSet, u: str, v: str) -> bool:
-    """Monoid equality decided by the flattening normal form: the same
-    variables, left to right."""
-    splits = syntax_splits(term_carrier)
-    return splits[term_carrier.index(u)][1] == splits[term_carrier.index(v)][1]
-
-
-def mon_congruence_closure(term_carrier: FiniteSet) -> Rel:
-    """Independent oracle: the least congruence containing associativity
-    and the unit laws, closed inside the bounded carrier."""
-    ix = syntax_of(term_carrier)
-    parent = list(range(len(term_carrier)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def join(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-            return True
-        return False
-
-    head, one, mul = ix.head, MON_SIG.code("one"), MON_SIG.code("mul")
-    muls = np.flatnonzero(head == mul)
-    us, vs = ix.kids[muls, 0], ix.kids[muls, 1]
-    # associativity u.(v1.v2) = (u.v1).v2, when the rebracketing stays in the carrier
-    node = syntax_finder(ix)
-    other = np.where(head[vs] == mul, node(mul, node(mul, us, ix.kids[vs, 0]), ix.kids[vs, 1]), -1)
-    # the unit laws t = u.1 = u and t = 1.v = v, then associativity
-    laws = [np.c_[muls, us][head[vs] == one], np.c_[muls, vs][head[us] == one], np.c_[muls, other][other >= 0]]
-    for t, x in np.concatenate(laws).tolist():
-        join(t, x)
-    pairs = np.c_[muls, us, vs].tolist()
-    changed = True
-    while changed:
-        changed = False
-        for i, ui, vi in pairs:
-            for j, uj, vj in pairs:
-                if find(ui) == find(uj) and find(vi) == find(vj) and join(i, j):
-                    changed = True
-    roots = np.array([find(i) for i in range(len(term_carrier))])
-    return Rel(term_carrier, term_carrier, roots[:, None] == roots[None, :])
 
 
 def tilde_mon_rule_check(p: PreorderedSet, depth: int = 2) -> LawReport:

@@ -166,14 +166,6 @@ def language_table(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int):
     return intern(("ka-langs", expr_size_cap, word_len_cap, alphabet), build)
 
 
-def bounded_language(alphabet: FiniteSet, label: str, word_len_cap: int, expr_size_cap: int = 7) -> frozenset:
-    """Set of word labels matched by the expression `label` within the length bound."""
-    exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
-    mask = masks[exprs.index(label)]
-    bits = (mask >> np.arange(len(words), dtype=np.uint64)) & np.uint64(1)
-    return frozenset(words.elements[i] for i in np.flatnonzero(bits))
-
-
 def models_matrix(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) -> Rel:
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
     shifts = np.arange(len(words), dtype=np.uint64)

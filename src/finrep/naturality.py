@@ -362,13 +362,16 @@ def linearity_check(
     mode: str = "relations",
 ) -> LawReport:
     """Linearity means the family commutes with lifted relations; the
-    functions mode checks the equivalent equational form on graphs.  With
-    both modes the functions mode goes first, as in the classification."""
+    functions mode checks the equivalent equational form on graphs, reads
+    no relation and so states only the function scope.  With both modes
+    the functions mode goes first, as in the classification."""
     modes = ("functions", "relations") if mode == "both" else (mode,)
     sides = ("left", "right") if side == "both" else (side,)
     laws = [f"{s}-linear-{m}" for m in modes for s in sides]
-    return LawReport(f"linearity of {rho.name}", _square_verdicts(rho, probes, laws),
-                     probes.scope, probes.seed)
+    subject, verdicts = f"linearity of {rho.name}", _square_verdicts(rho, probes, laws)
+    if mode == "functions":
+        return LawReport(subject, verdicts, probes.function_scope)
+    return LawReport(subject, verdicts, probes.scope, probes.seed)
 
 
 def classify_linearity(rho: IndexedRelation, probes: ProbeUniverse) -> LawReport:
@@ -398,10 +401,6 @@ def is_natural_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> Ve
             lab = pa.src.elements[j]
             return Verdict("natural-transformation", False, (lab,) if lab else None, _func_note(FuncTable(a, b, x[i])))
     return Verdict("natural-transformation", True)
-
-
-def is_linear_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> LawReport:
-    return linearity_check(phi.graph_family(), probes, side="both", mode="relations")
 
 
 # ------------------------------------------------------ builtin families

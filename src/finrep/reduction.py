@@ -223,8 +223,9 @@ def closure_reduction_equivalence(
 def reduction_morphism_candidates(r: Reduction) -> LawReport:
     """Which of the two arrows hiding in a reduction are morphisms.
 
-    When both representations are exact the forward pair must be one;
-    that being a theorem, its failure raises the inconsistency alarm.
+    States the paper's theorem that a reduction between exact
+    representations is also a morphism: when both are exact the forward
+    pair must be one, and its failure raises the inconsistency alarm.
     """
     if not r.validated:
         raise UnvalidatedError("reduction is not validated")

@@ -297,29 +297,6 @@ def equal_verdict(x: Rel, y: Rel, law: str = "equality") -> Verdict:
     return Verdict(law, True)
 
 
-def is_function(x: Rel) -> tuple[Verdict, Verdict]:
-    """Univalence and totality, via the two relational checks."""
-    univalent = is_included(
-        compose(converse(x), x), Rel.identity(x.tgt), "univalence"
-    )
-    total = is_included(
-        Rel.identity(x.src), compose(x, converse(x)), "totality"
-    )
-    return univalent, total
-
-
-def to_func(x: Rel) -> FuncTable:
-    """Tabulate a relation that is a function graph; loud failure otherwise."""
-    counts = x.m.sum(axis=1)
-    bad = np.flatnonzero(counts != 1)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"not a function graph: {x.src.elements[i]!r} has {int(counts[i])} successors"
-        )
-    return FuncTable(x.src, x.tgt, np.argmax(x.m, axis=1))
-
-
 def is_preorder(x: Rel) -> LawReport:
     """Reflexivity and transitivity, checked once per relation object; each
     call returns a fresh copy of the report."""

@@ -66,7 +66,8 @@ def same_representation(r1: Representation, r2: Representation) -> bool:
 
 @dataclass(eq=False)
 class SpecTheory:
-    """Characteristic-expression form: one expression per trace, plus an order."""
+    """The paper's characteristic-expression form of a representation: one
+    expression per trace, plus a preorder on expressions."""
 
     traces: FiniteSet
     exprs: FiniteSet
@@ -124,7 +125,8 @@ def semantic_containment(models: Rel, name: str) -> Rel:
 
 
 def trace_preorder(rep: Representation) -> Rel:
-    """(s, t) present iff every expression satisfied by t is satisfied by s."""
+    """The paper's trace preorder of a representation: (s, t) present iff
+    every expression satisfied by t is satisfied by s."""
     return over(rep.models, rep.models)
 
 
@@ -180,7 +182,8 @@ def membership_representation(a: FiniteSet, cap: int = SUBSET_CAP) -> Representa
 
 
 def spec_theory_to_representation(s: SpecTheory) -> Representation:
-    """Each trace satisfies everything above its characteristic expression."""
+    """The paper's representation of a characteristic-expression theory:
+    each trace satisfies everything above its characteristic expression."""
     models = compose(graph(s.chi), require_preorder(s.leq))
     return Representation(
         f"spec({s.traces.name}|{s.exprs.name})",

@@ -249,12 +249,15 @@ def test_probes_declaration_feeds_scope(capsys):
 
 
 def test_naturality_states_only_the_function_scope(capsys):
-    # naturality reads probe functions, never the sampled relations
-    rc, out, _ = run(capsys, "check", "naturality", doc("families.doc"), "--family", "wrap",
-                     "--seed", "7", "--samples", "3")
-    assert rc == 0
-    assert "scope: probe carriers of sizes 0..2, all functions\n" in out
-    assert "seed" not in out and "samples" not in out
+    # naturality and functions-mode linearity read probe functions, never
+    # the sampled relations
+    for argv, want in ((["naturality", "--family", "wrap"], 0),
+                       (["linearity", "--family", "member_of", "--side", "left", "--mode", "functions"], 1)):
+        rc, out, _ = run(capsys, "check", argv[0], doc("families.doc"), *argv[1:],
+                         "--seed", "7", "--samples", "3")
+        assert rc == want
+        assert "scope: probe carriers of sizes 0..2, all functions\n" in out
+        assert "seed" not in out and "samples" not in out
 
 
 def test_laws_relcore(capsys):
@@ -427,6 +430,9 @@ def test_inconsistency_exits_3_with_one_line(capsys, monkeypatch):
         ["laws", "relcore", "--samples", "0"],
         ["hor", "instantiate", doc("ka.doc"), "--budget", "0"],
         ["build", "membership", doc("membership2.doc"), "--set", "S", "--powerset-cap", "-1"],
+        ["laws", "relcore", "--seed", "-1"],
+        ["check", "linearity", doc("families.doc"), "--family", "member_of", "--probe-max", "3", "--seed", "-3"],
+        ["check", "naturality", doc("families.doc"), "--family", "member_of", "--seed", "-3"],
     ],
 )
 def test_vacuous_scope_flags_exit_2(capsys, argv):
@@ -436,7 +442,14 @@ def test_vacuous_scope_flags_exit_2(capsys, argv):
     assert err.startswith("error: --") and "must be at least" in err
 
 
-@pytest.mark.parametrize("decl", ["max 0", "samples -3 seed 0"])
+_PROBE_REFUSALS = {
+    "max 0": "probe max must be at least 1",
+    "samples -3 seed 0": "probe samples must be at least 1",
+    "max 2 seed -1": "probe seed must be at least 0",
+}
+
+
+@pytest.mark.parametrize("decl", list(_PROBE_REFUSALS))
 def test_vacuous_probes_declaration_exits_2(capsys, tmp_path, decl):
     bad = tmp_path / "probes.doc"
     bad.write_text(
@@ -447,7 +460,7 @@ def test_vacuous_probes_declaration_exits_2(capsys, tmp_path, decl):
     rc, out, err = run(capsys, "check", "naturality", str(bad), "--family", "f")
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: line 3") and "must be at least 1" in err
+    assert err.startswith("error: line 3") and _PROBE_REFUSALS[decl] in err
 
 
 @pytest.mark.parametrize("argv", [["check", "naturality", "--family", "f"], ["laws", "relcore"]])

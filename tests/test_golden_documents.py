@@ -76,7 +76,7 @@ DOCUMENTS = [
     ("hor-builtins", (
         "hor m = builtin mon depth 2\nhor k = builtin ka size 3 words 2 mode axiomatic\n"
         "hor n = builtin ka\n")),
-    ("probes", "probes P = seed -4 max 2\nprobes Q = \n"),
+    ("probes", "probes P = seed 4 max 2\nprobes Q = \n"),
     ("only-one", "set A = a\nset B = b\nrel r : A -> B = (a, b)\n", "rel"),
     # refusals of the lexer-independent kind
     ("unknown-kind", "frob X = 1\n"),
@@ -132,7 +132,9 @@ DOCUMENTS = [
     ("probe-not-a-number", "probes P = max x\n"),
     ("probe-superscript", "probes P = samples \u00b2\n"),
     ("probe-below-one", "probes P = seed 5 samples 0\n"),
+    ("probe-seed-below-zero", "probes P = max 2 seed -1\n"),
     # integers are ASCII digits with an optional minus, as printed back
+    ("parameter-negative", "family F = builtin membership cap -4\n"),
     ("parameter-plus-sign", "family F = builtin membership cap +3\n"),
     ("parameter-underscore", "family F = builtin membership cap 1_0\n"),
     ("parameter-arabic-indic-digit", "family F = builtin membership cap \u0663\n"),

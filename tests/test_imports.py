@@ -1,11 +1,15 @@
-"""Every top-level import of the package and its tests is read, and no
-function imports again from a module the file already imports from.
+"""Every top-level import of the package and its tests is read, no
+function imports again from a module the file already imports from, and
+the package imports no test support.
 
 Each module under `src/finrep/` and `tests/` is parsed with `ast`; a name
 that a top-level import binds must be read somewhere in that module, or
 be listed in its `__all__`.  A function-level `from m import ...` is
 refused when the module also has a top-level `from m import ...`: the
-name belongs in the top-level import.
+name belongs in the top-level import.  No import in `src/finrep/`, at any
+level, may name a test-support module: the random generators of
+`generate` or a reference route of `tests/`, so that no kernel feeds its
+own oracle.
 """
 
 import ast
@@ -14,7 +18,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "finrep").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "finrep").glob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
+# the modules only tests may import
+TEST_SUPPORT = {"generate", "oracle", "square_walk", "term_trees"}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -77,3 +84,37 @@ def test_the_check_sees_a_repeated_local_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_function_imports_from_a_module_imported_at_the_top(path):
     assert repeated_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+def support_imports(source: str) -> list[str]:
+    """The imports of `source`, function-level ones included, that name a
+    test-support module, as `module at line n`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = _source_module(node)
+            sep = "" if base.endswith(".") else "."
+            paths = [base, *(base + sep + a.name for a in node.names)]
+        else:
+            continue
+        hit = next((p for p in paths if TEST_SUPPORT & set(p.split("."))), None)
+        if hit is not None:
+            found.append((node.lineno, f"{hit} at line {node.lineno}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_the_check_sees_a_test_support_import():
+    source = ("from .generate import carrier\nimport finrep.generate\nfrom . import kleene, generate\n"
+              "from .kleene import generate_axiom_instances\n"
+              "def f():\n    from term_trees import where\n    import oracle, json\n")
+    assert support_imports(source) == [
+        ".generate at line 1", "finrep.generate at line 2", ".generate at line 3",
+        "term_trees at line 6", "oracle at line 7",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_the_package_imports_no_test_support(path):
+    assert support_imports(path.read_text(encoding="utf-8")) == []

@@ -16,7 +16,6 @@ from finrep.hor import hor_arrow, instantiate, validate_hor
 from finrep.kleene import (
     RegexFunctor,
     axiomatic_leq,
-    bounded_language,
     generate_axiom_instances,
     ka_completeness_report,
     ka_hor,
@@ -341,6 +340,15 @@ def test_kleene_tables_die_with_their_alphabet():
         assert dead_kind() is None
     finally:
         gc.enable()
+
+
+def bounded_language(alphabet: FiniteSet, label: str, word_len_cap: int, expr_size_cap: int = 7) -> frozenset:
+    """The labels of the words up to the length bound that the expression
+    `label` matches, read off its mask in `language_table`."""
+    exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
+    mask = masks[exprs.index(label)]
+    bits = (mask >> np.arange(len(words), dtype=np.uint64)) & np.uint64(1)
+    return frozenset(words.elements[i] for i in np.flatnonzero(bits))
 
 
 def test_bounded_language_examples():

@@ -18,7 +18,6 @@ from finrep.naturality import (
     ProbeUniverse,
     check_functor_laws,
     classify_linearity,
-    is_linear_transformation,
     is_natural_relation,
     is_natural_transformation,
     linearity_check,
@@ -142,10 +141,8 @@ def test_membership_left_failure_has_concrete_witness():
     assert "probe" in v.note
 
 
-_P2_SCOPE = (
-    "  scope: probe carriers of sizes 0..2, all functions, relations exhaustive "
-    "up to 6 cells then 25 samples (seed 0)"
-)
+_P2_FUNCTION_SCOPE = "  scope: probe carriers of sizes 0..2, all functions"
+_P2_SCOPE = f"{_P2_FUNCTION_SCOPE}, relations exhaustive up to 6 cells then 25 samples (seed 0)"
 _PINNED = {
     "membership": {
         "left-linear-functions": "VIOLATION at (x0, {x0,x1})  [probe1->probe2 [x0>x0]]",
@@ -174,13 +171,14 @@ def test_linearity_reports_are_pinned(family):
          "  modes-agree: ok  [the equational and relational readings must classify alike]",
          _P2_SCOPE]
     )
-    for mode in ("functions", "relations"):
+    # the functions mode reads no relation, so it states only the function scope
+    for mode, scope in (("functions", _P2_FUNCTION_SCOPE), ("relations", _P2_SCOPE)):
         for side, laws in (("left", ["left"]), ("right", ["right"]), ("both", ["left", "right"])):
             got = [lines[f"{s}-linear-{mode}"] for s in laws]
             verdict = "FAIL" if any("VIOLATION" in line for line in got) else "pass"
-            assert linearity_check(family, P2, side, mode).describe() == "\n".join(
-                [f"linearity of {family.name}: {verdict}", *got, _P2_SCOPE]
-            )
+            report = linearity_check(family, P2, side, mode)
+            assert report.describe() == "\n".join([f"linearity of {family.name}: {verdict}", *got, scope])
+            assert report.seed == (None if mode == "functions" else 0)
 
 
 def test_singleton_unit_is_left_but_not_right_linear():
@@ -250,7 +248,7 @@ def test_function_families_are_natural_transformations():
     ]:
         v = is_natural_transformation(fam, P2)
         assert v.ok, (fam.name, v.describe())
-    assert is_linear_transformation(powerset_union(), P2).passed
+    assert linearity_check(powerset_union().graph_family(), P2).passed
 
 
 def test_size_parity_family_is_not_natural():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import finrep.rel as relmod
 from finrep.errors import CarrierMismatch
-from finrep.fset import FiniteSet, powerset_of
+from finrep.fset import FiniteSet
 from finrep.rel import (
     FuncTable,
     Rel,
@@ -21,13 +21,11 @@ from finrep.rel import (
     equal_verdict,
     graph,
     inter,
-    is_function,
     is_included,
     is_preorder,
     over,
     star,
     sum_set,
-    to_func,
     under,
     union,
 )
@@ -147,15 +145,11 @@ def test_equal_verdict_direction_notes():
     assert not v.ok and v.witness == ("a0", "b0")
 
 
-def test_graph_cograph_and_tabulate():
+def test_graph_and_cograph_pairs():
     f = FuncTable.from_map(A, B, {"a0": "b0", "a1": "b1", "a2": "b0"})
     g = graph(f)
-    u, t = is_function(g)
-    assert u.ok and t.ok
-    assert to_func(g) == f
+    assert pairs_of(g) == {("a0", "b0"), ("a1", "b1"), ("a2", "b0")}
     assert pairs_of(cograph(f)) == {(b, a) for a, b in pairs_of(g)}
-    with pytest.raises(ValueError):
-        to_func(Rel.empty(A, B))
 
 
 def test_compose_func_is_function_composition():
@@ -164,16 +158,6 @@ def test_compose_func_is_function_composition():
     gf = compose_func(g, f)
     assert gf("a2") == "c2"
     assert graph(gf) == compose(graph(f), graph(g))
-
-
-def test_membership_relation_function_verdicts():
-    # one trace can sit in several subsets: total but not univalent
-    a = FiniteSet("rmemb", ["a", "b"])
-    p = powerset_of(a)
-    memb = Rel(a, p, [[bool(mask >> i & 1) for mask in p.payload] for i in range(len(a))])
-    univalent, total = is_function(memb)
-    assert not univalent.ok
-    assert total.ok
 
 
 def test_preorder_verdicts():

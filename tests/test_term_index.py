@@ -3,7 +3,7 @@
 `functors.SyntaxIndex` is the only term carrier; `term_trees` keeps the
 tree route it replaced.  Over three signatures, depths 1-3 and base sizes
 0-3 the arrays must give the reference's labels, order, children and
-shapes, and the term families and the monoid oracles must give the
+shapes, and the term families and the monoid order must give the
 reference's tables.  Cases stop at carriers of 5,000 terms, where the
 reference trees stay quick to build; the arrow map and the lifting are
 compared with pointwise tree readings in `test_functors`.
@@ -22,7 +22,7 @@ from finrep.functors import (
     syntax_finder,
     syntax_splits,
 )
-from finrep.hor import MON_SIG, eq_mon, mon_congruence_closure
+from finrep.hor import MON_SIG, mon_hor
 from finrep.naturality import samevars_family, term_flatten, term_unit, varlist_family
 from term_trees import (
     enumerate_term_trees,
@@ -107,12 +107,29 @@ MONOID = [(d, n) for d in (1, 2, 3) for n in range(4) if _size(MON_SIG, d, n) <=
 
 @pytest.mark.parametrize("depth, n", MONOID, ids=[f"depth{d}-base{n}" for d, n in MONOID])
 def test_monoid_oracles_match_the_reference(depth, n):
-    c = TermFunctor(MON_SIG, depth).carrier(_base(n))
+    # the monoid order (same variables, left to right) is the least
+    # congruence with associativity and the unit laws, within the carrier
+    base = _base(n)
+    leq = mon_hor(depth).leq_at(base)
     trees = enumerate_term_trees(MON_SIG, depth, n)
-    assert mon_congruence_closure(c) == reference_congruence(c, trees)
-    for u, s in zip(c.elements, trees):
-        for v, t in zip(c.elements, trees):
-            assert eq_mon(c, u, v) == (var_list(s) == var_list(t))
+    assert leq == reference_congruence(leq.src, trees)
+    names = [var_list(t) for t in trees]
+    assert leq.m.tolist() == [[s == t for t in names] for s in names]
+
+
+def test_monoid_order_relates_the_monoid_laws_both_ways():
+    leq = mon_hor(3).leq_at(FiniteSet("pq", ["p", "q"]))
+    laws = [
+        ("mul(p,mul(q,p))", "mul(mul(p,q),p)"),
+        ("mul(p,one)", "p"),
+        ("mul(one,p)", "p"),
+        # congruence: replacing a factor by an equal one keeps equality
+        ("mul(mul(p,one),q)", "mul(p,q)"),
+        ("mul(q,mul(one,p))", "mul(q,p)"),
+    ]
+    for u, v in laws:
+        assert leq.holds(u, v) and leq.holds(v, u), (u, v)
+    assert not leq.holds("mul(p,q)", "mul(q,p)") and not leq.holds("mul(q,p)", "mul(p,q)")
 
 
 def test_finder_codes_stay_exact_past_int64():
