@@ -335,6 +335,21 @@ def test_order_over_the_cell_budget_exits_2_before_allocating(capsys, tmp_path):
                    "112416 x 112416 = 12637357056 cells, budget 20000000\n")
 
 
+@pytest.mark.parametrize("text, label, carrier", [
+    ('set A = 0 "0>.<0>.<0"\nhor k = builtin ka size 3 words 1\n', "(<0>.<0>.<0>.<0>)", "reg3(A)"),
+    ('set A = "(" "(>,<("\nhor m = builtin mon depth 2\n', "mul(<(>,<(>,<(>)", "term2(A)"),
+    ('set A = a "a,b" b\nhor m = builtin mon depth 2\n', "[a,b]", "list2(A)"),
+], ids=["regex", "term", "list"])
+def test_colliding_generated_labels_exit_2(capsys, tmp_path, text, label, carrier):
+    # fenced base labels can still spell one generated label twice; such a
+    # carrier is refused, not built with two elements of one name
+    path = tmp_path / "collide.doc"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "hor", "instantiate", str(path), "--set", "A")
+    assert (rc, out) == (2, "")
+    assert err == f"error: duplicate element label {label!r} in carrier {carrier!r}\n"
+
+
 def _two_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
