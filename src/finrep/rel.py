@@ -154,29 +154,28 @@ def cograph(f: FuncTable) -> Rel:
     return converse(graph(f))
 
 
-# ---------------------------------------------------------------- packing
-
-def _pack_rows(m: np.ndarray) -> np.ndarray:
-    """bool (r, c) -> uint64 (r, ceil(c/64)), little-endian bits, zero padding."""
-    m = np.ascontiguousarray(m)
-    packed8 = np.packbits(m, axis=1, bitorder="little")
-    pad = (-packed8.shape[1]) % 8
-    if pad:
-        packed8 = np.pad(packed8, ((0, 0), (0, pad)))
-    return packed8.view(np.uint64)
-
-
 def column_classes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classes of identical columns of a bool matrix.  `first` holds the
     lowest column of each class in ascending order, `cls` the class of
-    every column, so column j equals column first[cls[j]]."""
-    packed = _pack_rows(m.T)
-    if packed.shape[1] == 0:          # no rows: every column is the same
-        packed = np.zeros((packed.shape[0], 1), dtype=np.uint64)
-    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    return first[by_first], np.argsort(by_first)[inverse]
+    every column, so column j equals column first[cls[j]].
+
+    Each column is packed into uint64 words, which a stable lexsort
+    groups: the first of a group in sorted order is its lowest column."""
+    packed8 = np.packbits(m, axis=0, bitorder="little")
+    size = max(8, -len(packed8) % 8 + len(packed8))  # at least one word, so no rows still sort
+    packed8 = np.pad(packed8, ((0, size - len(packed8)), (0, 0)))
+    words = np.ascontiguousarray(packed8.T).view(np.uint64)  # one row of words per column
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    firsts = order[starts]
+    by_first = np.argsort(firsts)
+    group_cls = np.empty_like(by_first)
+    group_cls[by_first] = np.arange(len(by_first))
+    cls = np.empty_like(order)
+    cls[order] = group_cls[np.cumsum(starts) - 1]
+    return firsts[by_first], cls
 
 
 # ------------------------------------------------- dense array formulas

@@ -218,6 +218,29 @@ def test_column_classes(rows, cols, kinds):
         assert (j in first) == all((m[:, j] != m[:, i]).any() for i in range(j))
 
 
+def _void_key_column_classes(m):
+    """The route that the word keys replaced: each column's bits packed
+    into one void key, grouped by `np.unique`."""
+    packed8 = np.packbits(np.ascontiguousarray(m.T), axis=1, bitorder="little")
+    packed8 = np.pad(packed8, ((0, 0), (0, (-packed8.shape[1]) % 8)))
+    packed = packed8.view(np.uint64)
+    if packed.shape[1] == 0:          # no rows: every column is the same
+        packed = np.zeros((packed.shape[0], 1), dtype=np.uint64)
+    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    return first[by_first], np.argsort(by_first)[inverse]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 140), cols=st.integers(0, 40), kinds=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_column_classes_match_the_void_key_route(rows, cols, kinds, seed):
+    rng = np.random.default_rng(seed)
+    m = (rng.random((rows, kinds)) < 0.5)[:, rng.integers(kinds, size=cols)]
+    for got, want in zip(relmod.column_classes(m), _void_key_column_classes(m)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # ------------------------------------------ batched formulas and gathers
 
 def _sized(n, tag):
