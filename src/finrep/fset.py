@@ -35,9 +35,14 @@ class FiniteSet:
     the carrier.  It is positional: payload[i] belongs to elements[i].
     Syntax carriers (terms, expressions) have none: their structure is an
     index array derived with the carrier.
+
+    A carrier made by `lazy` knows its size but renders its labels only
+    when they are read: `pick` renders the ones asked for, and the first
+    read of `elements` (or `index`, `in`, iteration) renders them all.
     """
 
-    __slots__ = ("name", "elements", "payload", "uid", "_index", "_where", "_memo")
+    __slots__ = ("name", "elements", "payload", "uid", "_size", "_render", "_index", "_where", "_memo",
+                 "__weakref__")
 
     def __init__(self, name, elements, payload=None):
         elements = tuple(elements)
@@ -52,16 +57,48 @@ class FiniteSet:
             payload = tuple(payload)
             if len(payload) != len(elements):
                 raise ValueError("payload length does not match element count")
-        self.name = name
+        self._start(name, len(elements), None)
         self.elements = elements
         self.payload = payload
-        self.uid = next(_fresh)
         self._index = index
+
+    @classmethod
+    def lazy(cls, name, size, render):
+        """A carrier of `size` labels that `render(idx)` gives for the
+        positions `idx`, in that order.  The caller vouches that they are
+        distinct strings, so none is checked.  `render` must not refer to
+        the carrier, nor to a carrier it is derived from."""
+        c = cls.__new__(cls)
+        c._start(name, size, render)
+        c.payload = None
+        return c
+
+    def _start(self, name, size, render):
+        self.name = name
+        self.uid = next(_fresh)
+        self._size = size
+        self._render = render
         self._where = None   # payload -> index, built on first `locate`
         self._memo = None    # recipe -> derived value, see `intern`
 
+    def __getattr__(self, attr):
+        # reached only for an unset slot: a lazy carrier's labels, not yet read
+        if attr not in ("elements", "_index") or self._render is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        self.elements = tuple(self._render(np.arange(self._size)))
+        self._index = {lab: i for i, lab in enumerate(self.elements)}
+        self._render = None
+        return getattr(self, attr)
+
+    def pick(self, idx) -> list[str]:
+        """The labels at the positions `idx`, in that order, rendering no
+        others."""
+        if self._render is None:
+            return [self.elements[i] for i in idx]
+        return self._render(idx)
+
     def __len__(self):
-        return len(self.elements)
+        return self._size
 
     def __iter__(self):
         return iter(self.elements)

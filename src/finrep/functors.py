@@ -7,14 +7,16 @@ functors.  Lists, terms and the kleene module's expressions are containers
 sharing one shape-grouped `fmap` and `lift`.  Terms and expressions are
 syntax: a carrier is its labels plus one `SyntaxIndex` (head codes, padded
 children, level bounds), with no tree objects, and one children-first
-reader (`syntax_splits`) and one node finder (`syntax_finder`) serve both.
-Bounds fail loudly, nothing truncates.
+reader (`syntax_splits`), one node finder (`syntax_finder`) and one label
+renderer (`syntax_labels`) serve both.  Bounds fail loudly, nothing
+truncates.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -98,6 +100,46 @@ def syntax_splits(c: FiniteSet) -> list:
         return out
 
     return intern(("splits", c), build)
+
+
+def syntax_labels(ix: SyntaxIndex, leaves: list[str], formats, nodes) -> list[str]:
+    """The labels of `nodes`, in their order, rendered with their
+    descendants and nothing else: a hole is its base position's entry in
+    `leaves`, any other node its children's labels joined by `formats[head]`,
+    an (open, separator, close) triple.  The nodes are closed under
+    descendants a level at a time, then rendered children first, one batch
+    per run of one head in one level."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    want = np.zeros(len(ix.head), dtype=bool)
+    want[nodes] = True
+    frontier = nodes
+    while frontier.size:
+        kids = ix.kids[frontier[ix.head[frontier] != HOLE]]  # a hole's kid is a base position
+        new = np.zeros_like(want)
+        new[kids[kids >= 0]] = True
+        new &= ~want
+        want |= new
+        frontier = np.flatnonzero(new)
+    at = np.flatnonzero(want)
+    # every child lies in a lower level, so each run's children are rendered
+    run = np.searchsorted(ix.bounds, at, side="right") * len(formats) + ix.head[at]
+    starts = np.flatnonzero(np.diff(run, prepend=-1)).tolist()
+    heads, cols, at = ix.head[at].tolist(), ix.kids[at].T.tolist(), at.tolist()
+    labels = [None] * len(want)
+    for lo, hi in zip(starts, starts[1:] + [len(at)]):
+        kids = [col[lo:hi] for col in cols if col[lo] >= 0]  # a run's children, by position
+        if heads[lo] == HOLE:
+            out = [leaves[k] for k in kids[0]]
+        else:
+            o, sep, c = formats[heads[lo]]
+            kids = [[labels[k] for k in col] for col in kids]
+            if len(kids) == 2:  # the common case, spelled out for speed
+                out = [f"{o}{x}{sep}{y}{c}" for x, y in zip(*kids)]
+            else:
+                out = [f"{o}{sep.join(t)}{c}" for t in zip(*kids)] if kids else [o] * (hi - lo)
+        for i, lab in zip(at[lo:hi], out):
+            labels[i] = lab
+    return [labels[i] for i in nodes.tolist()]
 
 
 def syntax_finder(ix: SyntaxIndex):
@@ -340,13 +382,29 @@ class ListFunctor(ContainerFunctor):
 class SyntaxFunctor(ContainerFunctor):
     """Trees of a syntax up to a bound, carried as a SyntaxIndex: the
     carrier over `a` is the trees' labels in index order, and its arrays
-    are derived with it.  A subclass builds the arrays (`index`) and reads
-    the labels off them (`labels`); shapes are read off the arrays."""
+    are derived with it.  A subclass builds the arrays (`index`), fences a
+    base label that could be misread (`leaf`) and gives, per head code, the
+    open, separator and close strings around a node's children (`formats`);
+    shapes are read off the arrays.
+
+    Every label is fully parenthesised, so over plain base labels (none
+    fenced) and plain operator symbols (`plain_ops`) it reads as one tree
+    only: such a carrier's labels are distinct by construction and are
+    rendered on demand.  Any other carrier renders them all at once and
+    checks them, because fenced labels can still spell one label twice."""
+
+    plain_ops = True
 
     def carrier(self, a):
         def build():
             ix = self.index(len(a))
-            c = FiniteSet(f"{self.stem}({a.name})", self.labels(ix, a))
+            name = f"{self.stem}({a.name})"
+            leaves = [self.leaf(lab) for lab in a.elements]
+            render = partial(syntax_labels, ix, leaves, self.formats)
+            if self.plain_ops and leaves == list(a.elements):
+                c = FiniteSet.lazy(name, len(ix.head), render)
+            else:
+                c = FiniteSet(name, render(np.arange(len(ix.head))))
             intern(("syntax", c), lambda: ix)
             return c
 
@@ -374,6 +432,12 @@ class TermFunctor(SyntaxFunctor):
         self.key = ("term", sig.ops, max_depth)
         self.name = f"term({dict(sig.ops)}, depth {max_depth})"
         self.stem = f"term{max_depth}"
+        self.nullary = {s for s, k in sig.ops if k == 0}
+        self.plain_ops = not any(c in s for s, _ in sig.ops for c in self.SPECIAL)
+        # a constant is its symbol, an operator node reads its children's labels
+        self.formats = [None, *((f"{s}(", ",", ")") if k else (s, "", "") for s, k in sig.ops)]
+
+    SPECIAL = "(),<>"  # the characters that delimit a term label
 
     bounded = "term carrier over %r up to depth %d"
 
@@ -390,18 +454,10 @@ class TermFunctor(SyntaxFunctor):
     def index(self, n_vars: int) -> SyntaxIndex:
         return enumerate_terms(self.sig, self.max_depth, n_vars)
 
-    def labels(self, ix: SyntaxIndex, a: FiniteSet) -> list[str]:
-        """Labels level by level: a variable is its base label, fenced when
-        it bears syntax (terms over terms) or names a constant; a constant
-        is its symbol; an operator node reads its children's labels."""
-        syms = [None, *(s for s, _ in self.sig.ops)]
-        nullary = {s for s, k in self.sig.ops if k == 0}
-        labels = [f"<{lab}>" if lab in nullary or any(c in lab for c in "(),<>") else lab
-                  for lab in a.elements]
-        labels += [syms[h] for h in ix.head[len(a):ix.bounds[1]].tolist()]
-        for h, row in zip(ix.head[ix.bounds[1]:].tolist(), ix.kids[ix.bounds[1]:].tolist()):
-            labels.append(f"{syms[h]}({','.join(labels[k] for k in row if k >= 0)})")
-        return labels
+    def leaf(self, lab: str) -> str:
+        """A variable's label: its base label, fenced when it bears syntax
+        (terms over terms) or names a constant."""
+        return f"<{lab}>" if lab in self.nullary or any(c in lab for c in self.SPECIAL) else lab
 
     # own names on the class, where the benchmark tracer rebinds them
     fmap, lift = Functor.fmap, Functor.lift

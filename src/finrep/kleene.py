@@ -58,37 +58,33 @@ class RegexFunctor(SyntaxFunctor):
         """The carrier order, level by level: a level's stars over the level
         below, then its + and then its . pairs, by left size, left operand
         major.  A letter's first kid is its letter, a star's its operand."""
-        parts = [(np.r_[np.full(letters, LETTER), ZERO, EPS], np.r_[np.arange(letters), -1, -1],
-                  np.full(letters + 2, -1))]
+        heads = [np.r_[np.full(letters, LETTER), ZERO, EPS]]
+        lefts, rights = [np.r_[np.arange(letters), -1, -1]], [np.full(letters + 2, -1)]
         bounds = [0, letters + 2]
         for s in range(2, self.size_cap + 1):
             below = np.arange(bounds[s - 2], bounds[s - 1])
-            level = [(np.full(len(below), STAR), below, np.full(len(below), -1))]
-            for op in (PLUS, CAT):
-                for i in range(1, s - 1):
-                    e, f = np.meshgrid(np.arange(bounds[i - 1], bounds[i]),
-                                       np.arange(bounds[s - 2 - i], bounds[s - 1 - i]), indexing="ij")
-                    level.append((np.full(e.size, op), e.ravel(), f.ravel()))
-            parts += level
-            bounds.append(bounds[-1] + sum(len(k) for k, _, _ in level))
-        head, left, right = (np.concatenate(x).astype(np.int64) for x in zip(*parts))
+            # one (left, right) grid per split of the s - 1 child nodes,
+            # shared by + and .
+            e, f = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+            for i in range(1, s - 1):
+                ls, rs = np.arange(bounds[i - 1], bounds[i]), np.arange(bounds[s - 2 - i], bounds[s - 1 - i])
+                e.append(np.repeat(ls, len(rs)))
+                f.append(np.tile(rs, len(ls)))
+            e, f = np.concatenate(e), np.concatenate(f)
+            heads.append(np.repeat([STAR, PLUS, CAT], [len(below), len(e), len(e)]))
+            lefts += [below, e, e]
+            rights += [np.full(len(below), -1), f, f]
+            bounds.append(bounds[-1] + len(below) + 2 * len(e))
+        head, left, right = (np.concatenate(x).astype(np.int64) for x in (heads, lefts, rights))
         return SyntaxIndex(head, np.stack([left, right], axis=1), np.array(bounds, dtype=np.int64))
 
-    def labels(self, ix: SyntaxIndex, a: FiniteSet) -> list[str]:
-        """Labels level by level: each level's stars, sums and products read
-        their children's labels, which lie in lower levels."""
-        labels = [f"<{lab}>" if any(c in lab for c in "+.*()01<>") else lab for lab in a.elements]
-        labels += ["0", "1"]
-        for lo, hi in zip(ix.bounds[1:-1], ix.bounds[2:]):
-            for kind in (STAR, PLUS, CAT):
-                at = lo + np.flatnonzero(ix.head[lo:hi] == kind)
-                ls, rs = ix.kids[at, 0].tolist(), ix.kids[at, 1].tolist()
-                if kind == STAR:
-                    labels += [labels[l] + "*" for l in ls]
-                else:
-                    sign = "+" if kind == PLUS else "."
-                    labels += [f"({labels[l]}{sign}{labels[r]})" for l, r in zip(ls, rs)]
-        return labels
+    def leaf(self, lab: str) -> str:
+        """A letter's label: its base label, fenced when it holds a
+        character of the syntax."""
+        return f"<{lab}>" if any(c in lab for c in "+.*()01<>") else lab
+
+    # (open, separator, close) by head code; a letter is its leaf
+    formats = (None, ("0", "", ""), ("1", "", ""), ("(", "+", ")"), ("(", ".", ")"), ("", "", "*"))
 
     # own name on the class, where the benchmark tracer rebinds it
     carrier = SyntaxFunctor.carrier
@@ -296,7 +292,7 @@ def ka_semantic_exactness(alphabet: FiniteSet, expr_size_cap: int, word_len_cap:
     mask_bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8),
                               axis=1, count=len(words), bitorder="little").T
     first, _ = column_classes(np.vstack([models, mask_bits.astype(bool)]))
-    reps = FiniteSet(f"classes({exprs.name})", [exprs.elements[i] for i in first])
+    reps = FiniteSet(f"classes({exprs.name})", exprs.pick(first))
     sat = Rel(words, reps, models[:, first])
     rep_masks = masks[first]
     differ = semantic_containment(sat, reps.name).m != ((rep_masks[:, None] & ~rep_masks[None, :]) == 0)
@@ -337,7 +333,7 @@ def ka_completeness_report(
     unsound = np.flatnonzero(masks[pairs[:, 0]] & ~masks[pairs[:, 1]])
     if unsound.size:
         i, j = pairs[unsound[0]]
-        report.add(Verdict(law, False, (exprs.elements[i], exprs.elements[j])))
+        report.add(Verdict(law, False, tuple(exprs.pick([i, j]))))
     elif len(pairs):
         report.add(Verdict(law, True, note=(
             f"{len(pairs)} instances semantically valid; the closure stays "
@@ -354,7 +350,7 @@ def ka_completeness_report(
         missed = ((masks[i] & ~masks) == 0) & ~_derivable(i, succ, start)
         if missed.any():
             j = int(np.argmax(missed))
-            report.add(Verdict("completeness-gap", True, witness=(exprs.elements[i], exprs.elements[j]),
+            report.add(Verdict("completeness-gap", True, witness=tuple(exprs.pick([i, j])),
                                note="true at the bound but not derivable from the instances"))
             return report
     report.add(Verdict("completeness-gap", True,

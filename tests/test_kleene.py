@@ -14,6 +14,12 @@ from finrep.fset import FiniteSet, carrier_budget
 from finrep.functors import syntax_splits
 from finrep.hor import hor_arrow, instantiate, validate_hor
 from finrep.kleene import (
+    CAT,
+    EPS,
+    LETTER,
+    PLUS,
+    STAR,
+    ZERO,
     RegexFunctor,
     axiomatic_leq,
     generate_axiom_instances,
@@ -225,6 +231,33 @@ def test_index_route_matches_object_references(letters, cap):
         assert masks.tolist() == _reference_masks(trees, words, k), (letters, cap, k)
 
 
+def _meshgrid_index(letters: int, size_cap: int):
+    """The index arrays built one meshgrid per operator and split, the
+    route that the shared (left, right) grids replaced."""
+    parts = [(np.r_[np.full(letters, LETTER), ZERO, EPS], np.r_[np.arange(letters), -1, -1],
+              np.full(letters + 2, -1))]
+    bounds = [0, letters + 2]
+    for s in range(2, size_cap + 1):
+        below = np.arange(bounds[s - 2], bounds[s - 1])
+        level = [(np.full(len(below), STAR), below, np.full(len(below), -1))]
+        for op in (PLUS, CAT):
+            for i in range(1, s - 1):
+                e, f = np.meshgrid(np.arange(bounds[i - 1], bounds[i]),
+                                   np.arange(bounds[s - 2 - i], bounds[s - 1 - i]), indexing="ij")
+                level.append((np.full(e.size, op), e.ravel(), f.ravel()))
+        parts += level
+        bounds.append(bounds[-1] + sum(len(k) for k, _, _ in level))
+    head, left, right = (np.concatenate(x).astype(np.int64) for x in zip(*parts))
+    return head, np.stack([left, right], axis=1), np.array(bounds, dtype=np.int64)
+
+
+@pytest.mark.parametrize("letters, cap", [(0, 3), (1, 5), (2, 6), (3, 7)])
+def test_index_matches_the_meshgrid_route(letters, cap):
+    got = RegexFunctor(cap).index(letters)
+    for x, y in zip(got, _meshgrid_index(letters, cap)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def test_index_arrays_name_the_children():
     exprs, ix = RegexFunctor(4).arrays(AB)
     assert RegexFunctor(4).arrays(AB)[1] is ix
@@ -334,10 +367,14 @@ def test_kleene_tables_die_with_their_alphabet():
         alphabet = FiniteSet("fresh", ["a", "b"])
         exprs, words, masks = language_table(alphabet, 4, 2)
         exprs, ix = RegexFunctor(4).arrays(alphabet)
-        dead_masks, dead_kind = weakref.ref(masks), weakref.ref(ix.head)
+        # the reports read labels off the lazy carrier
+        assert ka_semantic_exactness(alphabet, 4, 2).ok
+        assert ka_completeness_report(alphabet, 4, 2).verdicts[-1].witness == ("a", "(a.a*)")
+        dead_masks, dead_kind, dead_exprs = weakref.ref(masks), weakref.ref(ix.head), weakref.ref(exprs)
         del alphabet, exprs, words, masks, ix
         assert dead_masks() is None
         assert dead_kind() is None
+        assert dead_exprs() is None
     finally:
         gc.enable()
 
