@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .document import FAMILY_BUILTINS, HOR_BUILTINS, Document, DocumentError, parse_document
+from .document import FAMILY_BUILTINS, HOR_BUILTINS, PROBE_FLOORS, Document, DocumentError, parse_document
 from .errors import BudgetError, CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
 from .fset import SUBSET_CAP, carrier_budget
 from .hor import (
@@ -126,9 +126,15 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each probes key and the flag that overrides it
+_PROBE_FLAGS = {"max": "probe_max", "samples": "samples", "seed": "seed"}
+
+
 def _check_scope_flags(args):
-    """Refuse scope flags below the least value that keeps a check meaningful."""
-    for dest, floor in (("probe_max", 1), ("samples", 1), ("seed", 0), ("budget", 1), ("powerset_cap", 0)):
+    """Refuse scope flags below the least value that keeps a check
+    meaningful; a probe flag has the floor of its probes key."""
+    floors = {**{dest: PROBE_FLOORS[key] for key, dest in _PROBE_FLAGS.items()}, "budget": 1, "powerset_cap": 0}
+    for dest, floor in floors.items():
         value = getattr(args, dest)
         if value is not None and value < floor:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least {floor}, got {value}")
@@ -165,7 +171,7 @@ def _scope_settings(args, config: dict, **names) -> dict:
     """Keyword arguments for the scope settings a flag gives or, failing
     that, `config` (a probes line); `names` maps a probes key to its
     argument name.  A setting that neither gives keeps its default."""
-    flags = {"max": args.probe_max, "samples": args.samples, "seed": args.seed}
+    flags = {key: getattr(args, dest) for key, dest in _PROBE_FLAGS.items()}
     given = {**config, **{k: v for k, v in flags.items() if v is not None}}
     return {name: given[key] for key, name in names.items() if key in given}
 

@@ -402,22 +402,23 @@ def _show_config(config: dict) -> str:
     return " ".join(words)
 
 
-# each probe parameter and the least value it takes
-_PROBE_FLOORS = {"max": 1, "samples": 1, "seed": 0}
+# each probe parameter and the least value it takes, a probes line's and
+# the matching cli flag's alike
+PROBE_FLOORS = {"max": 1, "samples": 1, "seed": 0}
 
 
 def _probe_config(cur: _Cursor, doc: Document, name: str) -> dict:
     config = {}
     while not cur.done:
         key = _parameter_key(cur)
-        if key.text not in _PROBE_FLOORS:
+        if key.text not in PROBE_FLOORS:
             raise DocumentError(
                 f"unknown probe parameter {key.text!r}", key.line, key.column
             )
         if key.text in config:
             raise DocumentError(f"duplicate parameter {key.text!r}", key.line, key.column)
         value = config[key.text] = cur.integer(f"{key.text} value")
-        floor = _PROBE_FLOORS[key.text]
+        floor = PROBE_FLOORS[key.text]
         if value < floor:
             raise DocumentError(f"probe {key.text} must be at least {floor}", key.line, key.column)
     return config

@@ -478,6 +478,21 @@ def test_vacuous_probes_declaration_exits_2(capsys, tmp_path, decl):
     assert err.startswith("error: line 3") and _PROBE_REFUSALS[decl] in err
 
 
+@pytest.mark.parametrize("key, flag, floor", [("max", "--probe-max", 1), ("samples", "--samples", 1),
+                                              ("seed", "--seed", 0)])
+def test_a_probe_flag_and_its_probes_key_share_one_floor(capsys, tmp_path, key, flag, floor):
+    family = tmp_path / "family.doc"
+    family.write_text("family f = builtin membership cap 3\n")
+    rc, out, err = run(capsys, "check", "naturality", str(family), flag, str(floor - 1))
+    assert (rc, out, err) == (2, "", f"error: {flag} must be at least {floor}, got {floor - 1}\n")
+    line = tmp_path / "probes.doc"
+    line.write_text(f"family f = builtin membership cap 3\nprobes P = {key} {floor - 1}\n")
+    rc, out, err = run(capsys, "check", "naturality", str(line))
+    assert (rc, out) == (2, "") and err.endswith(f": probe {key} must be at least {floor}\n")
+    rc, _, err = run(capsys, "check", "naturality", str(family), flag, str(floor))
+    assert (rc, err) == (0, "")
+
+
 @pytest.mark.parametrize("argv", [["check", "naturality", "--family", "f"], ["laws", "relcore"]])
 def test_a_second_probes_line_exits_2(capsys, tmp_path, argv):
     path = tmp_path / "probes.doc"
