@@ -20,6 +20,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "golden_documents.json"
 
+if __name__ == "__main__":  # run as a script, the parametrize below already imports finrep
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "tests"))
+
 _REP = (
     "set T = t\nset E = e\n"
     "rel sat : T -> E = (t, e)\n"
@@ -194,7 +198,5 @@ def test_parse_result_or_refusal(golden, key):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT / "tests"))
     data = {key: _record(text, only) for key, (text, only) in _texts().items()}
     DATA.write_text(json.dumps(data, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
