@@ -7,10 +7,17 @@ order is the semantic containment of the satisfaction (exact), that
 containment with one cell flipped, the identity, a random relation or
 its reflexive-transitive closure, and the satisfaction is optionally
 closed upwards along the order, so that sound and unsound, exact and
-inexact representations and non-preorders all occur.  `check rep`,
-`check exact` and `build trivial` must give the exit code and the
-`(law, ok, witness, note)` list that `tests/oracle.py` reads from the
-same text.
+inexact representations and non-preorders all occur.  Five shapes reach
+their outcome by construction, so that every outcome occurs in each run:
+- the containment is exact;
+- the identity is inexact, because e1 has the models of e0;
+- the random relation misses (e0, e0), so it is no preorder as a `rel`,
+  and a `preorder` declaration of it is refused;
+- a closed order with e0 below e1, where t0 models e0 but not e1, is
+  unsound.
+`check rep`, `check exact` and `build trivial` must give the exit code
+and the `(law, ok, witness, note)` list that `tests/oracle.py` reads from
+the same text.
 """
 
 import contextlib
@@ -43,23 +50,33 @@ def _pairs(draw, rows, cols):
 
 @st.composite
 def documents(draw):
-    traces = [f"t{i}" for i in range(draw(st.integers(0, 5)))]
-    exprs = [f"e{i}" for i in range(draw(st.integers(0, 5)))]
+    shape = draw(st.sampled_from(["exact", "flipped", "identity", "random", "refused", "closed", "unsound"]))
+    # traces and expressions that the by-construction shapes need
+    least_traces, least_exprs = {"identity": (0, 2), "random": (0, 1), "refused": (0, 1),
+                                 "unsound": (1, 2)}.get(shape, (0, 0))
+    traces = [f"t{i}" for i in range(draw(st.integers(least_traces, 5)))]
+    exprs = [f"e{i}" for i in range(draw(st.integers(least_exprs, 5)))]
     models = _pairs(draw, traces, exprs)
-    shape = draw(st.sampled_from(["exact", "flipped", "identity", "random", "closed"]))
     if shape in ("exact", "flipped"):
         leq = oracle.semantic_containment(oracle.Rep(traces, exprs, models, set()))
         if shape == "flipped" and exprs:
             leq ^= {(draw(st.sampled_from(exprs)), draw(st.sampled_from(exprs)))}
-    elif shape == "identity":
+    elif shape == "identity":  # inexact: e1 has the models of e0, so e0 contains e1
         leq = {(x, x) for x in exprs}
+        models = {(t, e) for t, e in models if e != "e1"} | {(t, "e1") for t, e in models if e == "e0"}
+    elif shape == "unsound":  # a preorder with e0 below e1, and t0 models e0 but not e1
+        leq = _closure(exprs, _pairs(draw, exprs, exprs) | {("e0", "e1")})
+        models = models - {("t0", "e1")} | {("t0", "e0")}
     else:
         leq = _pairs(draw, exprs, exprs)
         if shape == "closed":
             leq = _closure(exprs, leq)
-    if draw(st.booleans()):  # sound by construction, if the order is a preorder
+        else:  # random or refused: not reflexive, so no preorder
+            leq.discard(("e0", "e0"))
+    if shape != "unsound" and draw(st.booleans()):  # sound by construction, if the order is a preorder
         models |= {(t, f) for (t, e) in models for (e2, f) in leq if e2 == e}
-    kind = draw(st.sampled_from(["rel", "preorder"]))
+    # a relation that is no preorder is declared as one only to be refused
+    kind = {"random": "rel", "refused": "preorder"}.get(shape) or draw(st.sampled_from(["rel", "preorder"]))
     header = ": E -> E" if kind == "rel" else ": E"
     return "".join([
         f"set T = {' '.join(traces)}\n",
