@@ -41,7 +41,7 @@ class FiniteSet:
     read of `elements` (or `index`, `in`, iteration) renders them all.
     """
 
-    __slots__ = ("name", "elements", "payload", "uid", "_size", "_render", "_index", "_where", "_memo",
+    __slots__ = ("name", "_elements", "payload", "uid", "_size", "_render", "_index", "_where", "_memo",
                  "__weakref__")
 
     def __init__(self, name, elements, payload=None):
@@ -58,7 +58,7 @@ class FiniteSet:
             if len(payload) != len(elements):
                 raise ValueError("payload length does not match element count")
         self._start(name, len(elements), None)
-        self.elements = elements
+        self._elements = elements
         self.payload = payload
         self._index = index
 
@@ -70,7 +70,7 @@ class FiniteSet:
         the carrier, nor to a carrier it is derived from."""
         c = cls.__new__(cls)
         c._start(name, size, render)
-        c.payload = None
+        c._elements = c._index = c.payload = None
         return c
 
     def _start(self, name, size, render):
@@ -81,20 +81,23 @@ class FiniteSet:
         self._where = None   # payload -> index, built on first `locate`
         self._memo = None    # recipe -> derived value, see `intern`
 
-    def __getattr__(self, attr):
-        # reached only for an unset slot: a lazy carrier's labels, not yet read
-        if attr not in ("elements", "_index") or self._render is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        self.elements = tuple(self._render(np.arange(self._size)))
-        self._index = {lab: i for i, lab in enumerate(self.elements)}
+    def _render_all(self):
+        self._elements = tuple(self._render(np.arange(self._size)))
+        self._index = {lab: i for i, lab in enumerate(self._elements)}
         self._render = None
-        return getattr(self, attr)
+
+    @property
+    def elements(self) -> tuple[str, ...]:
+        """The labels in carrier order."""
+        if self._render is not None:
+            self._render_all()
+        return self._elements
 
     def pick(self, idx) -> list[str]:
         """The labels at the positions `idx`, in that order, rendering no
         others."""
         if self._render is None:
-            return [self.elements[i] for i in idx]
+            return [self._elements[i] for i in idx]
         return self._render(idx)
 
     def __len__(self):
@@ -104,9 +107,13 @@ class FiniteSet:
         return iter(self.elements)
 
     def __contains__(self, label):
+        if self._render is not None:
+            self._render_all()
         return label in self._index
 
     def index(self, label):
+        if self._render is not None:
+            self._render_all()
         try:
             return self._index[label]
         except KeyError:

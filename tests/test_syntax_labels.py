@@ -81,13 +81,9 @@ def is_plain(functor, base) -> bool:
 
 
 def rendered(c: FiniteSet) -> bool:
-    """Whether the carrier holds all its labels; reading the slot through
-    its descriptor does not render them."""
-    try:
-        FiniteSet.elements.__get__(c)
-    except AttributeError:
-        return False
-    return True
+    """Whether the carrier holds all its labels, read off the slot that
+    `elements` fills, since reading `elements` renders them."""
+    return c._elements is not None
 
 
 # ------------------------------------------------------------ differential
