@@ -41,6 +41,7 @@ class FiniteSet:
     read of `elements` (or `index`, `in`, iteration) renders them all.
     """
 
+    # a weak reference can watch a carrier being freed with its base
     __slots__ = ("name", "_elements", "payload", "uid", "_size", "_render", "_index", "_where", "_memo",
                  "__weakref__")
 
@@ -86,6 +87,11 @@ class FiniteSet:
         self._index = {lab: i for i, lab in enumerate(self._elements)}
         self._render = None
 
+    def _label_index(self) -> dict:
+        if self._render is not None:
+            self._render_all()
+        return self._index
+
     @property
     def elements(self) -> tuple[str, ...]:
         """The labels in carrier order."""
@@ -107,15 +113,11 @@ class FiniteSet:
         return iter(self.elements)
 
     def __contains__(self, label):
-        if self._render is not None:
-            self._render_all()
-        return label in self._index
+        return label in self._label_index()
 
     def index(self, label):
-        if self._render is not None:
-            self._render_all()
         try:
-            return self._index[label]
+            return self._label_index()[label]
         except KeyError:
             raise KeyError(f"{label!r} is not an element of carrier {self.name!r}") from None
 
