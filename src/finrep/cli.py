@@ -13,12 +13,12 @@ import sys
 from dataclasses import replace
 
 from .document import FAMILY_BUILTINS, HOR_BUILTINS, PROBE_FLOORS, Document, DocumentError, parse_document
-from .errors import BudgetError, CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
+from .errors import BudgetError, CarrierMismatch, TheoremInconsistencyError
 from .fset import SUBSET_CAP, carrier_budget
 from .hor import (
     PreorderedSet,
     check_tilde_soundness,
-    hat_report,
+    hat_lift,
     hor_arrow,
     instantiate,
     mon_hor,
@@ -49,7 +49,6 @@ from .represent import (
     membership_representation,
     trivial_representation,
     validate_representation,
-    validation_report,
 )
 from .verdict import LawReport
 
@@ -203,6 +202,14 @@ def _exactness(rep, bound: str = "") -> LawReport:
     return report
 
 
+def _with_finding(rep) -> LawReport:
+    """Validation, with exactness reported as a finding, never asserted:
+    an instance of a structure, or a lift, need not be exact."""
+    report = validate_representation(rep)
+    report.add(exactness_finding(rep))
+    return _scoped(report, rep.traces, rep.exprs)
+
+
 def _cmd_check(args, doc: Document) -> LawReport:
     if args.what == "rep":
         rep = _named(doc, "representation", args.name)
@@ -259,10 +266,7 @@ def _cmd_reduce(args, doc: Document) -> LawReport:
 def _cmd_hor(args, doc: Document) -> LawReport:
     h = _built(HOR_BUILDERS, HOR_BUILTINS, _named(doc, "hor", args.hor_name), args.powerset_cap)
     if args.what == "instantiate":
-        rep = instantiate(h, _named(doc, "set", args.set_name))
-        report = validation_report(rep)
-        report.add(exactness_finding(rep))
-        return _scoped(report, rep.traces, rep.exprs)
+        return _with_finding(instantiate(h, _named(doc, "set", args.set_name)))
     if args.what == "arrow":
         m = hor_arrow(h, _named(doc, "fun", args.fun_name))
         return _scoped(validate_morphism(m), m.source.exprs, m.target.exprs)
@@ -273,8 +277,7 @@ def _cmd_hor(args, doc: Document) -> LawReport:
     base = _scoped(validate_representation(rep), rep.traces, rep.exprs)
     if not base.passed:
         return base
-    lifted, report = hat_report(h, rep)
-    return _scoped(report, lifted.traces, lifted.exprs)
+    return _with_finding(hat_lift(h, rep))
 
 
 def _cmd_laws(args, doc: Document | None) -> LawReport:
@@ -312,7 +315,7 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"error: budget exceeded: {e}", file=sys.stderr)
         return 2
-    except (DocumentError, CarrierMismatch, UnvalidatedError, ValueError, KeyError) as e:
+    except (DocumentError, CarrierMismatch, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TheoremInconsistencyError as e:

@@ -13,10 +13,6 @@ class BudgetError(RuntimeError):
     """
 
 
-class UnvalidatedError(RuntimeError):
-    """An operation that assumes validated input got an unchecked value."""
-
-
 class TheoremInconsistencyError(AssertionError):
     """A cross-check that is guaranteed by a proved statement failed.
 

@@ -44,7 +44,7 @@ def random_sound_representation(
     # closing satisfaction under the order makes soundness automatic
     q = random_preorder(rng, exprs)
     models = compose(random_rel(rng, traces, exprs), q)
-    return Representation(name, traces, exprs, models, q, validated=True)
+    return Representation(name, traces, exprs, models, q)
 
 
 def random_exact_representation(
@@ -78,7 +78,7 @@ def random_reduction_instance(
     source = trivial_representation(
         compose(target.models, cograph(phi)), "generated-source"
     )
-    return Reduction(source, target, phi, tau, Rel.identity(traces), validated=True)
+    return Reduction(source, target, phi, tau, Rel.identity(traces))
 
 
 def random_closure_instance(
@@ -91,5 +91,5 @@ def random_closure_instance(
     models1 = compose(
         union(fine.models, random_rel(rng, traces, exprs, 0.2)), leq1
     )
-    coarse = Representation("generated-coarse", traces, exprs, models1, leq1, validated=True)
+    coarse = Representation("generated-coarse", traces, exprs, models1, leq1)
     return coarse, fine

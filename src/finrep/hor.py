@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import UnvalidatedError
 from .fset import FiniteSet, check_cells
 from .functors import Functor, ListFunctor, Signature, TermFunctor
 from .morphism import Morphism, validate_morphism
@@ -44,13 +43,11 @@ from .rel import (
 )
 from .represent import (
     Representation,
-    exactness_finding,
     interpretations,
     semantic_containment,
     validate_representation,
-    validation_report,
 )
-from .verdict import LawReport, Verdict, first_violation
+from .verdict import LawReport, Verdict, first_violation, require
 
 MON_SIG = Signature.of({"mul": 2, "one": 0})
 
@@ -145,8 +142,7 @@ def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     instance = functools.cache(lambda a: instantiate(h, a))
 
     def representation_at(a):
-        rep = instance(a)
-        outcome = rep.validated or validation_report(rep).first_failure
+        outcome = validate_representation(instance(a)).first_failure or True
         return outcome, (a, outcome)
 
     carriers = probes.carriers()
@@ -252,14 +248,14 @@ def tilde_lift(h: HOR, p: PreorderedSet) -> Representation:
     over the preorder read as a representation, its carrier on both sides
     and its order as satisfaction and order alike."""
     a = p.carrier
-    return hat_lift(h, Representation(a.name, a, a, p.order, p.order, validated=True))
+    return hat_lift(h, Representation(a.name, a, a, p.order, p.order))
 
 
 def check_tilde_soundness(h: HOR, p: PreorderedSet) -> LawReport:
     """Validation of the lifted representation plus the two absorption
     inclusions that drive its soundness argument."""
     rep = tilde_lift(h, p)
-    report = validation_report(rep)
+    report = validate_representation(rep)
     report.add(
         is_included(
             compose(rep.models, h.e_functor.lift(p.order)),
@@ -279,9 +275,9 @@ def check_tilde_soundness(h: HOR, p: PreorderedSet) -> LawReport:
 
 def hat_lift(h: HOR, r: Representation) -> Representation:
     """Parametrize by another representation: traces over its traces,
-    expressions over its expressions."""
-    if not r.validated:
-        raise UnvalidatedError("lift over an unvalidated representation")
+    expressions over its expressions.  Refuses a parameter that fails
+    validation."""
+    require(validate_representation(r))
     rep = Representation(
         name=f"{h.name}-over-{r.name}",
         traces=h.t_functor.carrier(r.traces),
@@ -291,15 +287,6 @@ def hat_lift(h: HOR, r: Representation) -> Representation:
     )
     validate_representation(rep)
     return rep
-
-
-def hat_report(h: HOR, r: Representation) -> tuple[Representation, LawReport]:
-    """Exactness of the lifted representation is reported as a finding,
-    never asserted: lifting does not preserve it in general."""
-    rep = hat_lift(h, r)
-    report = validation_report(rep)
-    report.add(exactness_finding(rep))
-    return rep, report
 
 
 # ----------------------------------------------------------- monoid terms

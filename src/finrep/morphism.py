@@ -7,11 +7,11 @@ order, and satisfaction in the target factors through the trace relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CarrierMismatch, UnvalidatedError
+from .errors import CarrierMismatch
 from .laws import all_functions, all_relations
 from .rel import (
     FuncTable,
@@ -28,17 +28,23 @@ from .rel import (
     sum_set,
     union,
 )
-from .represent import Representation, same_representation
-from .verdict import LawReport, Verdict
+from .represent import Representation, same_representation, validate_representation
+from .verdict import LawReport, Verdict, checked_once, require
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Morphism:
     source: Representation
     target: Representation
     phi: FuncTable  # source.exprs -> target.exprs
     psi: Rel  # target.traces ⇸ source.traces
-    validated: bool = False
+    # validate_morphism's verdicts, kept from its first call
+    _laws: tuple[Verdict, ...] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def validated(self) -> bool:
+        """Whether the laws hold, checked now unless already checked."""
+        return validate_morphism(self).passed
 
     def __post_init__(self):
         on_carriers(self.phi, self.source.exprs, self.target.exprs,
@@ -63,17 +69,19 @@ def models_transport(phi: FuncTable, psi: Rel, src: Representation, tgt: Represe
 
 
 def validate_morphism(m: Morphism) -> LawReport:
-    report = LawReport(
-        subject=f"morphism {m.source.name!r} -> {m.target.name!r}"
-    )
-    report.add(order_preservation(m.phi, m.source, m.target, "order-preservation"))
-    report.add(models_transport(m.phi, m.psi, m.source, m.target))
-    m.validated = report.passed
-    return report
+    """Order preservation and models transport, checked once per morphism."""
+    return checked_once(m, f"morphism {m.source.name!r} -> {m.target.name!r}", _morphism_laws)
+
+
+def _morphism_laws(m: Morphism) -> list[Verdict]:
+    return [
+        order_preservation(m.phi, m.source, m.target, "order-preservation"),
+        models_transport(m.phi, m.psi, m.source, m.target),
+    ]
 
 
 def identity_morphism(r: Representation) -> Morphism:
-    return Morphism(r, r, FuncTable.identity(r.exprs), Rel.identity(r.traces), validated=True)
+    return Morphism(r, r, FuncTable.identity(r.exprs), Rel.identity(r.traces))
 
 
 def compose_morphisms(m: Morphism, m2: Morphism) -> Morphism:
@@ -85,7 +93,6 @@ def compose_morphisms(m: Morphism, m2: Morphism) -> Morphism:
         m2.target,
         compose_func(m2.phi, m.phi),
         compose(m2.psi, m.psi),
-        validated=m.validated and m2.validated,
     )
 
 
@@ -103,10 +110,10 @@ def product(r1: Representation, r2: Representation):
 
     Traces are the tagged union, expressions the pair carrier; a tagged
     trace satisfies a pair through its own component, and pairs are ordered
-    componentwise.
+    componentwise.  Refuses a factor that fails validation.
     """
-    if not (r1.validated and r2.validated):
-        raise UnvalidatedError("product needs validated factors")
+    require(validate_representation(r1))
+    require(validate_representation(r2))
     t, i1, i2 = sum_set(r1.traces, r2.traces)
     e, pr1, pr2 = product_set(r1.exprs, r2.exprs)
     models = union(
@@ -117,9 +124,9 @@ def product(r1: Representation, r2: Representation):
         compose(graph(pr1), compose(r1.leq, cograph(pr1))),
         compose(graph(pr2), compose(r2.leq, cograph(pr2))),
     )
-    rp = Representation(f"({r1.name} x {r2.name})", t, e, models, leq, validated=True)
-    p1 = Morphism(rp, r1, pr1, graph(i1), validated=True)
-    p2 = Morphism(rp, r2, pr2, graph(i2), validated=True)
+    rp = Representation(f"({r1.name} x {r2.name})", t, e, models, leq)
+    p1 = Morphism(rp, r1, pr1, graph(i1))
+    p2 = Morphism(rp, r2, pr2, graph(i2))
     return rp, p1, p2
 
 
@@ -144,12 +151,12 @@ def product_universal(
 
     Below the budget the whole morphism space into the product is searched;
     above it, only the supplied candidates are checked against the product
-    equations.
+    equations.  Refuses an arrow that fails validation.
     """
     if f1.source is not r or f2.source is not r:
         raise CarrierMismatch("both arrows must start at the given representation")
-    if not (f1.validated and f2.validated):
-        raise UnvalidatedError("universal property needs validated arrows")
+    require(validate_morphism(f1))
+    require(validate_morphism(f2))
     rp, p1, p2 = product(f1.target, f2.target)
     g = pairing(f1, f2, rp)
     report = LawReport(subject=f"universal property at {r.name!r}")

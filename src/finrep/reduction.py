@@ -11,11 +11,11 @@ ordinary violation verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CarrierMismatch, TheoremInconsistencyError, UnvalidatedError
+from .errors import CarrierMismatch, TheoremInconsistencyError
 from .morphism import Morphism, models_transport, order_preservation, validate_morphism
 from .rel import (
     FuncTable,
@@ -32,21 +32,27 @@ from .represent import (
     Representation,
     interpretations,
     is_exact,
-    passes_validation,
     same_representation,
     trivial_representation,
+    validate_representation,
 )
-from .verdict import LawReport, Verdict
+from .verdict import LawReport, Verdict, checked_once, require
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Reduction:
     source: Representation
     target: Representation
     phi: FuncTable  # source exprs -> target exprs
     tau: FuncTable  # target exprs -> source exprs
     psi: Rel  # target traces ⇸ source traces
-    validated: bool = False
+    # validate_reduction's verdicts, kept from its first call
+    _laws: tuple[Verdict, ...] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def validated(self) -> bool:
+        """Whether the laws hold, checked now unless already checked."""
+        return validate_reduction(self).passed
 
     def __post_init__(self):
         on_carriers(self.phi, self.source.exprs, self.target.exprs,
@@ -58,27 +64,17 @@ class Reduction:
 
 
 def validate_reduction(r: Reduction) -> LawReport:
-    report = LawReport(
-        subject=f"reduction {r.source.name!r} -> {r.target.name!r}"
-    )
-    report.add(order_preservation(r.tau, r.target, r.source, "tau-monotone"))
-    report.add(models_transport(r.phi, r.psi, r.source, r.target))
-    report.add(
-        is_included(
-            compose(cograph(r.tau), cograph(r.phi)),
-            r.source.leq,
-            "roundtrip-up",
-        )
-    )
-    report.add(
-        is_included(
-            compose(graph(r.phi), graph(r.tau)),
-            r.source.leq,
-            "roundtrip-down",
-        )
-    )
-    r.validated = report.passed
-    return report
+    """The four reduction laws, checked once per reduction."""
+    return checked_once(r, f"reduction {r.source.name!r} -> {r.target.name!r}", _reduction_laws)
+
+
+def _reduction_laws(r: Reduction) -> list[Verdict]:
+    return [
+        order_preservation(r.tau, r.target, r.source, "tau-monotone"),
+        models_transport(r.phi, r.psi, r.source, r.target),
+        is_included(compose(cograph(r.tau), cograph(r.phi)), r.source.leq, "roundtrip-up"),
+        is_included(compose(graph(r.phi), graph(r.tau)), r.source.leq, "roundtrip-down"),
+    ]
 
 
 def identity_reduction(rep: Representation) -> Reduction:
@@ -88,7 +84,6 @@ def identity_reduction(rep: Representation) -> Reduction:
         FuncTable.identity(rep.exprs),
         FuncTable.identity(rep.exprs),
         Rel.identity(rep.traces),
-        validated=True,
     )
 
 
@@ -102,7 +97,6 @@ def compose_reductions(r: Reduction, r2: Reduction) -> Reduction:
         compose_func(r2.phi, r.phi),
         compose_func(r.tau, r2.tau),
         compose(r2.psi, r.psi),
-        validated=r.validated and r2.validated,
     )
 
 
@@ -110,7 +104,7 @@ def self_reduction(rep: Representation):
     """Identity-shaped reduction onto the trivial representation of its
     own satisfaction.  Validates exactly when `rep` is exact; the report
     pinpoints the failing law otherwise."""
-    red = replace(identity_reduction(rep), target=trivial_representation(rep.models), validated=False)
+    red = replace(identity_reduction(rep), target=trivial_representation(rep.models))
     return red, validate_reduction(red)
 
 
@@ -127,16 +121,12 @@ def _setwise_exactness(rep: Representation) -> Verdict:
 
 def transfer_exactness(r: Reduction) -> LawReport:
     """Exactness of the target forces exactness of the source; checked by
-    two independent routes that must also agree with each other."""
-    if not r.validated:
-        raise UnvalidatedError("reduction is not validated")
-    if not passes_validation(r.target):
-        raise ValueError("target representation fails validation")
+    two independent routes that must also agree with each other.  Refuses
+    a reduction, or either end, that fails validation, and an inexact
+    target."""
+    require(validate_reduction(r))
     if not is_exact(r.target).ok:
         raise ValueError("target representation is not exact")
-    if not passes_validation(r.source):
-        raise ValueError("source representation fails validation")
-
     residual = replace(is_exact(r.source), law="exactness-residual-route")
     setwise = _setwise_exactness(r.source)
     report = LawReport(subject=f"exactness transfer onto {r.source.name!r}")
@@ -183,7 +173,7 @@ def closure_hypotheses(r1: Representation, r2: Representation) -> LawReport:
     report = LawReport(subject="closure hypotheses")
     report.add(is_included(r2.leq, r1.leq, "order-hypothesis"))
     report.add(is_included(r2.models, r1.models, "satisfaction-hypothesis"))
-    exact = is_exact(r2) if passes_validation(r2) else Verdict("exactness", False)
+    exact = is_exact(r2) if validate_representation(r2).passed else Verdict("exactness", False)
     report.add(replace(exact, law="target-exact-hypothesis"))
     return report
 
@@ -226,9 +216,9 @@ def reduction_morphism_candidates(r: Reduction) -> LawReport:
     States the paper's theorem that a reduction between exact
     representations is also a morphism: when both are exact the forward
     pair must be one, and its failure raises the inconsistency alarm.
+    Refuses a reduction that fails validation.
     """
-    if not r.validated:
-        raise UnvalidatedError("reduction is not validated")
+    require(validate_reduction(r))
     forward = validate_morphism(Morphism(r.source, r.target, r.phi, r.psi))
     backward = validate_morphism(
         Morphism(r.target, r.source, r.tau, converse(r.psi))
@@ -237,7 +227,7 @@ def reduction_morphism_candidates(r: Reduction) -> LawReport:
     for tag, lr in (("forward", forward), ("backward", backward)):
         for v in lr.verdicts:
             report.add(replace(v, law=f"{tag}-{v.law}"))
-    if all(passes_validation(rep) and is_exact(rep).ok for rep in (r.source, r.target)):
+    if all(validate_representation(rep).passed and is_exact(rep).ok for rep in (r.source, r.target)):
         if not forward.passed:
             raise TheoremInconsistencyError(
                 "both representations exact, yet the forward pair is not a morphism:\n"

@@ -3,8 +3,9 @@ relation between them, and a preorder on expressions.
 
 A representation is *sound* when enlarging an expression along the preorder
 never loses a satisfying trace, and *exact* when the preorder captures all
-of semantic containment.  Soundness is part of validation; exactness is a
-separate verdict because many useful representations are sound but inexact.
+of semantic containment.  Soundness is part of validation, which runs once per representation object;
+exactness is a separate verdict because many useful representations are
+sound but inexact, and it refuses a representation that fails validation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnvalidatedError
 from .fset import SUBSET_CAP, FiniteSet, check_cells, locate_subsets, powerset_of
 from .rel import (
     FuncTable,
@@ -30,19 +30,23 @@ from .rel import (
     require_preorder,
     under,
 )
-from .verdict import LawReport, Verdict
+from .verdict import LawReport, Verdict, checked_once, require
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Representation:
     name: str
     traces: FiniteSet
     exprs: FiniteSet
     models: Rel  # traces ⇸ exprs
     leq: Rel  # square on exprs
-    validated: bool = False
-    # the report of the last validate_representation run on this object
-    validation: LawReport | None = field(default=None, repr=False)
+    # validate_representation's verdicts, kept from its first call
+    _laws: tuple[Verdict, ...] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def validated(self) -> bool:
+        """Whether the laws hold, checked now unless already checked."""
+        return validate_representation(self).passed
 
     def __post_init__(self):
         on_carriers(self.models, self.traces, self.exprs,
@@ -80,9 +84,12 @@ class SpecTheory:
 
 
 def validate_representation(rep: Representation) -> LawReport:
-    """Preorder and soundness axioms; stamps the flag with the outcome."""
-    report = LawReport(subject=f"representation {rep.name!r}")
-    report.extend(is_preorder(rep.leq))
+    """Preorder and soundness axioms, checked once per representation."""
+    return checked_once(rep, f"representation {rep.name!r}", _representation_laws)
+
+
+def _representation_laws(rep: Representation) -> list[Verdict]:
+    preorder = is_preorder(rep.leq).verdicts
     sound = is_included(compose(rep.models, rep.leq), rep.models, "soundness")
     if not sound.ok:
         t, e = sound.witness
@@ -96,24 +103,7 @@ def validate_representation(rep: Representation) -> LawReport:
             witness=(t, e),
             note=f"via link ({mid}, {e})",
         )
-    report.add(sound)
-    rep.validated = report.passed
-    rep.validation = LawReport(report.subject, list(report.verdicts))
-    return report
-
-
-def passes_validation(rep: Representation) -> bool:
-    """Whether the representation is sound, validating it now only if it
-    has not passed yet."""
-    return rep.validated or validate_representation(rep).passed
-
-
-def validation_report(rep: Representation) -> LawReport:
-    """The report of the representation's last validation, validating it
-    now only if it has none; a fresh copy the caller may extend."""
-    if rep.validation is None:
-        return validate_representation(rep)
-    return LawReport(rep.validation.subject, list(rep.validation.verdicts))
+    return [*preorder, sound]
 
 
 def semantic_containment(models: Rel, name: str) -> Rel:
@@ -131,8 +121,7 @@ def trace_preorder(rep: Representation) -> Rel:
 
 
 def is_exact(rep: Representation) -> Verdict:
-    if not rep.validated:
-        raise UnvalidatedError(f"representation {rep.name!r} has not been validated")
+    require(validate_representation(rep))
     return is_included(semantic_containment(rep.models, rep.name), rep.leq, "exactness")
 
 
@@ -161,7 +150,7 @@ def trivial_representation(x: Rel, name: str | None = None) -> Representation:
     """Expressions ordered by the self-residual of the given satisfaction."""
     if name is None:
         name = f"trivial({x.src.name}|{x.tgt.name})"
-    return Representation(name, x.src, x.tgt, x, semantic_containment(x, name), validated=True)
+    return Representation(name, x.src, x.tgt, x, semantic_containment(x, name))
 
 
 def membership_representation(a: FiniteSet, cap: int = SUBSET_CAP) -> Representation:
@@ -177,7 +166,6 @@ def membership_representation(a: FiniteSet, cap: int = SUBSET_CAP) -> Representa
         p,
         membership_rel(a, cap),
         Rel(p, p, (masks[:, None] & ~masks[None, :]) == 0),
-        validated=True,
     )
 
 
@@ -191,5 +179,4 @@ def spec_theory_to_representation(s: SpecTheory) -> Representation:
         s.exprs,
         models,
         s.leq,
-        validated=True,
     )

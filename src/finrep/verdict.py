@@ -75,3 +75,20 @@ class LawReport:
         if self.scope:
             lines.append(f"  scope: {self.scope}")
         return "\n".join(lines)
+
+
+def checked_once(obj, subject: str, laws) -> LawReport:
+    """The report of `obj`'s laws under `subject`.  `laws(obj)` runs on the
+    first call only and its verdicts stay on `obj`, whose other fields are
+    frozen; replacing a field gives a new object, checked afresh.  Each
+    call returns a fresh copy the caller may extend."""
+    if obj._laws is None:
+        object.__setattr__(obj, "_laws", tuple(laws(obj)))
+    return LawReport(subject, list(obj._laws))
+
+
+def require(report: LawReport) -> None:
+    """Refuse, naming the first failing law, unless `report` passed."""
+    bad = report.first_failure
+    if bad is not None:
+        raise ValueError(f"{report.subject} fails {bad.describe()}")

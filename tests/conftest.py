@@ -5,8 +5,26 @@ import itertools
 import numpy as np
 import pytest
 
+from finrep import morphism, reduction, represent
 from finrep.fset import FiniteSet
 from finrep.rel import FuncTable, Rel
+
+
+@pytest.fixture
+def law_computations(monkeypatch):
+    """The representations, morphisms and reductions whose laws are
+    computed while the test runs, in order, one entry per computation.
+    A `validate_*` call that reads the kept report computes nothing and
+    adds no entry."""
+    computed = []
+    for module, name in ((represent, "_representation_laws"), (morphism, "_morphism_laws"),
+                         (reduction, "_reduction_laws")):
+        def counting(obj, laws=getattr(module, name)):
+            computed.append(obj)
+            return laws(obj)
+
+        monkeypatch.setattr(module, name, counting)
+    return computed
 
 
 @pytest.fixture(scope="session")

@@ -251,7 +251,6 @@ def test_closure_lemma():
             e,
             Rel.from_pairs(t, e, [("t", "e0"), ("t", "e1")]),
             Rel.full(e, e),
-            validated=True,
         )
         down = FuncTable.from_map(e, e, {"e0": "e1", "e1": "e1"})
         report = closure_reduction_equivalence(coarse, fine, down)

@@ -2,14 +2,16 @@
 
 Each command of `golden_reports.json` runs through `cli.main` in process,
 from the repository root, in the text and the structured format; its
-stdout and exit code must equal the recorded ones byte for byte.  The set
-is the README's CLI commands plus the term-side commands (monoid
-structures and the term families) plus one command for each branch of
-the command layer that those do not reach.  Regenerate the data with
+stdout and exit code must equal the recorded ones byte for byte, and no
+representation, morphism or reduction may have its laws computed twice
+in one command.  The set is the README's CLI commands plus the term-side
+commands (monoid structures and the term families) plus one command for
+each branch of the command layer that those do not reach.  Regenerate the data with
 `python3 tests/test_golden_reports.py` only for a change that means to
 alter report bytes, and say so where the change is described.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -94,6 +96,13 @@ def _key(line, fmt):
     return " ".join([line, *fmt])
 
 
+def _subject(obj) -> str:
+    """A representation's name, or the ends of a morphism or reduction."""
+    if hasattr(obj, "name"):
+        return f"representation {obj.name!r}"
+    return f"{type(obj).__name__.lower()} {obj.source.name!r} -> {obj.target.name!r}"
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(DATA.read_text(encoding="utf-8"))
@@ -109,6 +118,13 @@ def test_report_bytes_and_exit_code(golden, line, fmt):
     want = golden[_key(line, fmt)]
     assert rc == want["exit"]
     assert out == want["stdout"]
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_laws_are_computed_once_per_command(law_computations, line):
+    _run(line.split())
+    times = collections.Counter(map(id, law_computations))
+    assert [_subject(obj) for obj in law_computations if times[id(obj)] > 1] == []
 
 
 if __name__ == "__main__":

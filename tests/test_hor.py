@@ -6,11 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import finrep.cli as cli_module
-import finrep.hor as hor_module
-import finrep.represent as represent_module
 from finrep.cli import main as cli_main
-from finrep.errors import CarrierMismatch, UnvalidatedError
+from finrep.errors import CarrierMismatch
 from finrep.fset import FiniteSet
 from finrep.functors import IdentityFunctor
 from finrep.generate import carrier, random_exact_representation
@@ -21,7 +18,6 @@ from finrep.hor import (
     check_relational_hor_conditions,
     check_tilde_soundness,
     hat_lift,
-    hat_report,
     hor_arrow,
     hor_trace_tables,
     instantiate,
@@ -36,6 +32,7 @@ from finrep.naturality import ProbeUniverse, probe_carrier, varlist_family, is_n
 from finrep.rel import FuncTable, Rel, compose, compose_func, star, union
 from finrep.represent import (
     Representation,
+    exactness_finding,
     membership_representation,
     trivial_representation,
     validate_representation,
@@ -52,6 +49,15 @@ def _pq_chain():
     return PreorderedSet(pq, Rel(pq, pq, [[True, True], [False, True]]))
 
 
+def _hat_report(h, r):
+    """The lift of `r` and its report, exactness as a finding, as
+    `hor lift-rep` reports it."""
+    rep = hat_lift(h, r)
+    report = validate_representation(rep)
+    report.add(exactness_finding(rep))
+    return rep, report
+
+
 def test_validate_hor_mon():
     report = validate_hor(mon_hor(3), P2)
     assert report.passed, report.describe()
@@ -65,34 +71,24 @@ def test_validate_hor_mon():
     assert "probe carriers" in report.scope
 
 
-def test_validate_hor_validates_each_probe_instance_once(monkeypatch):
-    validated, real = [], hor_module.validate_representation
-
-    def counting(rep):
-        validated.append(rep.name)
-        return real(rep)
-
-    monkeypatch.setattr(hor_module, "validate_representation", counting)
+def test_validate_hor_validates_each_probe_instance_once(law_computations):
     assert validate_hor(mon_hor(3), ProbeUniverse(2)).passed
-    assert len(validated) == 3
+    assert [rep.name for rep in law_computations] == [
+        "mon(depth 3)(probe0)", "mon(depth 3)(probe1)", "mon(depth 3)(probe2)",
+    ]
 
 
-@pytest.mark.parametrize("run", [
-    lambda: hat_report(mon_hor(3), membership_representation(FiniteSet("one", ["o"]))),
-    lambda: check_tilde_soundness(mon_hor(2), _pq_chain()),
-    lambda: cli_main(["hor", "instantiate", str(CORPUS / "ka.doc"), "--set", "A"]),
+@pytest.mark.parametrize("run, names", [
+    (lambda: _hat_report(mon_hor(3), membership_representation(FiniteSet("one", ["o"]))),
+     ["membership(one)", "mon(depth 3)-over-membership(one)"]),
+    (lambda: check_tilde_soundness(mon_hor(2), _pq_chain()), ["pq", "mon(depth 2)-over-pq"]),
+    (lambda: cli_main(["hor", "instantiate", str(CORPUS / "ka.doc"), "--set", "A"]),
+     ["ka(semantic, size 3, words 2)(A)"]),
 ], ids=["hat-report", "tilde-soundness", "cli-instantiate"])
-def test_each_lift_is_validated_once(monkeypatch, run):
-    validated, real = [], represent_module.validate_representation
-
-    def counting(rep):
-        validated.append(rep.name)
-        return real(rep)
-
-    for module in (hor_module, represent_module, cli_module):
-        monkeypatch.setattr(module, "validate_representation", counting)
+def test_each_lift_is_validated_once(law_computations, run, names):
+    # the parameter of a lift is validated on demand, the lift itself once
     run()
-    assert len(validated) == 1, validated
+    assert [rep.name for rep in law_computations] == names
 
 
 def test_instantiate_frozen_sizes():
@@ -235,7 +231,7 @@ def test_tilde_lift_is_its_own_formula(make):
         assert lifted.name == want.name
         assert lifted.traces is want.traces and lifted.exprs is want.exprs
         assert lifted.models == want.models and lifted.leq == want.leq
-        assert lifted.validation.verdicts == validate_representation(want).verdicts
+        assert validate_representation(lifted).verdicts == validate_representation(want).verdicts
 
 
 def test_rule_closure_matches_lifted_order():
@@ -282,7 +278,7 @@ def test_lifted_list_order_is_same_length_pointwise():
 def test_hat_lift_frozen_facts():
     h = mon_hor(3)
     base = membership_representation(FiniteSet("one-elt", ["a"]))
-    rep, report = hat_report(h, base)
+    rep, report = _hat_report(h, base)
     assert rep.validated
     assert report.passed
     assert rep.models.holds("[a]", "{a}")
@@ -314,7 +310,7 @@ def hat_exactness_search(h: HOR, sizes=(1, 2), seed: int = 0, tries: int = 20) -
                 base_t = carrier(f"t{nt}", nt)
                 base_e = carrier(f"e{ne}", ne)
                 r = random_exact_representation(rng, base_t, base_e)
-                rep, report = hat_report(h, r)
+                rep, report = _hat_report(h, r)
                 checked += 1
                 finding = report.verdicts[-1]
                 if finding.witness is not None:
@@ -424,11 +420,13 @@ def test_conditions_accept_non_cograph_trace_tables():
     assert arrow.m.sum(axis=0).max() > 1, "full relation is converse of no function"
 
 
-def test_hat_requires_validated_parameter():
+def test_hat_refuses_an_unsound_parameter():
     h = mon_hor(2)
-    base = membership_representation(FiniteSet("one-elt", ["a"]))
-    base.validated = False
-    with pytest.raises(UnvalidatedError):
+    sound = membership_representation(FiniteSet("one-elt", ["a"]))
+    # the empty subset satisfied by a, its superset {a} not
+    base = Representation("unsound", sound.traces, sound.exprs,
+                          Rel(sound.traces, sound.exprs, [[True, False]]), sound.leq)
+    with pytest.raises(ValueError, match="representation 'unsound' fails soundness"):
         hat_lift(h, base)
 
 

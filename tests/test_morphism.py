@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finrep.errors import CarrierMismatch, UnvalidatedError
+from finrep.errors import CarrierMismatch
 from finrep.fset import FiniteSet
 from finrep.generate import carrier, random_exact_representation, random_sound_representation
 from finrep.morphism import (
@@ -18,6 +18,7 @@ from finrep.morphism import (
 )
 from finrep.rel import Rel
 from finrep.represent import (
+    Representation,
     is_exact,
     membership_representation,
     trivial_representation,
@@ -57,13 +58,14 @@ def test_product_with_degenerate_factor():
     assert validate_representation(rp).passed
 
 
-def test_product_requires_validated_factors():
+def test_product_refuses_an_unsound_factor():
     a = FiniteSet("Va", ["a"])
     r = membership_representation(a)
-    r2 = membership_representation(a)
-    r2.validated = False
-    with pytest.raises(UnvalidatedError):
-        product(r, r2)
+    # the empty subset satisfied by a, its superset {a} not
+    r2 = Representation("unsound", r.traces, r.exprs, Rel(r.traces, r.exprs, [[True, False]]), r.leq)
+    for factors in ((r, r2), (r2, r)):
+        with pytest.raises(ValueError, match="representation 'unsound' fails soundness"):
+            product(*factors)
 
 
 def test_product_formula_oracle():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finrep.errors import CarrierMismatch, UnvalidatedError
+from finrep.errors import CarrierMismatch
 from finrep.fset import FiniteSet
 from finrep.generate import (
     carrier,
@@ -50,7 +50,6 @@ def _closure_pair():
         e,
         Rel.from_pairs(t, e, [("t", "e0"), ("t", "e1")]),
         Rel.full(e, e),
-        validated=True,
     )
     down = FuncTable.from_map(e, e, {"e0": "e1", "e1": "e1"})
     return coarse, fine, down
@@ -75,7 +74,7 @@ def test_self_reduction_of_empty_is_valid():
 def test_self_reduction_pinpoints_failure_on_inexact():
     t = FiniteSet("St", ["t"])
     e = FiniteSet("Se", ["e0", "e1"])
-    r = Representation("inexact", t, e, Rel.full(t, e), Rel.identity(e), validated=True)
+    r = Representation("inexact", t, e, Rel.full(t, e), Rel.identity(e))
     _, report = self_reduction(r)
     assert not report.passed
     assert report.first_failure.law == "tau-monotone"
@@ -101,7 +100,6 @@ def test_breaking_tau_monotonicity_reports_witness():
         coarse.exprs,
         coarse.models,
         Rel.identity(coarse.exprs),
-        validated=True,
     )
     bad = Reduction(
         squeezed, fine, down, FuncTable.identity(coarse.exprs), Rel.identity(coarse.traces)
@@ -203,22 +201,23 @@ def test_transfer_exactness_on_closure_instance():
 
 def test_transfer_preconditions_are_named():
     coarse, fine, down = _closure_pair()
-    red = Reduction(
-        coarse, fine, down, FuncTable.identity(coarse.exprs), Rel.identity(coarse.traces)
+    squeezed = Representation(
+        "squeezed", coarse.traces, coarse.exprs, coarse.models, Rel.identity(coarse.exprs)
     )
-    with pytest.raises(UnvalidatedError):
+    red = Reduction(
+        squeezed, fine, down, FuncTable.identity(coarse.exprs), Rel.identity(coarse.traces)
+    )
+    with pytest.raises(ValueError, match="reduction 'squeezed' -> 'fine' fails tau-monotone"):
         transfer_exactness(red)
-    validate_reduction(red)
 
     t = FiniteSet("Pt", ["t"])
     e = FiniteSet("Pe", ["e0", "e1"])
     inexact = Representation(
-        "inexact-target", t, e, Rel.full(t, e), Rel.identity(e), validated=True
+        "inexact-target", t, e, Rel.full(t, e), Rel.identity(e)
     )
     red2 = Reduction(
         inexact, inexact, FuncTable.identity(e), FuncTable.identity(e), Rel.identity(t)
     )
-    validate_reduction(red2)
     assert red2.validated
     with pytest.raises(ValueError, match="not exact"):
         transfer_exactness(red2)
@@ -250,7 +249,6 @@ def test_closure_violation_witness():
         e,
         coarse.models,
         Rel.from_pairs(e, e, [("e0", "e0"), ("e1", "e1"), ("e0", "e1")]),
-        validated=True,
     )
     report = validate_syntactic_closure(thin, fine, down)
     assert not report.passed
@@ -332,7 +330,7 @@ def test_morphism_candidates_counterexample_when_target_inexact():
     e1 = FiniteSet("Ne1", ["p", "q"])
     e2 = FiniteSet("Ne2", ["P", "Q"])
     models2 = Rel.from_pairs(t, e2, [("t", "P")])
-    target = Representation("discrete", t, e2, models2, Rel.identity(e2), validated=True)
+    target = Representation("discrete", t, e2, models2, Rel.identity(e2))
     source = trivial_representation(Rel.from_pairs(t, e1, [("t", "p")]), "pointed")
     phi = FuncTable.from_map(e1, e2, {"p": "P", "q": "Q"})
     tau = FuncTable.from_map(e2, e1, {"P": "p", "Q": "q"})

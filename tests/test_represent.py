@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finrep.errors import BudgetError, UnvalidatedError
+from finrep.errors import BudgetError
 from finrep.fset import FiniteSet, carrier_budget
 from finrep.generate import (
     carrier,
@@ -61,10 +61,12 @@ def test_validate_empty_traces_vacuously_sound():
     assert validate_representation(r).passed
 
 
-def test_exactness_requires_validation(two):
-    r = membership_representation(two)
-    r.validated = False
-    with pytest.raises(UnvalidatedError):
+def test_exactness_refuses_an_unsound_representation():
+    t = FiniteSet("T", ["t"])
+    e = FiniteSet("E", ["e0", "e1"])
+    leq = Rel.from_pairs(e, e, [("e0", "e0"), ("e1", "e1"), ("e0", "e1")])
+    r = Representation("unsound", t, e, Rel.from_pairs(t, e, [("t", "e0")]), leq)
+    with pytest.raises(ValueError, match=r"representation 'unsound' fails soundness: VIOLATION at \(t, e1\)"):
         is_exact(r)
 
 
@@ -153,7 +155,7 @@ def test_trace_preorder_properties():
     for _ in range(50):
         r = random_sound_representation(rng, t, e)
         assert is_preorder(trace_preorder(r)).passed
-    void = Representation("void", t, e, Rel.empty(t, e), Rel.identity(e), validated=True)
+    void = Representation("void", t, e, Rel.empty(t, e), Rel.identity(e))
     assert trace_preorder(void) == Rel.full(t, t)
 
 
