@@ -186,9 +186,9 @@ def _built(builders: dict, grammar: dict, config: dict, cap: int | None):
 
 
 def _scoped(report: LawReport, *sets) -> LawReport:
-    """`report`, scoped to the given declared carriers unless its checker
-    set a scope."""
-    inside = ", ".join(f"{len(s)} {s.name}" for s in sets)
+    """`report`, scoped to the given declared carriers, each named once,
+    unless its checker set a scope."""
+    inside = ", ".join(f"{len(s)} {s.name}" for s in {id(s): s for s in sets}.values())
     report.scope = report.scope or f"exhaustive over declared carriers ({inside})"
     return report
 
@@ -250,7 +250,7 @@ def _cmd_build(args, doc: Document) -> LawReport:
     unsound = [(f, lr) for f in factors if not (lr := validate_representation(f)).passed]
     if unsound:
         report = LawReport("product factors", [v for _, lr in unsound for v in lr.verdicts])
-        return _scoped(report, *dict.fromkeys(s for f, _ in unsound for s in (f.traces, f.exprs)))
+        return _scoped(report, *(s for f, _ in unsound for s in (f.traces, f.exprs)))
     rp, p1, p2 = product(*factors)
     report = _scoped(validate_representation(rp), rp.traces, rp.exprs)
     for tag, m in (("left-projection", p1), ("right-projection", p2)):
