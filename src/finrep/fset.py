@@ -4,9 +4,12 @@ Carrier identity is object identity: two sets built independently are
 different carriers even if their labels coincide.  Derived carriers (sum,
 product, powerset, and the functor-built ones) are interned by construction
 recipe, so deriving the same thing twice returns the very same object and
-relations over it stay composable.  A recipe names its base carrier last
-and is memoized on that base under the rest of the recipe: nothing derived
-refers back to its base, so it is freed with the base by reference counting.
+relations over it stay composable.  `intern` is the one memo of derived
+values: a recipe names its anchor last (a carrier, or a relation,
+representation, morphism, reduction, probe universe or higher-order
+structure) and is memoized on that anchor under the rest of the recipe.
+Nothing derived refers back to its anchor, so it is freed with the anchor
+by reference counting.
 """
 
 from __future__ import annotations
@@ -138,14 +141,16 @@ class FiniteSet:
 
 def intern(recipe, build):
     """Return the value for `recipe`, building it on first request.  A
-    recipe ending in a carrier is memoized on that carrier, keyed without
-    it; any other recipe is memoized module-wide."""
-    memo, key = _unanchored, recipe
-    if isinstance(recipe[-1], FiniteSet):
-        base, key = recipe[-1], recipe[:-1]
-        if base._memo is None:
-            base._memo = {}
-        memo = base._memo
+    recipe ending in an anchor, any object with a `_memo` slot, is
+    memoized on that anchor, keyed without it; any other recipe is
+    memoized module-wide.  The value must not refer to its anchor, so it
+    dies with it."""
+    memo, key = getattr(recipe[-1], "_memo", _MISSING), recipe[:-1]
+    if memo is _MISSING:
+        memo, key = _unanchored, recipe
+    elif memo is None:  # anchors may be frozen
+        memo = {}
+        object.__setattr__(recipe[-1], "_memo", memo)
     got = memo.get(key)
     if got is None:
         got = memo[key] = build()

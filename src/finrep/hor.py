@@ -10,12 +10,11 @@ regular-expression built-in lives in the kleene module.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fset import FiniteSet, check_cells
+from .fset import FiniteSet, check_cells, intern
 from .functors import Functor, ListFunctor, Signature, TermFunctor
 from .morphism import Morphism, validate_morphism
 from .naturality import (
@@ -62,17 +61,20 @@ class PreorderedSet:
         require_preorder(self.order)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HOR:
     """Functor pair plus satisfaction and order families.  Both functors
     count their carriers in closed form (`size`), as the list, term and
-    expression functors do."""
+    expression functors do.  Each carrier's satisfaction, order and
+    instance are interned on the structure, keyed by the carrier, and
+    their cells are checked against the budget on every request."""
 
     name: str
     t_functor: Functor
     e_functor: Functor
     models_gen: "callable[[FiniteSet], Rel]" = field(repr=False, default=None)
     leq_gen: "callable[[FiniteSet], Rel]" = field(repr=False, default=None)
+    _memo: dict | None = field(default=None, init=False, repr=False)
 
     # the cell counts come from the functors' closed-form sizes, so a
     # relation over the budget is refused before any carrier is built
@@ -86,15 +88,15 @@ class HOR:
 
     def models_at(self, a: FiniteSet) -> Rel:
         self._check_models_cells(a)
-        t, e = self.t_functor.carrier(a), self.e_functor.carrier(a)
-        return on_carriers(self.models_gen(a), t, e,
-                           "satisfaction of %s off its carriers at %s", self.name, a.name)
+        return intern(("models", a, self), lambda: on_carriers(
+            self.models_gen(a), self.t_functor.carrier(a), self.e_functor.carrier(a),
+            "satisfaction of %s off its carriers at %s", self.name, a.name))
 
     def leq_at(self, a: FiniteSet) -> Rel:
         self._check_leq_cells(a)
         e = self.e_functor.carrier(a)
-        return on_carriers(self.leq_gen(a), e, e,
-                           "order of %s off its carriers at %s", self.name, a.name)
+        return intern(("leq", a, self), lambda: on_carriers(
+            self.leq_gen(a), e, e, "order of %s off its carriers at %s", self.name, a.name))
 
     def models_family(self) -> IndexedRelation:
         return IndexedRelation(
@@ -108,17 +110,19 @@ class HOR:
 
 
 def instantiate(h: HOR, a: FiniteSet) -> Representation:
+    """The representation of `h` at `a`, validated, built once per carrier."""
     h._check_models_cells(a)
     h._check_leq_cells(a)
-    rep = Representation(
-        name=f"{h.name}({a.name})",
-        traces=h.t_functor.carrier(a),
-        exprs=h.e_functor.carrier(a),
-        models=h.models_at(a),
-        leq=h.leq_at(a),
-    )
-    validate_representation(rep)
-    return rep
+
+    def build():
+        rep = Representation(f"{h.name}({a.name})", h.t_functor.carrier(a), h.e_functor.carrier(a),
+                             h.models_at(a), h.leq_at(a))
+        validate_representation(rep)
+        return rep
+
+    # ends in the structure, not the carrier: probe carriers are interned
+    # module-wide and would keep every structure alive
+    return intern(("instance", a, h), build)
 
 
 def hor_arrow(h: HOR, f: FuncTable) -> Morphism:
@@ -139,10 +143,9 @@ def _arrow_note(f: FuncTable) -> str:
 
 def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     report = LawReport(subject=f"higher-order structure {h.name}")
-    instance = functools.cache(lambda a: instantiate(h, a))
 
     def representation_at(a):
-        outcome = validate_representation(instance(a)).first_failure or True
+        outcome = validate_representation(instantiate(h, a)).first_failure or True
         return outcome, (a, outcome)
 
     carriers = probes.carriers()
@@ -162,7 +165,7 @@ def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
     # e -> I(e) into subsets of traces must commute with renaming; this is
     # the same statement as right-linearity, so the two verdicts must agree
     def interpretation_commutes(f):
-        ra, rb = instance(f.src), instance(f.tgt)
+        ra, rb = instantiate(h, f.src), instantiate(h, f.tgt)
         tf, ef = h.t_functor.fmap(f), h.e_functor.fmap(f)
         ia, ib = interpretations(ra), interpretations(rb)
         moved = next((e for e, traces, k in zip(ra.exprs.elements, ia, ef.table)

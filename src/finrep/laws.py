@@ -156,11 +156,14 @@ def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
     """Adjunction and function-residual laws, exhaustive then sampled."""
     report = LawReport("relation-algebra laws", seed=config.seed)
     # refused before any stack is built, at the first size over the cell
-    # budget: the counts grow with the size, so no larger one is counted
+    # budget: the counts grow with the size, so no larger one is counted;
+    # a sample counts as one instance, refused before the first draw
     for top in range(config.exhaustive_max + 1):
         for law, count in zip(_EXHAUSTIVE, exhaustive_instances(top)):
             if count > cell_budget():
                 raise BudgetError(f"{law} to size {top} has {count} instances, budget {cell_budget()}")
+    if config.samples > cell_budget():
+        raise BudgetError(f"{_SAMPLED[0]} has {config.samples} instances, budget {cell_budget()}")
     sizes = range(config.exhaustive_max + 1)
     for law, check, arity in zip(_EXHAUSTIVE, (_adjunction_at, _function_residual_at), (3, 5)):
         report.add(_by_sizes(law, check, sizes, arity))

@@ -38,8 +38,8 @@ class Morphism:
     target: Representation
     phi: FuncTable  # source.exprs -> target.exprs
     psi: Rel  # target.traces ⇸ source.traces
-    # validate_morphism's verdicts, kept from its first call
-    _laws: tuple[Verdict, ...] | None = field(default=None, init=False, repr=False)
+    # validate_morphism's verdicts, interned from its first call
+    _memo: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def validated(self) -> bool:

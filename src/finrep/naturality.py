@@ -66,7 +66,7 @@ class ProbeUniverse:
     max_size: int = 3
     rel_samples: int = 25
     seed: int = 0
-    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def carriers(self) -> list[FiniteSet]:
         return [probe_carrier(n) for n in range(self.max_size + 1)]
@@ -76,12 +76,12 @@ class ProbeUniverse:
         pair: every function table (n, |a|) in product order, or relations
         (n, |a|, |b|), all of them in mask order up to 6 cells, else empty,
         full, three graphs and then the samples, drawn from the seed."""
-        key = (mode, len(a), len(b))
-        got = self._stacks.get(key)
-        if got is None:
-            got = self._stacks[key] = self._draw(*key)
+        def draw():
+            got = self._draw(mode, len(a), len(b))
             got.setflags(write=False)
-        return got
+            return got
+
+        return intern(("stack", mode, len(a), len(b), self), draw)
 
     def _draw(self, mode: str, m: int, n: int) -> np.ndarray:
         if mode == "functions":

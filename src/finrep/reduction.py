@@ -46,8 +46,8 @@ class Reduction:
     phi: FuncTable  # source exprs -> target exprs
     tau: FuncTable  # target exprs -> source exprs
     psi: Rel  # target traces ⇸ source traces
-    # validate_reduction's verdicts, kept from its first call
-    _laws: tuple[Verdict, ...] | None = field(default=None, init=False, repr=False)
+    # validate_reduction's verdicts, interned from its first call
+    _memo: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def validated(self) -> bool:

@@ -14,14 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CarrierMismatch
-from .fset import SUBSET_CAP, FiniteSet, membership_matrix, product_of, sum_of
+from .fset import SUBSET_CAP, FiniteSet, intern, membership_matrix, product_of, sum_of
 from .verdict import LawReport, Verdict
 
 
 class Rel:
     """Binary relation src ⇸ tgt as a |src| x |tgt| boolean matrix."""
 
-    __slots__ = ("src", "tgt", "m", "_preorder")
+    __slots__ = ("src", "tgt", "m", "_memo")
 
     def __init__(self, src: FiniteSet, tgt: FiniteSet, matrix):
         m = np.array(matrix, dtype=bool, copy=True)
@@ -34,7 +34,7 @@ class Rel:
         self.src = src
         self.tgt = tgt
         self.m = m
-        self._preorder = None  # is_preorder's report, kept: m never changes
+        self._memo = None  # is_preorder's report, see `fset.intern`: m never changes
 
     @classmethod
     def empty(cls, src, tgt):
@@ -301,10 +301,9 @@ def is_preorder(x: Rel) -> LawReport:
     call returns a fresh copy of the report."""
     if x.src is not x.tgt:
         raise CarrierMismatch("preorder check needs a square relation")
-    if x._preorder is None:
-        x._preorder = (is_included(Rel.identity(x.src), x, "reflexivity"),
-                       is_included(compose(x, x), x, "transitivity"))
-    return LawReport("preorder", list(x._preorder))
+    laws = intern(("preorder", x), lambda: (is_included(Rel.identity(x.src), x, "reflexivity"),
+                                            is_included(compose(x, x), x, "transitivity")))
+    return LawReport("preorder", list(laws))
 
 
 def require_preorder(x: Rel) -> Rel:

@@ -40,8 +40,8 @@ class Representation:
     exprs: FiniteSet
     models: Rel  # traces ⇸ exprs
     leq: Rel  # square on exprs
-    # validate_representation's verdicts, kept from its first call
-    _laws: tuple[Verdict, ...] | None = field(default=None, init=False, repr=False)
+    # validate_representation's verdicts, interned from its first call
+    _memo: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def validated(self) -> bool:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .fset import intern
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -79,12 +81,10 @@ class LawReport:
 
 def checked_once(obj, subject: str, laws) -> LawReport:
     """The report of `obj`'s laws under `subject`.  `laws(obj)` runs on the
-    first call only and its verdicts stay on `obj`, whose other fields are
-    frozen; replacing a field gives a new object, checked afresh.  Each
-    call returns a fresh copy the caller may extend."""
-    if obj._laws is None:
-        object.__setattr__(obj, "_laws", tuple(laws(obj)))
-    return LawReport(subject, list(obj._laws))
+    first call only and its verdicts are interned on `obj`, whose other
+    fields are frozen; replacing a field gives a new object, checked
+    afresh.  Each call returns a fresh copy the caller may extend."""
+    return LawReport(subject, list(intern(("laws", obj), lambda: tuple(laws(obj)))))
 
 
 def require(report: LawReport) -> None:

@@ -324,6 +324,17 @@ def test_budget_exceeded_exits_2(capsys):
     fset.check_budget(200_000, "a carrier at the default budget")  # restored after the run
 
 
+def test_law_samples_over_the_cell_budget_exit_2_before_the_first_draw(capsys):
+    # a sample counts as one instance: 1,000 cells at budget 10
+    argv = ["laws", "relcore", "--probe-max", "1", "--budget", "10", "--samples"]
+    rc, out, err = run(capsys, *argv, "1001")
+    assert (rc, out) == (2, "")
+    assert err == "error: budget exceeded: residual-adjunction-sampled has 1001 instances, budget 1000\n"
+    rc, out, err = run(capsys, *argv, "1000")
+    assert (rc, err) == (0, "")
+    assert "1000 samples at size 4" in out
+
+
 def test_order_over_the_cell_budget_exits_2_before_allocating(capsys, tmp_path):
     # 112,416 expressions pass the element budget; their 112416 x 112416
     # order does not pass the cell budget derived from it

@@ -18,6 +18,10 @@ from finrep.fset import (
     product_of,
     sum_of,
 )
+from finrep.hor import instantiate, mon_hor
+from finrep.naturality import ProbeUniverse, probe_carrier
+from finrep.rel import Rel, is_preorder
+from finrep.represent import Representation, validate_representation
 
 
 def _members(p, base, label):
@@ -159,6 +163,44 @@ def test_membership_matrix_dies_with_its_base():
         del a, p, m
         assert dead_matrix() is None
         assert dead_index() is None
+    finally:
+        gc.enable()
+
+
+def _preorder_report():
+    r = Rel.identity(FiniteSet("fresh", ["a", "b"]))
+    return r, is_preorder(r).verdicts[-1]
+
+
+def _law_report():
+    t, e = FiniteSet("T", ["t"]), FiniteSet("E", ["e"])
+    rep = Representation("fresh", t, e, Rel.full(t, e), Rel.identity(e))
+    return rep, validate_representation(rep).verdicts[-1]  # soundness, not the order's
+
+
+def _probe_stack():
+    probes = ProbeUniverse(2)
+    return probes, probes.stack("relations", probe_carrier(1), probe_carrier(2))
+
+
+def _hor_instance():
+    h = mon_hor(2)
+    return h, instantiate(h, probe_carrier(1))
+
+
+@pytest.mark.parametrize("make", [_preorder_report, _law_report, _probe_stack, _hor_instance],
+                         ids=["rel-preorder", "representation-laws", "probe-stack", "hor-instance"])
+def test_an_interned_value_dies_with_its_anchor(make):
+    # each anchor keeps its value, which holds no reference back to it,
+    # so reference counting alone frees the value with the anchor
+    gc.disable()
+    try:
+        anchor, value = make()
+        dead = weakref.ref(value)
+        del value
+        assert dead() is not None
+        del anchor
+        assert dead() is None
     finally:
         gc.enable()
 

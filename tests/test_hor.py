@@ -1,14 +1,15 @@
 import itertools
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from finrep.cli import main as cli_main
-from finrep.errors import CarrierMismatch
-from finrep.fset import FiniteSet
+from finrep.errors import BudgetError, CarrierMismatch
+from finrep.fset import FiniteSet, carrier_budget
 from finrep.functors import IdentityFunctor
 from finrep.generate import carrier, random_exact_representation
 from finrep.hor import (
@@ -100,6 +101,68 @@ def test_instantiate_frozen_sizes():
     assert r0.validated
     assert (len(r0.traces), len(r0.exprs)) == (1, 5)
     assert r0.traces.elements == ("[]",)
+
+
+def _counted(base):
+    """`base` with generators that count their calls, by generator and
+    carrier name."""
+    calls = Counter()
+
+    def counting(kind, gen):
+        def at(a):
+            calls[kind, a.name] += 1
+            return gen(a)
+        return at
+
+    h = HOR(base.name, base.t_functor, base.e_functor,
+            counting("models", base.models_gen), counting("leq", base.leq_gen))
+    return h, calls
+
+
+def _once_each(*names):
+    return {(kind, name): 1 for kind in ("models", "leq") for name in names}
+
+
+PROBE_NAMES = ("probe0", "probe1", "probe2")
+EACH_STRUCTURE = pytest.mark.parametrize("make", [lambda: mon_hor(2), lambda: ka_hor(3, 2)], ids=["mon", "ka"])
+
+
+@EACH_STRUCTURE
+def test_a_hor_arrow_walk_builds_each_instance_once(law_computations, make):
+    h, calls = _counted(make())
+    assert all(hor_arrow(h, f).validated for _, _, f in ProbeUniverse(2).functions())
+    reps = [x.name for x in law_computations if isinstance(x, Representation)]
+    assert reps == [f"{h.name}({name})" for name in PROBE_NAMES]
+    assert calls == _once_each(*PROBE_NAMES)
+
+
+@EACH_STRUCTURE
+def test_validate_hor_calls_each_generator_once_per_carrier(make):
+    h, calls = _counted(make())
+    validate_hor(h, ProbeUniverse(2))
+    assert calls == _once_each(*PROBE_NAMES)
+
+
+def test_tilde_soundness_calls_each_generator_once():
+    h, calls = _counted(mon_hor(2))
+    assert check_tilde_soundness(h, _pq_chain()).passed
+    assert calls == _once_each("pq")
+
+
+def test_a_lowered_budget_refuses_a_memoized_instance():
+    # the budget is checked on every request, outside the memo
+    h, a = mon_hor(3), probe_carrier(2)
+    rep = instantiate(h, a)
+    with carrier_budget(150):  # 147 expressions pass, their order's cells do not
+        for request in (lambda: instantiate(h, a), lambda: h.leq_at(a)):
+            with pytest.raises(BudgetError, match=r"order of mon\(depth 3\) at probe2 has 147 x 147 = 21609 cells"):
+                request()
+        assert h.models_at(a) is rep.models
+    with carrier_budget(1):
+        for request in (lambda: instantiate(h, a), lambda: h.models_at(a)):
+            with pytest.raises(BudgetError, match="list carrier over 'probe2' up to length 1 has 3 elements, budget 1"):
+                request()
+    assert instantiate(h, a) is rep
 
 
 def test_hor_arrow_validates_for_every_probe_function():
