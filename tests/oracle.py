@@ -5,7 +5,7 @@ sets and loops over element labels; nothing here goes through the
 relation kernel.  A representation is `Rep(traces, exprs, models, leq)`:
 two label lists and two sets of label pairs.  A translation is a dict
 from labels to labels, and a trace relation a set of (target trace,
-source trace) pairs.  `read_document` reads the representations of a
+source trace) pairs.  `read_document` reads the declarations of a
 document whose labels are bare words from its text.
 
 Each law returns `(law, ok, witness, note)` in the shape of the
@@ -84,16 +84,28 @@ def reduction_laws(src: Rep, tgt: Rep, phi: dict, tau: dict, psi: set) -> list:
     ]
 
 
+class Arrow(NamedTuple):
+    """A morphism (tau None), reduction or closure (psi and tau None, phi
+    the closure map) between two declared representations."""
+    src: Rep
+    tgt: Rep
+    phi: dict
+    tau: dict | None
+    psi: set | None
+
+
 def read_document(text: str) -> dict:
-    """The declarations of a document made of `set`, `rel`, `preorder` and
-    `representation` lines with bare labels: a set is its label list, a
-    relation or preorder its set of pairs, a representation a `Rep`.  A
-    preorder that is not reflexive and transitive is refused with
-    ValueError, as the format refuses it."""
+    """The declarations of a document made of `set`, `rel`, `preorder`,
+    `fun`, `representation`, `morphism`, `reduction` and `closure` lines
+    with bare labels, and of whole-line comments: a set is its label
+    list, a relation or preorder its set of pairs, a function a dict, a
+    representation a `Rep` and the three arrows an `Arrow`.  A preorder that is not
+    reflexive and transitive is refused with ValueError, as the format
+    refuses it."""
     decls = {}
     for line in text.splitlines():
         words = line.replace("(", " ").replace(")", " ").replace(",", " ").split()
-        if not words:
+        if not words or words[0].startswith("#"):
             continue
         kind, name = words[0], words[1]
         body = words[words.index("=") + 1:]
@@ -106,10 +118,37 @@ def read_document(text: str) -> dict:
                 if not (reflexivity(labels, pairs)[1] and transitivity(labels, pairs)[1]):
                     raise ValueError(f"preorder {name!r} is not a preorder")
             decls[name] = pairs
-        else:  # representation R = traces T exprs E models sat leq ord
+        elif kind == "fun":  # fun f : A -> B = x -> y, ...
+            decls[name] = dict(zip(body[::3], body[2::3]))
+        elif kind == "representation":  # representation R = traces T exprs E models sat leq ord
             traces, exprs, models, leq = (decls[w] for w in body[1::2])
             decls[name] = Rep(traces, exprs, models, leq)
+        else:  # morphism m : R -> R2 = phi f psi p, reduction ... tau g ..., closure c ... = map f
+            parts = dict(zip(body[::2], (decls[w] for w in body[1::2])))
+            decls[name] = Arrow(decls[words[3]], decls[words[5]], parts.get("phi", parts.get("map")),
+                                parts.get("tau"), parts.get("psi"))
     return decls
+
+
+def composite(first: Arrow, second: Arrow) -> Arrow:
+    """`first`, then `second`: the translations chain forwards (phi) and
+    backwards (tau), and a target trace of `second` relates to a source
+    trace of `first` through some trace in between."""
+    return Arrow(first.src, second.tgt,
+                 {x: second.phi[first.phi[x]] for x in first.src.exprs},
+                 {y: first.tau[second.tau[y]] for y in second.tgt.exprs},
+                 {(t, s) for (t, u) in second.psi for (u2, s) in first.psi if u2 == u})
+
+
+def closure_laws(c: Arrow) -> list:
+    """The closure map `c.phi` sends an expression e to one whose
+    satisfaction in the finer `c.tgt` covers e's in `c.src`, and that lies
+    below e in the order of `c.src`."""
+    down, coarse, fine = c.phi, c.src, c.tgt
+    covered = {(t, e) for t in coarse.traces for e in coarse.exprs if (t, down[e]) in fine.models}
+    return [inclusion("closure-covers-satisfaction", coarse.traces, coarse.exprs, coarse.models, covered),
+            inclusion("closure-within-order", coarse.exprs, coarse.exprs,
+                      {(down[e], e) for e in coarse.exprs}, coarse.leq)]
 
 
 def reflexivity(exprs, leq):
