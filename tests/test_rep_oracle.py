@@ -18,6 +18,15 @@ their outcome by construction, so that every outcome occurs in each run:
 `check rep`, `check exact` and `build trivial` must give the exit code
 and the `(law, ok, witness, note)` list that `tests/oracle.py` reads from
 the same text.
+
+Each document also declares two translations f and g of the
+expressions, never the identity where another function exists (half of
+the time f is a permutation and g its inverse), and two trace relations
+p and q, each drawn as a map, a partial map (some rows empty) or a
+general relation.  Over them it declares a morphism `m : R -> R` along
+f and p and two reductions `r1` (f, g, p) and `r2` (g, f, q); `check
+morphism`, `check reduction --name r1` and `reduce compose` must give
+what `tests/oracle.py` reads for them too.
 """
 
 import contextlib
@@ -46,6 +55,42 @@ def _closure(labels, pairs):
 
 def _pairs(draw, rows, cols):
     return {(x, y) for x in rows for y in cols if draw(st.booleans())}
+
+
+def _translation(draw, exprs):
+    """A function on `exprs` other than the identity, if there is one."""
+    f = {x: draw(st.sampled_from(exprs)) for x in exprs}
+    if len(exprs) > 1 and all(f[x] == x for x in exprs):
+        f[exprs[0]] = exprs[1]
+    return f
+
+
+def _trace_relation(draw, traces):
+    kind = draw(st.sampled_from(["map", "partial", "general"]))
+    if kind == "general" or not traces:
+        return _pairs(draw, traces, traces)
+    return {(t, draw(st.sampled_from(traces))) for t in traces if kind == "map" or draw(st.booleans())}
+
+
+def _arrows(draw, traces, exprs):
+    """Declarations of f, g, p and q and of the morphism and reductions
+    over them."""
+    if len(exprs) > 1 and draw(st.booleans()):  # f a permutation, g its inverse
+        image = draw(st.permutations(exprs).filter(lambda xs: xs != exprs))
+        f = dict(zip(exprs, image))
+        g = {y: x for x, y in f.items()}
+    else:
+        f, g = _translation(draw, exprs), _translation(draw, exprs)
+    p, q = _trace_relation(draw, traces), _trace_relation(draw, traces)
+    return "".join([
+        *(f"fun {name} : E -> E = " + ", ".join(f"{x} -> {y}" for x, y in fun.items()) + "\n"
+          for name, fun in (("f", f), ("g", g))),
+        *(f"rel {name} : T -> T = " + " ".join(f"({x}, {y})" for x, y in sorted(rel)) + "\n"
+          for name, rel in (("p", p), ("q", q))),
+        "morphism m : R -> R = phi f psi p\n",
+        "reduction r1 : R -> R = phi f tau g psi p\n",
+        "reduction r2 : R -> R = phi g tau f psi q\n",
+    ])
 
 
 @st.composite
@@ -84,7 +129,11 @@ def documents(draw):
         "rel sat : T -> E = " + " ".join(f"({t}, {e})" for t, e in sorted(models)) + "\n",
         f"{kind} ord {header} = " + " ".join(f"({x}, {y})" for x, y in sorted(leq)) + "\n",
         "representation R = traces T exprs E models sat leq ord\n",
+        _arrows(draw, traces, exprs),
     ])
+
+
+ARROW_COMMANDS = ("check morphism", "check reduction", "reduce compose")
 
 
 def _expected(text, command):
@@ -93,6 +142,15 @@ def _expected(text, command):
         decls = oracle.read_document(text)
     except ValueError:
         return 2, []
+    if command in ARROW_COMMANDS:
+        a = decls["m"] if command == "check morphism" else decls["r1"]
+        if command == "check morphism":
+            laws = oracle.morphism_laws(a.src, a.tgt, a.phi, a.psi)
+        else:
+            if command == "reduce compose":
+                a = oracle.composite(a, decls["r2"])
+            laws = oracle.reduction_laws(a.src, a.tgt, a.phi, a.tau, a.psi)
+        return (0 if all(ok for _, ok, _, _ in laws) else 1), laws
     rep = decls["R"]
     if command == "build trivial":
         rep = rep._replace(leq=oracle.semantic_containment(rep))
@@ -104,8 +162,7 @@ def _expected(text, command):
 
 def _run(path, command):
     argv = command.split() + [str(path), "--format", "structured"]
-    if command == "build trivial":
-        argv += ["--rel", "sat"]
+    argv += {"build trivial": ["--rel", "sat"], "check reduction": ["--name", "r1"]}.get(command, [])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -123,6 +180,16 @@ def test_representation_commands_match_the_pointwise_reference(text):
         path = Path(tmp) / "rep.doc"
         path.write_text(text, encoding="utf-8")
         for command in ("check rep", "check exact", "build trivial"):
+            assert _run(path, command) == _expected(text, command), (command, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_arrow_commands_match_the_pointwise_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rep.doc"
+        path.write_text(text, encoding="utf-8")
+        for command in ARROW_COMMANDS:
             assert _run(path, command) == _expected(text, command), (command, text)
 
 
@@ -148,3 +215,32 @@ def test_the_drawn_documents_reach_every_outcome():
 
     collect()
     assert seen == {"refused", "not a preorder", "unsound", "exact", "inexact"}
+
+
+def _psi_kind(pairs, traces):
+    per_row = [sum(t == x for t, _ in pairs) for x in traces]
+    return "map" if all(n == 1 for n in per_row) else "partial" if max(per_row) <= 1 else "general"
+
+
+def test_the_drawn_arrows_reach_every_law_outcome_and_trace_relation():
+    # each arrow law both holds and fails, over maps, partial maps and
+    # general relations
+    seen, kinds = set(), set()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(documents())
+    def collect(text):
+        if _expected(text, "check rep")[0] == 2:
+            return
+        decls = oracle.read_document(text)
+        kinds.update(_psi_kind(decls[name], decls["T"]) for name in ("p", "q") if decls["T"])
+        for command in ARROW_COMMANDS:
+            seen.update((command, law, ok) for law, ok, _, _ in _expected(text, command)[1])
+
+    collect()
+    laws = {"check morphism": ["order-preservation", "models-transport"],
+            "check reduction": ["tau-monotone", "models-transport", "roundtrip-up", "roundtrip-down"]}
+    laws["reduce compose"] = laws["check reduction"]
+    assert seen == {(command, law, ok) for command, names in laws.items() for law in names
+                    for ok in (True, False)}
+    assert kinds == {"map", "partial", "general"}
