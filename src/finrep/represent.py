@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fset import SUBSET_CAP, FiniteSet, check_cells, locate_subsets, powerset_of
+from .fset import SUBSET_CAP, FiniteSet, check_cells, intern, locate_subsets, powerset_of
 from .rel import (
     FuncTable,
     Rel,
@@ -109,9 +109,10 @@ def _representation_laws(rep: Representation) -> list[Verdict]:
 def semantic_containment(models: Rel, name: str) -> Rel:
     """Expressions ordered by inclusion of their satisfying-trace sets: the
     self-residual of the satisfaction `models` of representation `name`,
-    refused over the cell budget before it is allocated."""
+    computed once per `models` relation.  Every request is refused over
+    the cell budget, the first before it is allocated."""
     check_cells(len(models.tgt), len(models.tgt), "semantic containment of %r", name)
-    return under(models, models)
+    return intern(("semantic containment", models), lambda: under(models, models))
 
 
 def trace_preorder(rep: Representation) -> Rel:

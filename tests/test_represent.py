@@ -1,8 +1,12 @@
 """Representation structure: validation, exactness, interpretation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from finrep import represent
+from finrep.cli import main
 from finrep.errors import BudgetError
 from finrep.fset import FiniteSet, carrier_budget
 from finrep.generate import (
@@ -233,3 +237,21 @@ def test_semantic_containment_refused_over_the_cell_budget():
     with carrier_budget(2), pytest.raises(BudgetError, match="16 x 16 = 256 cells, budget 200"):
         semantic_containment(rep.models, rep.name)
     assert semantic_containment(rep.models, rep.name).count() == 81
+
+
+def test_semantic_containment_is_computed_once_per_satisfaction(monkeypatch, capsys):
+    # build trivial orders by the containment and then checks exactness
+    # against it: one residual, as for check exact
+    doc = str(Path(__file__).resolve().parent.parent / "corpus" / "membership2.doc")
+    calls = []
+    monkeypatch.setattr(represent, "under", lambda x, z, under=represent.under: calls.append(x) or under(x, z))
+    for what in (["build", "trivial", doc, "--rel", "member"], ["check", "exact", doc]):
+        calls.clear()
+        assert main(what) == 0
+        assert len(calls) == 1, what
+    capsys.readouterr()
+    rep = membership_representation(FiniteSet("four", ["a", "b", "c", "d"]))
+    first = semantic_containment(rep.models, rep.name)
+    assert semantic_containment(rep.models, "again") is first
+    with carrier_budget(2), pytest.raises(BudgetError, match="256 cells, budget 200"):
+        semantic_containment(rep.models, rep.name)
