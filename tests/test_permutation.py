@@ -5,7 +5,9 @@ Each case is a document and a command run through `cli.main`.  The
 documents are the corpus files that declare arrows and seeded random
 ones over two pairs of carriers, with a morphism, two chainable
 reductions and a closure whose trace relations are maps, partial maps or
-general relations.  The commands are `check morphism`, `check reduction`,
+general relations.  Three of these have 80 to 120 traces per trace
+carrier, so that composing with a trace relation is large enough for
+`rel.compose` to choose its route from the matrices.  The commands are `check morphism`, `check reduction`,
 `reduce compose`, `build product`, `check closure`, `check exact` and
 `build trivial`.
 - Listing every `set` of the document in another order keeps the exit
@@ -71,10 +73,11 @@ def _preorder(rng, labels):
 
 
 def _trace_relation(rng, rows, cols):
-    """A map, a partial map (some rows empty) or a general relation."""
+    """A map, a partial map (some rows empty) or a general relation, with
+    at most three cells per row on average."""
     kind = rng.choice(["map", "partial", "general"])
     if kind == "general":
-        return _pairs(rng, rows, cols, 0.4)
+        return _pairs(rng, rows, cols, min(0.4, 3 / len(cols)))
     return {(x, rng.choice(cols)) for x in rows if kind == "map" or rng.random() < 0.6}
 
 
@@ -97,9 +100,12 @@ def _fun(mapping):
     return ", ".join(f"{x} -> {y}" for x, y in mapping.items())
 
 
-def generated_document(seed):
+def generated_document(seed, traces=(1, 5)):
+    """A document over traces T and U, whose sizes lie in the range
+    `traces`, and expressions E and F of 1 to 5 elements."""
     rng = random.Random(seed)
-    sets = {name: [f"{name.lower()}{i}" for i in range(rng.randint(1, 5))] for name in "TEUF"}
+    sizes = {"T": traces, "E": (1, 5), "U": traces, "F": (1, 5)}
+    sets = {name: [f"{name.lower()}{i}" for i in range(rng.randint(*sizes[name]))] for name in "TEUF"}
     t, e, u, f = sets.values()
     ord1, ord2, ord3 = _preorder(rng, e), _preorder(rng, f), _preorder(rng, e)
     text = "".join(_line("set", name, " ".join(labels)) for name, labels in sets.items())
@@ -220,6 +226,10 @@ def _cases():
         text = generated_document(seed)
         for command in GENERATED:
             yield pytest.param(text, command, id=f"generated{seed}-{command}")
+    for seed in range(3):
+        text = generated_document(seed, traces=(80, 120))
+        for command in GENERATED:
+            yield pytest.param(text, command, id=f"wide{seed}-{command}")
 
 
 def _label_free(note):
