@@ -4,9 +4,15 @@ The public operator set is negation-free; complement shows up only as an
 internal bit trick (the residual is the complement of a product with a
 complement).  The dense formulas also take stacks of matrices, so the law
 suite checks many relations per call through the same code.  Matrices are
-immutable after construction.  Every relational product, and so every
-composition and residual, goes through the one boolean product
-`product`, a float32 BLAS product that stays exact at every size.
+immutable after construction.  Every relational product goes through the
+one boolean product `product`, a float32 BLAS product that stays exact
+at every size.  The operators `compose` and `under` choose their route
+from the matrices.  A composition of at least BLOCK_CELLS multiply-adds
+with a map (at most one cell per row of the left operand) or with the
+converse of one (at most one cell per column of the right operand) is an
+index gather.  Any other product runs in blocks of rows against one
+float32 copy of its right operand, so it never holds float32 copies of
+both operands and the result at once.
 """
 
 from __future__ import annotations
@@ -16,6 +22,12 @@ import numpy as np
 from .errors import CarrierMismatch
 from .fset import SUBSET_CAP, FiniteSet, intern, membership_matrix, product_of, sum_of
 from .verdict import LawReport, Verdict
+
+# the cells of one row block of a large product: its rows of the left
+# operand and of the result each take at most this many, 1 MB as float32.
+# A composition of fewer multiply-adds is one `product` call, which costs
+# less there than choosing a route.
+BLOCK_CELLS = 1 << 18
 
 
 class Rel:
@@ -190,7 +202,9 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cannot overflow on them, so `> 0` is exact at every size.  BLAS makes
     it far faster than numpy's bool matmul on large matrices.  The cast
     costs a transient ~4 bytes per cell for each operand and for the
-    float32 result.
+    float32 result; an operand that is already a float32 0/1 matrix is
+    not copied.  The operators bound this transient by calling it on row
+    blocks (`_blocked`).
     """
     return np.matmul(a, b, dtype=np.float32) > 0
 
@@ -222,14 +236,56 @@ def gather(m: np.ndarray, table: np.ndarray, axis: int) -> np.ndarray:
     )
 
 
+def _lone_cells(m: np.ndarray, axis: int) -> np.ndarray | None:
+    """Whether each line of the 2-D m across `axis` (a row for axis 1, a
+    column for axis 0) holds a cell, when none holds two and `axis` has a
+    position to index; None otherwise.  No line holds two exactly when
+    the lines that hold a cell are as many as the cells."""
+    cells = np.count_nonzero(m)
+    if not m.shape[axis] or cells > m.shape[1 - axis]:  # more cells than lines
+        return None
+    held = m.any(axis=axis)
+    return held if np.count_nonzero(held) == cells else None
+
+
+def _blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`product` of 2-D a and b in blocks of rows of a, each block and its
+    rows of the result at most BLOCK_CELLS cells, against one float32 copy
+    of b; one call when a fits in one block."""
+    step = max(1, BLOCK_CELLS // max(a.shape[1], b.shape[1], 1))
+    if len(a) <= step:
+        return product(a, b)
+    right = b.astype(np.float32)
+    out = np.empty((len(a), b.shape[1]), dtype=bool)
+    for lo in range(0, len(a), step):
+        out[lo:lo + step] = product(a[lo:lo + step], right)
+    return out
+
+
 # ------------------------------------------------------------- operators
 
 def compose(x: Rel, y: Rel) -> Rel:
+    """x ; y.  Past BLOCK_CELLS multiply-adds, row i of x ; y is the row
+    of y that x's one cell in row i points to, when no row of x has two;
+    else column j is the column of x that y's one cell in column j points
+    to, when no column of y has two; else the `product`, in row blocks.  A
+    row or column with no cell gives an empty one."""
     if x.tgt is not y.src:
         raise CarrierMismatch(
             f"cannot compose {x.src.name}->{x.tgt.name} with {y.src.name}->{y.tgt.name}"
         )
-    return Rel(x.src, y.tgt, product(x.m, y.m))
+    a, b = x.m, y.m
+    if a.shape[0] * a.shape[1] * b.shape[1] < BLOCK_CELLS:
+        out = product(a, b)
+    elif (rows := _lone_cells(a, 1)) is not None:
+        out = gather(b, a.argmax(axis=1), -2)
+        out &= rows[:, None]
+    elif (cols := _lone_cells(b, 0)) is not None:
+        out = gather(a, b.argmax(axis=0), -1)
+        out &= cols
+    else:
+        out = _blocked(a, b)
+    return Rel(x.src, y.tgt, out)
 
 
 def converse(x: Rel) -> Rel:
@@ -249,11 +305,12 @@ def inter(x: Rel, y: Rel) -> Rel:
 def under(x: Rel, z: Rel) -> Rel:
     """Left residual: largest y with x;y included in z.
 
-    (b, c) holds iff every a with x(a, b) also has z(a, c).
+    (b, c) holds iff every a with x(a, b) also has z(a, c).  The formula
+    of `residual`, with its product in row blocks.
     """
     if x.src is not z.src:
         raise CarrierMismatch("residual under(x, z) needs a shared source carrier")
-    return Rel(x.tgt, z.tgt, residual(x.m, z.m))
+    return Rel(x.tgt, z.tgt, ~_blocked(x.m.T, ~z.m))
 
 
 def over(z: Rel, y: Rel) -> Rel:
