@@ -102,11 +102,12 @@ def _block_rows(width):
     return relmod.BLOCK_CELLS // width
 
 
-@pytest.mark.parametrize("rows", ["0", "1", "block-1", "block", "block+1"])
-def test_compose_and_under_across_block_boundaries(rows):
+@pytest.mark.parametrize("rows_at", [lambda block: 0, lambda block: 1, lambda block: block - 1,
+                                     lambda block: block, lambda block: block + 1],
+                         ids=["0", "1", "block-1", "block", "block+1"])
+def test_compose_and_under_across_block_boundaries(rows_at):
     width = 1024
-    block = _block_rows(width)
-    rows = eval(rows, {"block": block})
+    rows = rows_at(_block_rows(width))
     rng = np.random.default_rng([rows, 28])
     a, b = _general(rng, rows, width, 0.01), _general(rng, width, width, 0.01)
     z = rng.random((width, width)) < 0.99
