@@ -143,12 +143,11 @@ def _expected(text, command):
     except ValueError:
         return 2, []
     if command in ARROW_COMMANDS:
-        a = decls["m"] if command == "check morphism" else decls["r1"]
         if command == "check morphism":
+            a = decls["m"]
             laws = oracle.morphism_laws(a.src, a.tgt, a.phi, a.psi)
         else:
-            if command == "reduce compose":
-                a = oracle.composite(a, decls["r2"])
+            a = decls["r1"] if command == "check reduction" else oracle.composite(decls["r1"], decls["r2"])
             laws = oracle.reduction_laws(a.src, a.tgt, a.phi, a.tau, a.psi)
         return (0 if all(ok for _, ok, _, _ in laws) else 1), laws
     rep = decls["R"]
