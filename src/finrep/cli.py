@@ -292,7 +292,7 @@ def _dispatch(args) -> LawReport:
     doc = None
     if getattr(args, "doc", None) is not None:
         try:
-            with open(args.doc, encoding="utf-8") as fh:
+            with open(args.doc, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as e:
             raise DocumentError(f"cannot read {args.doc!r}: {e.strerror}") from None

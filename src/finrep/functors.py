@@ -47,9 +47,6 @@ class Signature:
     def of(cls, mapping):
         return cls(tuple(mapping.items()))
 
-    def arity(self, sym: str) -> int:
-        return self.ops[self.code(sym) - 1][1]
-
     def code(self, sym: str) -> int:
         """The head code of `sym` in a term index: its place plus one, after HOLE."""
         for c, (s, _) in enumerate(self.ops, 1):
@@ -199,17 +196,15 @@ def enumerate_terms(sig: Signature, max_depth: int, n_vars: int) -> SyntaxIndex:
 
 
 class Functor:
-    """Object map, arrow map, and relation lifting, bounded.  A subclass maps
-    stacks with any leading batch axes: `fmaps(a, b, tables)` function
-    tables a -> b (..., |a|) and `lifts(a, b, xs)` relations a ⇸ b (..., |a|,
-    |b|), each returning the carriers over a and b and the mapped stack;
-    `fmap` and `lift` pass one arrow, unbatched."""
+    """Object map, arrow map, and relation lifting, bounded.  A subclass
+    gives the object map `carrier(a)` and maps stacks with any leading
+    batch axes: `fmaps(a, b, tables)` function tables a -> b (..., |a|)
+    and `lifts(a, b, xs)` relations a ⇸ b (..., |a|, |b|), each returning
+    the carriers over a and b and the mapped stack; `fmap` and `lift` pass
+    one arrow, unbatched."""
 
     key: tuple
     name: str
-
-    def carrier(self, a: FiniteSet) -> FiniteSet:
-        raise NotImplementedError
 
     def fmap(self, f: FuncTable) -> FuncTable:
         return FuncTable(*self.fmaps(f.src, f.tgt, f.table))

@@ -10,23 +10,14 @@ regular-expression built-in lives in the kleene module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fset import FiniteSet, check_cells, intern
 from .functors import Functor, ListFunctor, Signature, TermFunctor
 from .morphism import Morphism, validate_morphism
-from .naturality import (
-    IndexedRelation,
-    ProbeUniverse,
-    check_walk,
-    is_natural_relation,
-    linearity_check,
-    max_var_count,
-    samevars_family,
-    varlist_family,
-)
+from .naturality import max_var_count, samevars_family, varlist_family
 from .rel import (
     FuncTable,
     Rel,
@@ -40,13 +31,8 @@ from .rel import (
     star,
     union,
 )
-from .represent import (
-    Representation,
-    interpretations,
-    semantic_containment,
-    validate_representation,
-)
-from .verdict import LawReport, Verdict, first_violation, require
+from .represent import Representation, validate_representation
+from .verdict import LawReport, require
 
 MON_SIG = Signature.of({"mul": 2, "one": 0})
 
@@ -98,16 +84,6 @@ class HOR:
         return intern(("leq", a, self), lambda: on_carriers(
             self.leq_gen(a), e, e, "order of %s off its carriers at %s", self.name, a.name))
 
-    def models_family(self) -> IndexedRelation:
-        return IndexedRelation(
-            f"{self.name}-satisfaction", self.t_functor, self.e_functor, self.models_at
-        )
-
-    def leq_family(self) -> IndexedRelation:
-        return IndexedRelation(
-            f"{self.name}-order", self.e_functor, self.e_functor, self.leq_at
-        )
-
 
 def instantiate(h: HOR, a: FiniteSet) -> Representation:
     """The representation of `h` at `a`, validated, built once per carrier."""
@@ -135,115 +111,6 @@ def hor_arrow(h: HOR, f: FuncTable) -> Morphism:
     )
     validate_morphism(m)
     return m
-
-
-def _arrow_note(f: FuncTable) -> str:
-    return f"{f.src.name}->{f.tgt.name}"
-
-
-def validate_hor(h: HOR, probes: ProbeUniverse) -> LawReport:
-    report = LawReport(subject=f"higher-order structure {h.name}")
-
-    def representation_at(a):
-        outcome = validate_representation(instantiate(h, a)).first_failure or True
-        return outcome, (a, outcome)
-
-    carriers = probes.carriers()
-    report.add(first_violation(
-        "per-set-representations",
-        map(representation_at, carriers),
-        lambda case: f"at carrier {case[0].name}: {case[1].law}",
-        note=f"{len(carriers)} carriers",
-    ))
-
-    rl = linearity_check(h.models_family(), probes, side="right", mode="relations").verdicts[0]
-    satisfaction = replace(rl, law="satisfaction-right-linear")
-    report.add(satisfaction)
-
-    report.add(replace(is_natural_relation(h.leq_family(), probes), law="order-natural"))
-
-    # e -> I(e) into subsets of traces must commute with renaming; this is
-    # the same statement as right-linearity, so the two verdicts must agree
-    def interpretation_commutes(f):
-        ra, rb = instantiate(h, f.src), instantiate(h, f.tgt)
-        tf, ef = h.t_functor.fmap(f), h.e_functor.fmap(f)
-        ia, ib = interpretations(ra), interpretations(rb)
-        moved = next((e for e, traces, k in zip(ra.exprs.elements, ia, ef.table)
-                      if frozenset(tf.table[t] for t in traces) != ib[k]), None)
-        return moved is None or Verdict("interpretation-naturality", False, (moved,))
-
-    check_walk(probes, probes.function_count, h.t_functor.carrier, h.e_functor.carrier)
-    interpretation = first_violation(
-        "interpretation-naturality",
-        ((interpretation_commutes(f), f) for _, _, f in probes.functions()),
-        _arrow_note,
-    )
-    report.add(interpretation)
-    report.add(
-        Verdict(
-            "interpretation-matches-right-linearity",
-            satisfaction.ok == interpretation.ok,
-            note="the two readings of the satisfaction condition must agree",
-        )
-    )
-    report.scope = probes.scope
-    return report
-
-
-def check_relational_hor_conditions(
-    t_obj,
-    t_rel,
-    e_functor: Functor,
-    models_gen,
-    leq_gen,
-    probes: ProbeUniverse,
-) -> LawReport:
-    """The trace side is supplied as tables: a carrier per probe set and a
-    relation per probe function (target traces to source traces).  The
-    three conditions characterize which such tables assemble into a
-    set-indexed representation."""
-    carriers = probes.carriers()
-    check_walk(probes, 2 * len(carriers) + probes.function_count, t_obj, e_functor.carrier)
-    report = LawReport(subject="relational trace-functor conditions")
-
-    def models_at(a):
-        return on_carriers(models_gen(a), t_obj(a), e_functor.carrier(a),
-                           "satisfaction off its carriers at %s", a.name)
-
-    def self_residual(a):
-        leq = leq_gen(a)
-        return equal_verdict(leq, semantic_containment(leq, f"order at {a.name}"))
-
-    def exchange(f):
-        try:
-            arrow = t_rel(f)
-        except KeyError as exc:
-            raise ValueError(f"missing trace table for a probe function: {exc}") from exc
-        on_carriers(arrow, t_obj(f.tgt), t_obj(f.src), "trace table off its carriers")
-        lhs = compose(arrow, models_at(f.src))
-        return equal_verdict(lhs, compose(models_at(f.tgt), cograph(e_functor.fmap(f))))
-
-    def at_carrier(a):
-        return f"at carrier {a.name}"
-
-    report.add(first_violation(
-        "order-self-residual", ((self_residual(a), a) for a in carriers), at_carrier
-    ))
-    report.add(first_violation(
-        "satisfaction-absorbs-order",
-        ((is_included(compose(models_at(a), leq_gen(a)), models_at(a)), a) for a in carriers),
-        at_carrier,
-    ))
-    report.add(first_violation(
-        "arrow-exchange", ((exchange(f), f) for _, _, f in probes.functions()), _arrow_note
-    ))
-    report.scope = probes.function_scope
-    return report
-
-
-def hor_trace_tables(h: HOR):
-    """Tabulate a structure's own trace side for the conditions check."""
-    return h.t_functor.carrier, lambda f: cograph(h.t_functor.fmap(f))
 
 
 def tilde_lift(h: HOR, p: PreorderedSet) -> Representation:

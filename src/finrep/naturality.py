@@ -186,23 +186,18 @@ class IndexedFunction:
         )
 
 
-def check_walk(probes: ProbeUniverse, arrows: int, *carriers):
-    """Refuse, before the first square, a walk of `arrows` squares of n x n
-    cells over the cell budget: n is the largest |C top| for each map C of
-    a probe carrier to a carrier (a functor's `carrier`, a trace table)."""
-    top = probe_carrier(probes.max_size)
-    widest = max(len(at(top)) for at in carriers)
-    check_cells(arrows, widest * widest, "probe walk of %d arrows to %r", arrows, top.name)
-
-
 def _check_squares(probes: ProbeUniverse, arrows: int, *functors: Functor):
-    """`check_walk` through the functors' carriers, after refusing a single
-    lift through one of them over the cell budget."""
+    """Refuse, before the first square, a single lift through one of the
+    functors over the cell budget, then a walk of `arrows` squares of n x n
+    cells over it: n is the widest functor carrier over the largest probe
+    carrier."""
     top = probe_carrier(probes.max_size)
+    widest = 0
     for fun in functors:
         n = len(fun.carrier(top))
         check_cells(n, n, "lift through %s at %r", fun.name, top.name)
-    check_walk(probes, arrows, *(fun.carrier for fun in functors))
+        widest = max(widest, n)
+    check_cells(arrows, widest * widest, "probe walk of %d arrows to %r", arrows, top.name)
 
 
 def _functor_law_walk(probes: ProbeUniverse) -> int:

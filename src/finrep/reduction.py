@@ -16,14 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CarrierMismatch, TheoremInconsistencyError
-from .morphism import Morphism, models_transport, order_preservation, validate_morphism
+from .morphism import models_transport, order_preservation
 from .rel import (
     FuncTable,
     Rel,
     cograph,
     compose,
     compose_func,
-    converse,
     graph,
     is_included,
     on_carriers,
@@ -209,35 +208,3 @@ def closure_reduction_equivalence(
         )
     return report
 
-
-def reduction_morphism_candidates(r: Reduction) -> LawReport:
-    """Which of the two arrows hiding in a reduction are morphisms.
-
-    States the paper's theorem that a reduction between exact
-    representations is also a morphism: when both are exact the forward
-    pair must be one, and its failure raises the inconsistency alarm.
-    Refuses a reduction that fails validation.
-    """
-    require(validate_reduction(r))
-    forward = validate_morphism(Morphism(r.source, r.target, r.phi, r.psi))
-    backward = validate_morphism(
-        Morphism(r.target, r.source, r.tau, converse(r.psi))
-    )
-    report = LawReport(subject="morphism candidates of a reduction")
-    for tag, lr in (("forward", forward), ("backward", backward)):
-        for v in lr.verdicts:
-            report.add(replace(v, law=f"{tag}-{v.law}"))
-    if all(validate_representation(rep).passed and is_exact(rep).ok for rep in (r.source, r.target)):
-        if not forward.passed:
-            raise TheoremInconsistencyError(
-                "both representations exact, yet the forward pair is not a morphism:\n"
-                + report.describe()
-            )
-        report.add(
-            Verdict(
-                "exact-exact-forward-morphism",
-                True,
-                note="both representations exact; forward pair confirmed",
-            )
-        )
-    return report

@@ -313,11 +313,6 @@ def under(x: Rel, z: Rel) -> Rel:
     return Rel(x.tgt, z.tgt, ~_blocked(x.m.T, ~z.m))
 
 
-def over(z: Rel, y: Rel) -> Rel:
-    """Right residual: largest x with x;y included in z."""
-    return converse(under(converse(y), converse(z)))
-
-
 def star(x: Rel) -> Rel:
     """Reflexive-transitive closure."""
     if x.src is not x.tgt:

@@ -14,22 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fset import SUBSET_CAP, FiniteSet, check_cells, intern, locate_subsets, powerset_of
-from .rel import (
-    FuncTable,
-    Rel,
-    cograph,
-    compose,
-    equal_verdict,
-    graph,
-    is_included,
-    is_preorder,
-    membership_rel,
-    on_carriers,
-    over,
-    require_preorder,
-    under,
-)
+from .fset import SUBSET_CAP, FiniteSet, check_cells, intern, powerset_of
+from .rel import Rel, compose, is_included, is_preorder, membership_rel, on_carriers, under
 from .verdict import LawReport, Verdict, checked_once, require
 
 
@@ -68,21 +54,6 @@ def same_representation(r1: Representation, r2: Representation) -> bool:
     )
 
 
-@dataclass(eq=False)
-class SpecTheory:
-    """The paper's characteristic-expression form of a representation: one
-    expression per trace, plus a preorder on expressions."""
-
-    traces: FiniteSet
-    exprs: FiniteSet
-    chi: FuncTable  # traces -> exprs
-    leq: Rel
-
-    def __post_init__(self):
-        on_carriers(self.chi, self.traces, self.exprs, "characteristic map must go traces -> exprs")
-        on_carriers(self.leq, self.exprs, self.exprs, "order must be square on exprs")
-
-
 def validate_representation(rep: Representation) -> LawReport:
     """Preorder and soundness axioms, checked once per representation."""
     return checked_once(rep, f"representation {rep.name!r}", _representation_laws)
@@ -115,12 +86,6 @@ def semantic_containment(models: Rel, name: str) -> Rel:
     return intern(("semantic containment", models), lambda: under(models, models))
 
 
-def trace_preorder(rep: Representation) -> Rel:
-    """The paper's trace preorder of a representation: (s, t) present iff
-    every expression satisfied by t is satisfied by s."""
-    return over(rep.models, rep.models)
-
-
 def is_exact(rep: Representation) -> Verdict:
     require(validate_representation(rep))
     return is_included(semantic_containment(rep.models, rep.name), rep.leq, "exactness")
@@ -137,14 +102,6 @@ def exactness_finding(rep: Representation) -> Verdict:
 def interpretations(rep: Representation) -> list[frozenset[int]]:
     """For each expression, the indices of the traces that satisfy it."""
     return [frozenset(np.flatnonzero(col).tolist()) for col in rep.models.m.T]
-
-
-def check_interpretation_identity(rep: Representation, cap: int = SUBSET_CAP) -> Verdict:
-    """Satisfaction must factor through membership in the interpretation table."""
-    member = membership_rel(rep.traces, cap)
-    interp = FuncTable(rep.exprs, member.tgt, locate_subsets(member.tgt, rep.models.m))
-    lhs = compose(member, cograph(interp))
-    return equal_verdict(lhs, rep.models, "interpretation-identity")
 
 
 def trivial_representation(x: Rel, name: str | None = None) -> Representation:
@@ -169,15 +126,3 @@ def membership_representation(a: FiniteSet, cap: int = SUBSET_CAP) -> Representa
         Rel(p, p, (masks[:, None] & ~masks[None, :]) == 0),
     )
 
-
-def spec_theory_to_representation(s: SpecTheory) -> Representation:
-    """The paper's representation of a characteristic-expression theory:
-    each trace satisfies everything above its characteristic expression."""
-    models = compose(graph(s.chi), require_preorder(s.leq))
-    return Representation(
-        f"spec({s.traces.name}|{s.exprs.name})",
-        s.traces,
-        s.exprs,
-        models,
-        s.leq,
-    )

@@ -310,6 +310,21 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert "line 2" in err and "ghost" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "exact", "membership2.doc"],
+    ["build", "product", "pair.doc"],
+    ["hor", "instantiate", "ka.doc", "--set", "A"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_a_byte_order_mark_is_read_past(capsys, tmp_path, argv):
+    # a UTF-8 file may start with a byte-order mark; the report is the
+    # original's byte for byte
+    marked = tmp_path / argv[2]
+    marked.write_bytes(b"\xef\xbb\xbf" + (CORPUS / argv[2]).read_bytes())
+    original = run(capsys, *argv[:2], doc(argv[2]), *argv[3:])
+    assert original[0] == 0
+    assert run(capsys, *argv[:2], str(marked), *argv[3:]) == original
+
+
 def test_unknown_name_exits_2(capsys):
     rc, _, err = run(capsys, "check", "rep", doc("membership2.doc"), "--name", "ghost")
     assert rc == 2 and "ghost" in err

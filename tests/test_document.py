@@ -59,7 +59,7 @@ def test_parsed_objects_are_wired():
     m = doc.lookup("morphism", "m")
     assert m.source is rep
     sig = doc.lookup("signature", "S")
-    assert sig.arity("mul") == 2
+    assert dict(sig.ops)["mul"] == 2
     fam = doc.lookup("family", "F")
     assert fam["builtin"] == "term-flatten" and fam["sig"] is sig and fam["depth"] == 2
     hor = doc.lookup("hor", "H")

@@ -15,6 +15,7 @@ from finrep.functors import (
     Signature,
     TermFunctor,
     enumerate_terms,
+    syntax_of,
 )
 from finrep.kleene import RegexFunctor
 from finrep.rel import FuncTable, Rel, compose_func, graph
@@ -26,13 +27,17 @@ MIXED = Signature.of({"f": 1, "g": 2, "c": 0, "h": 3})
 UNARY = Signature.of({"f": 1})
 
 
+def test_a_carrier_no_syntax_functor_built_has_no_syntax_index():
+    with pytest.raises(ValueError, match="carrier 'plain' is not a syntax carrier"):
+        syntax_of(FiniteSet("plain", ["x"]))
+
+
 def test_signature_validation():
     with pytest.raises(ValueError):
         Signature.of({"f": -1})
     with pytest.raises(ValueError):
         Signature((("f", 1), ("f", 2)))
-    assert SIG.arity("mul") == 2
-    assert SIG.arity("one") == 0
+    assert SIG.ops == (("mul", 2), ("one", 0))
 
 
 def test_list_carrier_frozen():

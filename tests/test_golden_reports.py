@@ -70,6 +70,9 @@ COMMANDS = [
     "build product corpus/pair.doc --left first --right second",
     "reduce compose corpus/chain.doc --first step1",
     "reduce compose corpus/closure-two-elt.doc",
+    # the Kleene structure ordered by its axioms rather than its languages
+    "hor instantiate corpus/ka-axiomatic.doc --set A",
+    "hor lift-preorder corpus/ka-axiomatic.doc --preorder chain",
 ]
 FORMATS = [[], ["--format", "structured"]]
 

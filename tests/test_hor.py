@@ -10,26 +10,30 @@ import pytest
 from finrep.cli import main as cli_main
 from finrep.errors import BudgetError, CarrierMismatch
 from finrep.fset import FiniteSet, carrier_budget
-from finrep.functors import IdentityFunctor
 from finrep.generate import carrier, random_exact_representation
 from finrep.hor import (
     HOR,
     MON_SIG,
     PreorderedSet,
-    check_relational_hor_conditions,
     check_tilde_soundness,
     hat_lift,
     hor_arrow,
-    hor_trace_tables,
     instantiate,
     mon_hor,
     tilde_lift,
     tilde_mon_rule_check,
-    validate_hor,
 )
 from finrep.kleene import ka_hor
 from finrep.morphism import compose_morphisms, morphisms_equal
-from finrep.naturality import ProbeUniverse, probe_carrier, varlist_family, is_natural_transformation
+from finrep.naturality import (
+    IndexedRelation,
+    ProbeUniverse,
+    is_natural_relation,
+    is_natural_transformation,
+    linearity_check,
+    probe_carrier,
+    varlist_family,
+)
 from finrep.rel import FuncTable, Rel, compose, compose_func, star, union
 from finrep.represent import (
     Representation,
@@ -41,7 +45,6 @@ from finrep.represent import (
 from finrep.verdict import Verdict
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-P1 = ProbeUniverse(max_size=1)
 P2 = ProbeUniverse(max_size=2)
 
 
@@ -57,26 +60,6 @@ def _hat_report(h, r):
     report = validate_representation(rep)
     report.add(exactness_finding(rep))
     return rep, report
-
-
-def test_validate_hor_mon():
-    report = validate_hor(mon_hor(3), P2)
-    assert report.passed, report.describe()
-    assert [v.law for v in report.verdicts] == [
-        "per-set-representations",
-        "satisfaction-right-linear",
-        "order-natural",
-        "interpretation-naturality",
-        "interpretation-matches-right-linearity",
-    ]
-    assert "probe carriers" in report.scope
-
-
-def test_validate_hor_validates_each_probe_instance_once(law_computations):
-    assert validate_hor(mon_hor(3), ProbeUniverse(2)).passed
-    assert [rep.name for rep in law_computations] == [
-        "mon(depth 3)(probe0)", "mon(depth 3)(probe1)", "mon(depth 3)(probe2)",
-    ]
 
 
 @pytest.mark.parametrize("run, names", [
@@ -124,10 +107,9 @@ def _once_each(*names):
 
 
 PROBE_NAMES = ("probe0", "probe1", "probe2")
-EACH_STRUCTURE = pytest.mark.parametrize("make", [lambda: mon_hor(2), lambda: ka_hor(3, 2)], ids=["mon", "ka"])
 
 
-@EACH_STRUCTURE
+@pytest.mark.parametrize("make", [lambda: mon_hor(2), lambda: ka_hor(3, 2)], ids=["mon", "ka"])
 def test_a_hor_arrow_walk_builds_each_instance_once(law_computations, make):
     h, calls = _counted(make())
     assert all(hor_arrow(h, f).validated for _, _, f in ProbeUniverse(2).functions())
@@ -136,10 +118,30 @@ def test_a_hor_arrow_walk_builds_each_instance_once(law_computations, make):
     assert calls == _once_each(*PROBE_NAMES)
 
 
-@EACH_STRUCTURE
-def test_validate_hor_calls_each_generator_once_per_carrier(make):
+def _satisfaction(h: HOR) -> IndexedRelation:
+    return IndexedRelation(f"{h.name}-satisfaction", h.t_functor, h.e_functor, h.models_at)
+
+
+def _order(h: HOR) -> IndexedRelation:
+    return IndexedRelation(f"{h.name}-order", h.e_functor, h.e_functor, h.leq_at)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mon_hor(3), lambda: ka_hor(3, 2), lambda: ka_hor(3, 2, "axiomatic"),
+], ids=["mon", "ka-semantic", "ka-axiomatic"])
+def test_a_builtin_structure_meets_the_structure_laws(law_computations, make):
+    # each probe instance validates, satisfaction is right-linear in both
+    # readings (a renamed expression is satisfied by the renamed traces,
+    # and the lifted relations commute), and the order family is natural;
+    # each generator runs once per carrier, each instance validates once
     h, calls = _counted(make())
-    validate_hor(h, ProbeUniverse(2))
+    probes = ProbeUniverse(2)
+    assert all(validate_representation(instantiate(h, a)).passed for a in probes.carriers())
+    linear = linearity_check(_satisfaction(h), probes, side="right", mode="both")
+    assert [(v.law, v.ok) for v in linear.verdicts] == [
+        ("right-linear-functions", True), ("right-linear-relations", True)]
+    assert is_natural_relation(_order(h), probes).ok
+    assert [rep.name for rep in law_computations] == [f"{h.name}({name})" for name in PROBE_NAMES]
     assert calls == _once_each(*PROBE_NAMES)
 
 
@@ -198,31 +200,28 @@ def test_corrupting_one_order_component_breaks_naturality():
         return base.leq_gen(a)
 
     h = HOR("dented-mon", base.t_functor, base.e_functor, base.models_gen, leq_gen)
-    report = validate_hor(h, P2)
-    verdicts = {v.law: v for v in report.verdicts}
-    assert verdicts["per-set-representations"].ok
-    assert verdicts["satisfaction-right-linear"].ok
-    assert not verdicts["order-natural"].ok
-    assert verdicts["order-natural"].witness is not None
-    assert "->" in verdicts["order-natural"].note
+    assert all(validate_representation(instantiate(h, a)).passed for a in P2.carriers())
+    assert linearity_check(_satisfaction(h), P2, side="right").passed
+    assert is_natural_relation(_order(h), P2) == Verdict(
+        "natural-relation", False, ("one", "mul(one,one)"), "probe0->probe2 []")
 
 
-def test_emptying_one_satisfaction_component_breaks_interpretation_naturality():
+def test_emptying_one_satisfaction_component_breaks_right_linearity():
     # with nothing satisfied over probe1, renaming probe0 into it loses
-    # the empty list's satisfaction of `one`
+    # the empty list's satisfaction of `one`; both readings of the
+    # satisfaction condition fail on that first arrow
     base = mon_hor(2)
 
     def models_gen(a):
         m = base.models_gen(a)
         return Rel.empty(m.src, m.tgt) if a is probe_carrier(1) else m
 
-    report = validate_hor(HOR("emptied-mon", base.t_functor, base.e_functor, models_gen, base.leq_gen), P2)
-    verdicts = {v.law: v for v in report.verdicts}
-    assert verdicts["per-set-representations"].ok
-    assert verdicts["interpretation-naturality"] == Verdict(
-        "interpretation-naturality", False, ("one",), "probe0->probe1")
-    assert not verdicts["satisfaction-right-linear"].ok
-    assert verdicts["interpretation-matches-right-linearity"].ok
+    h = HOR("emptied-mon", base.t_functor, base.e_functor, models_gen, base.leq_gen)
+    assert all(validate_representation(instantiate(h, a)).passed for a in P2.carriers())
+    assert linearity_check(_satisfaction(h), P2, side="right", mode="both").verdicts == [
+        Verdict("right-linear-functions", False, ("[]", "one"), "probe0->probe1 []"),
+        Verdict("right-linear-relations", False, ("[]", "one"), "probe0-|probe1 {}"),
+    ]
 
 
 def test_tilde_lift_frozen_facts():
@@ -395,20 +394,6 @@ def test_hat_exactness_search():
     assert none == {"found": False, "checked": 0}
 
 
-def test_relational_hor_conditions_from_own_tables():
-    h = mon_hor(2)
-    t_obj, t_rel = hor_trace_tables(h)
-    report = check_relational_hor_conditions(
-        t_obj, t_rel, h.e_functor, h.models_gen, h.leq_gen, P1
-    )
-    assert report.passed, report.describe()
-    assert [v.law for v in report.verdicts] == [
-        "order-self-residual",
-        "satisfaction-absorbs-order",
-        "arrow-exchange",
-    ]
-
-
 def test_foreign_order_is_a_carrier_mismatch_with_and_without_asserts():
     pq, rs = FiniteSet("pq", ["p", "q"]), FiniteSet("rs", ["r", "s"])
     with pytest.raises(CarrierMismatch, match="order off its carrier pq"):
@@ -435,52 +420,6 @@ def test_structure_off_its_carriers_is_a_carrier_mismatch():
         stray.models_at(a)
     with pytest.raises(CarrierMismatch, match="order of stray off its carriers at probe1"):
         stray.leq_at(a)
-    t_obj, t_rel = hor_trace_tables(h)
-    with pytest.raises(CarrierMismatch, match="satisfaction off its carriers at probe0"):
-        check_relational_hor_conditions(t_obj, t_rel, h.e_functor, h.leq_gen, h.leq_gen, P1)
-    with pytest.raises(CarrierMismatch, match="trace table off its carriers"):
-        check_relational_hor_conditions(
-            t_obj, lambda f: Rel.identity(t_obj(f.src)), h.e_functor, h.models_gen, h.leq_gen, P2
-        )
-
-
-def test_conditions_reject_non_preorder():
-    h = mon_hor(2)
-    t_obj, t_rel = hor_trace_tables(h)
-
-    def broken_leq(a):
-        e = h.e_functor.carrier(a)
-        return Rel.empty(e, e)
-
-    report = check_relational_hor_conditions(
-        t_obj, t_rel, h.e_functor, h.models_gen, broken_leq, P1
-    )
-    assert not report.passed
-    assert report.first_failure.law == "order-self-residual"
-
-
-def test_conditions_accept_non_cograph_trace_tables():
-    # total relations that are converse of no function still satisfy all
-    # three conditions when satisfaction and order are full: the check
-    # covers strictly more structures than functor pairs
-    ident = IdentityFunctor()
-
-    def models_gen(a):
-        return Rel.full(a, a)
-
-    def leq_gen(a):
-        return Rel.full(a, a)
-
-    def t_rel(f):
-        return Rel.full(f.tgt, f.src)
-
-    report = check_relational_hor_conditions(
-        lambda a: a, t_rel, ident, models_gen, leq_gen, P2
-    )
-    assert report.passed, report.describe()
-    two = probe_carrier(2)
-    arrow = t_rel(FuncTable(probe_carrier(1), two, [0]))
-    assert arrow.m.sum(axis=0).max() > 1, "full relation is converse of no function"
 
 
 def test_hat_refuses_an_unsound_parameter():

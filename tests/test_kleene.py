@@ -12,7 +12,7 @@ from finrep.errors import BudgetError
 from finrep import kleene
 from finrep.fset import FiniteSet, carrier_budget
 from finrep.functors import syntax_splits
-from finrep.hor import hor_arrow, instantiate, validate_hor
+from finrep.hor import hor_arrow, instantiate
 from finrep.kleene import (
     CAT,
     EPS,
@@ -581,19 +581,6 @@ def test_exactness_on_classes_matches_dense(letters, cap, k, change, monkeypatch
     want = _dense_exactness(alphabet, cap, k)
     assert want.ok == (change == "none")
     assert ka_semantic_exactness(alphabet, cap, k) == want
-
-
-def test_validate_hor_semantic():
-    h = ka_hor(3, 2)
-    report = validate_hor(h, ProbeUniverse(max_size=2, rel_samples=8))
-    assert report.passed, report.describe()
-    assert [v.law for v in report.verdicts] == [
-        "per-set-representations",
-        "satisfaction-right-linear",
-        "order-natural",
-        "interpretation-naturality",
-        "interpretation-matches-right-linearity",
-    ]
 
 
 def test_hor_arrow_on_probe_functions():

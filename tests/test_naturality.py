@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finrep import functors, hor, naturality
+from finrep import functors, naturality
 from finrep.errors import BudgetError, CarrierMismatch, TheoremInconsistencyError
 from finrep.fset import FiniteSet, carrier_budget
 from finrep.functors import (
@@ -338,8 +338,7 @@ def test_every_probe_check_refuses_an_over_budget_scope_before_any_lift_or_fmap(
     for cls in (IdentityFunctor, PowersetFunctor, functors.ContainerFunctor, ComposedFunctor):
         monkeypatch.setattr(cls, "lift", refuse)
         monkeypatch.setattr(cls, "fmap", refuse)
-    member, unit, mon = membership_family(), powerset_unit(), hor.mon_hor(2)
-    t_obj, t_rel = hor.hor_trace_tables(mon)
+    member, unit = membership_family(), powerset_unit()
     checks = [
         lambda: check_functor_laws(ListFunctor(2), P3),
         *(lambda s=s, m=m: linearity_check(member, P3, side=s, mode=m)
@@ -347,29 +346,11 @@ def test_every_probe_check_refuses_an_over_budget_scope_before_any_lift_or_fmap(
         lambda: classify_linearity(member, P3),
         lambda: is_natural_relation(member, P3),
         lambda: is_natural_transformation(unit, P3),
-        lambda: hor.validate_hor(mon, P3),
-        lambda: hor.check_relational_hor_conditions(t_obj, t_rel, mon.e_functor, mon.models_gen, mon.leq_gen, P3),
     ]
     with carrier_budget(30):
         for check in checks:
             with pytest.raises(BudgetError, match=r"^probe walk of \d+ arrows to 'probe3' has .* budget 3000$"):
                 check()
-
-
-def test_the_interpretation_walk_of_a_structure_is_budgeted_by_its_trace_side():
-    # pairs against singletons at max 4 with no samples: the 241 relations
-    # on 21 x 21 squares (106281 cells) and the 499 functions on 5 x 5
-    # order squares fit a cell budget of 200000, the 499 functions on
-    # 21 x 21 trace squares (220059 cells) do not
-    pairs, singles = ListFunctor(2), ListFunctor(1)
-    h = hor.HOR("pairs", pairs, singles, models_gen=lambda a: Rel.full(pairs.carrier(a), singles.carrier(a)),
-                leq_gen=lambda a: Rel.identity(singles.carrier(a)))
-    probes = ProbeUniverse(4, 0)
-    with carrier_budget(2201):
-        hor.validate_hor(h, probes)
-    with carrier_budget(2000), pytest.raises(
-            BudgetError, match=r"^probe walk of 499 arrows to 'probe4' has 499 x 441 = 220059 cells"):
-        hor.validate_hor(h, probes)
 
 
 def test_head_of_list_partial_family_is_natural():

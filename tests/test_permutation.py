@@ -18,13 +18,19 @@ carrier, so that composing with a trace relation is large enough for
   link a link.
 - Renaming every label one to one gives the same report bytes once the
   new labels are mapped back.
+- Commands whose reports list carriers, sets or witnesses print their
+  recorded golden bytes in child processes under `PYTHONHASHSEED` 0, 1
+  and random, so no report follows the order of a set or dict of labels.
 """
 
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,7 +40,8 @@ from finrep.document import quote_label
 
 import oracle
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 # lines whose body after `=` is made of labels, and the tokens of a body
 _LABEL_LINES = ("set", "rel", "preorder", "fun")
@@ -271,3 +278,33 @@ def test_the_cases_reach_violations_and_passes():
     assert {law for law in laws if (law, True) in seen and (law, False) in seen} >= {
         "order-preservation", "models-transport", "tau-monotone", "roundtrip-up", "soundness",
         "closure-covers-satisfaction", "closure-within-order", "exactness"}
+
+
+HASH_SEED_COMMANDS = [
+    "build product corpus/pair.doc",
+    "hor instantiate corpus/ka.doc --set A",
+    "check naturality corpus/families.doc --family wrap --seed 5 --samples 3",
+    "check linearity corpus/families.doc --family member_of --side both",
+]
+# runs each command line of argv[1] through cli.main, prints [exit, stdout] per line
+_HASH_SEED_CHILD = """
+import contextlib, io, json, sys
+from finrep.cli import main
+outs = []
+for line in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(line.split())
+    outs.append([rc, out.getvalue()])
+print(json.dumps(outs))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "random"])
+def test_report_bytes_do_not_follow_the_hash_seed(seed):
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run([sys.executable, "-c", _HASH_SEED_CHILD, json.dumps(HASH_SEED_COMMANDS)],
+                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    golden = json.loads((ROOT / "tests" / "golden_reports.json").read_text(encoding="utf-8"))
+    assert json.loads(child.stdout) == [[golden[line]["exit"], golden[line]["stdout"]] for line in HASH_SEED_COMMANDS]

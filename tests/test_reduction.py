@@ -14,6 +14,7 @@ from finrep.generate import (
     random_sound_representation,
     surjection_with_section,
 )
+from finrep.morphism import Morphism, validate_morphism
 from finrep.reduction import (
     Reduction,
     _setwise_exactness,
@@ -21,7 +22,6 @@ from finrep.reduction import (
     closure_reduction_equivalence,
     compose_reductions,
     identity_reduction,
-    reduction_morphism_candidates,
     self_reduction,
     transfer_exactness,
     validate_reduction,
@@ -299,18 +299,11 @@ def test_equivalence_refused_without_hypotheses():
     assert "route" in report.scope
 
 
-def test_morphism_candidates_identity_reduction():
-    a = FiniteSet("Ma", ["a", "b"])
-    r = membership_representation(a)
-    report = reduction_morphism_candidates(identity_reduction(r))
-    assert report.passed
-    laws = [v.law for v in report.verdicts]
-    assert "forward-order-preservation" in laws
-    assert "backward-models-transport" in laws
-    assert laws[-1] == "exact-exact-forward-morphism"
+def _forward(red: Reduction) -> Morphism:
+    return Morphism(red.source, red.target, red.phi, red.psi)
 
 
-def test_morphism_candidates_exact_exact_generated():
+def test_a_reduction_between_exact_representations_is_a_forward_morphism():
     rng = np.random.default_rng(44)
     for i in range(40):
         t = carrier(f"xt{i}", int(rng.integers(1, 4)))
@@ -318,12 +311,14 @@ def test_morphism_candidates_exact_exact_generated():
         e1 = carrier(f"xe{i}", n2 + int(rng.integers(0, 3)))
         e2 = carrier(f"xf{i}", n2)
         red = random_reduction_instance(rng, t, e1, e2)
-        validate_reduction(red)
-        report = reduction_morphism_candidates(red)
-        assert report.verdicts[-1].law == "exact-exact-forward-morphism"
+        assert validate_reduction(red).passed
+        assert is_exact(red.source).ok and is_exact(red.target).ok
+        assert validate_morphism(_forward(red)).passed
+    ident = identity_reduction(membership_representation(FiniteSet("Ma", ["a", "b"])))
+    assert validate_morphism(_forward(ident)).passed
 
 
-def test_morphism_candidates_counterexample_when_target_inexact():
+def test_the_forward_pair_of_a_reduction_onto_an_inexact_target_can_fail():
     # frozen instance: the source order relates q below p, but the target
     # order is discrete, so forward order-preservation must fail
     t = FiniteSet("Nt", ["t"])
@@ -336,12 +331,9 @@ def test_morphism_candidates_counterexample_when_target_inexact():
     tau = FuncTable.from_map(e2, e1, {"P": "p", "Q": "q"})
     red = Reduction(source, target, phi, tau, Rel.identity(t))
     assert validate_reduction(red).passed
-    report = reduction_morphism_candidates(red)
-    by_law = {v.law: v for v in report.verdicts}
-    assert not by_law["forward-order-preservation"].ok
-    assert by_law["forward-order-preservation"].witness == ("Q", "p")
-    assert by_law["forward-models-transport"].ok
+    order, models = validate_morphism(_forward(red)).verdicts
+    assert not order.ok and order.witness == ("Q", "p")
+    assert models.ok
     assert validate_representation(source).passed and is_exact(source).ok
     validate_representation(target)
     assert not is_exact(target).ok
-    assert "exact-exact-forward-morphism" not in by_law

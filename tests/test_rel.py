@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import finrep.rel as relmod
 from finrep.errors import CarrierMismatch
 from finrep.fset import FiniteSet
+from finrep.functors import ListFunctor
 from finrep.rel import (
     FuncTable,
     Rel,
@@ -23,7 +24,6 @@ from finrep.rel import (
     inter,
     is_included,
     is_preorder,
-    over,
     star,
     sum_set,
     under,
@@ -97,20 +97,12 @@ def test_under_against_oracle():
         assert pairs_of(got) == under_oracle(A, xp, zp, B, C)
 
 
-def test_over_defining_property():
-    # x is below over(z, y) exactly when x;y is below z, checked exhaustively
-    # on one-element-and-two-element carriers
-    s1 = FiniteSet("o1", ["u"])
-    s2 = FiniteSet("o2", ["v", "w"])
-    rels_12 = [rel_from(s1, s2, p) for p in _all_pairsets(s1, s2)]
-    rels_22 = [rel_from(s2, s2, p) for p in _all_pairsets(s2, s2)]
-    for y in rels_22:
-        for z in rels_12:
-            ov = over(z, y)
-            for x in rels_12:
-                lhs = is_included(x, ov).ok
-                rhs = is_included(compose(x, y), z).ok
-                assert lhs == rhs
+def test_a_relation_is_its_own_self_residual_exactly_when_a_preorder():
+    # x under x relates p to q when every a with (a, p) in x has (a, q) in
+    # x; checked over every relation on three elements
+    for pairs in _all_pairsets(A, A):
+        x = rel_from(A, A, pairs)
+        assert (under(x, x) == x) == is_preorder(x).passed
 
 
 def _all_pairsets(src, tgt):
@@ -187,6 +179,14 @@ def test_coproduct_axioms_all_small_pairs():
     for a in sets:
         for b in sets:
             assert check_coproduct_axioms(a, b).passed
+
+
+def test_reprs_name_the_carriers():
+    x = rel_from(A, B, {("a0", "b1"), ("a2", "b0")})
+    assert repr(x) == "Rel('rA' -> 'rB', 2 pairs)"
+    assert repr(FuncTable.identity(B)) == "FuncTable('rB' -> 'rB')"
+    assert repr(A) == "FiniteSet('rA', 3 elements)"
+    assert repr(ListFunctor(2)) == "Functor(list(len 2))"
 
 
 def test_sum_set_injections():

@@ -12,20 +12,17 @@ from finrep.fset import FiniteSet, carrier_budget
 from finrep.generate import (
     carrier,
     random_exact_representation,
+    random_func,
     random_preorder,
     random_sound_representation,
 )
-from finrep.rel import FuncTable, Rel, is_preorder
+from finrep.rel import Rel, compose, converse, graph, is_preorder
 from finrep.represent import (
     Representation,
-    SpecTheory,
-    check_interpretation_identity,
     interpretations,
     is_exact,
     membership_representation,
     semantic_containment,
-    spec_theory_to_representation,
-    trace_preorder,
     trivial_representation,
     validate_representation,
 )
@@ -143,24 +140,18 @@ def test_interpretations_of_membership(two):
     assert sets == {"{}": frozenset(), "{a}": {0}, "{b}": {1}, "{a,b}": {0, 1}}
 
 
-def test_interpretation_identity_random():
-    rng = np.random.default_rng(9)
-    for i in range(100):
-        t = carrier(f"it{i}", int(rng.integers(0, 5)))
-        e = carrier(f"ie{i}", int(rng.integers(0, 5)))
-        r = random_sound_representation(rng, t, e)
-        assert check_interpretation_identity(r).ok
-
-
 def test_trace_preorder_properties():
+    # traces ordered by the expressions they satisfy: the semantic
+    # containment of the converse satisfaction, the converse of the
+    # paper's trace preorder, is a preorder, and full when nothing is
+    # satisfied
     rng = np.random.default_rng(2)
     t = carrier("tp", 4)
     e = carrier("te", 3)
     for _ in range(50):
         r = random_sound_representation(rng, t, e)
-        assert is_preorder(trace_preorder(r)).passed
-    void = Representation("void", t, e, Rel.empty(t, e), Rel.identity(e))
-    assert trace_preorder(void) == Rel.full(t, t)
+        assert is_preorder(semantic_containment(converse(r.models), r.name)).passed
+    assert semantic_containment(converse(Rel.empty(t, e)), "void") == Rel.full(t, t)
 
 
 def test_soundness_restated_and_exactness_as_coincidence():
@@ -195,41 +186,16 @@ def test_interpretations_monotone_and_converse_for_exact():
                     assert x.leq.m[i, j]
 
 
-def test_spec_theory_identity_case():
-    e = FiniteSet("Es", ["p", "q"])
-    st = SpecTheory(e, e, FuncTable.identity(e), Rel.identity(e))
-    r = spec_theory_to_representation(st)
-    assert r.models == Rel.identity(e)
-
-
-def test_spec_theory_unfolds_order():
-    t = FiniteSet("Tt", ["t"])
-    e = FiniteSet("Ee", ["e0", "e1"])
-    chi = FuncTable.from_map(t, e, {"t": "e0"})
-    leq = Rel.from_pairs(e, e, [("e0", "e0"), ("e1", "e1"), ("e0", "e1")])
-    r = spec_theory_to_representation(SpecTheory(t, e, chi, leq))
-    assert interpretations(r)[e.index("e1")] == {t.index("t")}
-    assert validate_representation(r).passed
-
-
-def test_spec_theory_rejects_non_preorder():
-    t = FiniteSet("Tr", ["t"])
-    e = FiniteSet("Er", ["e0", "e1"])
-    chi = FuncTable.from_map(t, e, {"t": "e0"})
-    bad = Rel.from_pairs(e, e, [("e0", "e1")])
-    with pytest.raises(ValueError, match="preorder"):
-        spec_theory_to_representation(SpecTheory(t, e, chi, bad))
-
-
 def test_spec_theories_always_validate_random():
+    # a characteristic-expression theory, one expression per trace and a
+    # preorder, read as a representation: each trace satisfies everything
+    # above its characteristic expression, and that is always sound
     rng = np.random.default_rng(13)
-    from finrep.laws import random_func
-
     for i in range(100):
         t = carrier(f"st{i}", int(rng.integers(0, 4)))
         e = carrier(f"se{i}", int(rng.integers(1, 5)))
-        st = SpecTheory(t, e, random_func(rng, t, e), random_preorder(rng, e))
-        assert validate_representation(spec_theory_to_representation(st)).passed
+        chi, leq = random_func(rng, t, e), random_preorder(rng, e)
+        assert validate_representation(Representation("spec", t, e, compose(graph(chi), leq), leq)).passed
 
 
 def test_semantic_containment_refused_over_the_cell_budget():
