@@ -315,7 +315,7 @@ def _operations(cur: _Cursor, doc: Document, name: str) -> Signature:
     while not cur.done:
         t = cur.take("op:arity")
         op, colon, arity = t.text.rpartition(":")
-        if t.quoted or not colon or not op or not arity.isdecimal():
+        if t.quoted or not colon or not op or not (arity.isascii() and arity.isdecimal()):
             raise DocumentError(f"expected op:arity, got {t.text!r}", t.line, t.column)
         if op in ops:
             raise DocumentError(f"duplicate operation {op!r}", t.line, t.column)

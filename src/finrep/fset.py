@@ -6,8 +6,9 @@ product, powerset, and the functor-built ones) are interned by construction
 recipe, so deriving the same thing twice returns the very same object and
 relations over it stay composable.  `intern` is the one memo of derived
 values: a recipe names its anchor last (a carrier, or a relation,
-representation, morphism, reduction, probe universe or higher-order
-structure) and is memoized on that anchor under the rest of the recipe.
+representation, morphism, reduction, probe universe, indexed family or
+higher-order structure) and is memoized on that anchor under the rest of
+the recipe.
 Nothing derived refers back to its anchor, so it is freed with the anchor
 by reference counting.
 """

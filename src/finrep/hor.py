@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fset import FiniteSet, check_cells, intern
-from .functors import Functor, ListFunctor, Signature, TermFunctor
+from .functors import Signature
 from .morphism import Morphism, validate_morphism
-from .naturality import max_var_count, samevars_family, varlist_family
+from .naturality import IndexedRelation, samevars_family, varlist_family
 from .rel import (
     FuncTable,
     Rel,
@@ -49,50 +49,34 @@ class PreorderedSet:
 
 @dataclass(frozen=True, eq=False)
 class HOR:
-    """Functor pair plus satisfaction and order families.  Both functors
-    count their carriers in closed form (`size`), as the list, term and
-    expression functors do.  Each carrier's satisfaction, order and
-    instance are interned on the structure, keyed by the carrier, and
-    their cells are checked against the budget on every request."""
+    """A satisfaction family T ⇸ E and an order family E ⇸ E over one
+    functor pair (T, E), the families' `source` and `target`.  Both
+    functors count their carriers in closed form (`size`), as the list,
+    term and expression functors do.  Each carrier's instance is interned
+    on the structure, each component on its family."""
 
     name: str
-    t_functor: Functor
-    e_functor: Functor
-    models_gen: "callable[[FiniteSet], Rel]" = field(repr=False, default=None)
-    leq_gen: "callable[[FiniteSet], Rel]" = field(repr=False, default=None)
+    models: IndexedRelation
+    leq: IndexedRelation
     _memo: dict | None = field(default=None, init=False, repr=False)
 
-    # the cell counts come from the functors' closed-form sizes, so a
-    # relation over the budget is refused before any carrier is built
-    def _check_models_cells(self, a: FiniteSet):
-        check_cells(self.t_functor.size(a), self.e_functor.size(a),
-                    "satisfaction of %s at %s", self.name, a.name)
 
-    def _check_leq_cells(self, a: FiniteSet):
-        n = self.e_functor.size(a)
-        check_cells(n, n, "order of %s at %s", self.name, a.name)
-
-    def models_at(self, a: FiniteSet) -> Rel:
-        self._check_models_cells(a)
-        return intern(("models", a, self), lambda: on_carriers(
-            self.models_gen(a), self.t_functor.carrier(a), self.e_functor.carrier(a),
-            "satisfaction of %s off its carriers at %s", self.name, a.name))
-
-    def leq_at(self, a: FiniteSet) -> Rel:
-        self._check_leq_cells(a)
-        e = self.e_functor.carrier(a)
-        return intern(("leq", a, self), lambda: on_carriers(
-            self.leq_gen(a), e, e, "order of %s off its carriers at %s", self.name, a.name))
+def _checked(h: HOR, family: IndexedRelation, a: FiniteSet) -> IndexedRelation:
+    """`family`, once its component at `a` is within the cell budget,
+    counted from the functors' closed-form sizes, so a relation over the
+    budget is refused before any carrier is built, on every request."""
+    what = "satisfaction" if family is h.models else "order"
+    check_cells(family.source.size(a), family.target.size(a), "%s of %s at %s", what, h.name, a.name)
+    return family
 
 
 def instantiate(h: HOR, a: FiniteSet) -> Representation:
     """The representation of `h` at `a`, validated, built once per carrier."""
-    h._check_models_cells(a)
-    h._check_leq_cells(a)
+    models, leq = _checked(h, h.models, a), _checked(h, h.leq, a)
 
     def build():
-        rep = Representation(f"{h.name}({a.name})", h.t_functor.carrier(a), h.e_functor.carrier(a),
-                             h.models_at(a), h.leq_at(a))
+        rep = Representation(f"{h.name}({a.name})", models.source.carrier(a), models.target.carrier(a),
+                             models.rel_at(a), leq.rel_at(a))
         validate_representation(rep)
         return rep
 
@@ -106,8 +90,8 @@ def hor_arrow(h: HOR, f: FuncTable) -> Morphism:
     m = Morphism(
         source=instantiate(h, f.src),
         target=instantiate(h, f.tgt),
-        phi=h.e_functor.fmap(f),
-        psi=cograph(h.t_functor.fmap(f)),
+        phi=h.models.target.fmap(f),
+        psi=cograph(h.models.source.fmap(f)),
     )
     validate_morphism(m)
     return m
@@ -128,14 +112,14 @@ def check_tilde_soundness(h: HOR, p: PreorderedSet) -> LawReport:
     report = validate_representation(rep)
     report.add(
         is_included(
-            compose(rep.models, h.e_functor.lift(p.order)),
+            compose(rep.models, h.models.target.lift(p.order)),
             rep.models,
             "absorbs-lifted-order",
         )
     )
     report.add(
         is_included(
-            compose(rep.models, h.leq_at(p.carrier)),
+            compose(rep.models, h.leq.rel_at(p.carrier)),
             rep.models,
             "absorbs-base-order",
         )
@@ -148,12 +132,14 @@ def hat_lift(h: HOR, r: Representation) -> Representation:
     expressions over its expressions.  Refuses a parameter that fails
     validation."""
     require(validate_representation(r))
+    t, e = h.models.source, h.models.target
     rep = Representation(
         name=f"{h.name}-over-{r.name}",
-        traces=h.t_functor.carrier(r.traces),
-        exprs=h.e_functor.carrier(r.exprs),
-        models=compose(h.t_functor.lift(r.models), h.models_at(r.exprs)),
-        leq=star(union(h.e_functor.lift(r.leq), h.leq_at(r.exprs))),
+        traces=t.carrier(r.traces),
+        exprs=e.carrier(r.exprs),
+        models=compose(t.lift(r.models), _checked(h, h.models, r.exprs).rel_at(r.exprs)),
+        # the order has the cells of the lift of r.leq, refused there
+        leq=star(union(e.lift(r.leq), h.leq.rel_at(r.exprs))),
     )
     validate_representation(rep)
     return rep
@@ -164,15 +150,9 @@ def hat_lift(h: HOR, r: Representation) -> Representation:
 def mon_hor(depth: int = 3) -> HOR:
     """Lists against monoid terms: a term satisfies exactly the list of
     its variables read left to right."""
-    ell = varlist_family(MON_SIG, depth)
-    eq = samevars_family(MON_SIG, depth)
-    return HOR(
-        name=f"mon(depth {depth})",
-        t_functor=ListFunctor(max_var_count(MON_SIG, depth)),
-        e_functor=TermFunctor(MON_SIG, depth),
-        models_gen=lambda a: cograph(ell.func_at(a)),
-        leq_gen=eq.rel_at,
-    )
+    name, ell = f"mon(depth {depth})", varlist_family(MON_SIG, depth)
+    models = IndexedRelation(f"{name}-satisfaction", ell.target, ell.source, lambda a: cograph(ell.func_at(a)))
+    return HOR(name, models, samevars_family(MON_SIG, depth))
 
 
 def tilde_mon_rule_check(p: PreorderedSet, depth: int = 2) -> LawReport:
@@ -181,9 +161,9 @@ def tilde_mon_rule_check(p: PreorderedSet, depth: int = 2) -> LawReport:
     the star-of-union form produced by the preorder lift."""
     h = mon_hor(depth)
     lifted = tilde_lift(h, p).leq
-    term_carrier, ix = h.e_functor.arrays(p.carrier)
+    term_carrier, ix = h.leq.source.arrays(p.carrier)
 
-    m = samevars_family(MON_SIG, depth).rel_at(p.carrier).m.copy()
+    m = h.leq.rel_at(p.carrier).m.copy()
     n = len(p.carrier)  # the variables lead the carrier
     m[:n, :n] |= p.order.m
 

@@ -15,6 +15,7 @@ from .errors import BudgetError
 from .fset import FiniteSet, check_cells, intern
 from .functors import HOLE, ListFunctor, SyntaxFunctor, SyntaxIndex, syntax_finder
 from .hor import HOR
+from .naturality import IndexedRelation
 from .rel import Rel, column_classes, star
 from .represent import semantic_containment
 from .verdict import LawReport, Verdict
@@ -262,21 +263,11 @@ def ka_hor(size: int = 3, words: int = 2, mode: str = "semantic") -> HOR:
     if mode not in ("semantic", "axiomatic"):
         raise ValueError(f"ka order mode must be semantic or axiomatic, got {mode!r}")
 
-    def models_gen(a):
-        return models_matrix(a, size, words)
-
-    def leq_gen(a):
-        if mode == "semantic":
-            return semantic_leq(a, size, words)
-        return axiomatic_leq(a, size, generate_axiom_instances(a, size))
-
-    return HOR(
-        name=f"ka({mode}, size {size}, words {words})",
-        t_functor=ListFunctor(words),
-        e_functor=RegexFunctor(size),
-        models_gen=models_gen,
-        leq_gen=leq_gen,
-    )
+    name, t, e = f"ka({mode}, size {size}, words {words})", ListFunctor(words), RegexFunctor(size)
+    leq = ((lambda a: semantic_leq(a, size, words)) if mode == "semantic"
+           else lambda a: axiomatic_leq(a, size, generate_axiom_instances(a, size)))
+    return HOR(name, IndexedRelation(f"{name}-satisfaction", t, e, lambda a: models_matrix(a, size, words)),
+               IndexedRelation(f"{name}-order", e, e, leq))
 
 
 def ka_semantic_exactness(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) -> Verdict:
@@ -317,17 +308,12 @@ def _derivable(i: int, succ: np.ndarray, start: np.ndarray) -> np.ndarray:
     return seen
 
 
-def ka_completeness_report(
-    alphabet: FiniteSet,
-    expr_size_cap: int,
-    word_len_cap: int,
-    axioms=generate_axiom_instances,
-) -> LawReport:
+def ka_completeness_report(alphabet: FiniteSet, expr_size_cap: int, word_len_cap: int) -> LawReport:
     """Soundness of the instance list plus the first measured gap: a true
     bounded-language inclusion the instances cannot derive, searched from
     the first _GAP_SCAN_LIMIT expressions."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
-    pairs = np.asarray(axioms(alphabet, expr_size_cap), dtype=np.int64).reshape(-1, 2)
+    pairs = generate_axiom_instances(alphabet, expr_size_cap)
     report = LawReport(subject=f"axiomatic order over {len(exprs)} expressions")
     law = "axiom-instances-sound"
     unsound = np.flatnonzero(masks[pairs[:, 0]] & ~masks[pairs[:, 1]])

@@ -14,7 +14,6 @@ functor laws and the `hor` walks read the stacks arrow by arrow.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -100,11 +99,6 @@ class ProbeUniverse:
             for table in self.stack("functions", a, b):
                 yield a, b, FuncTable(a, b, table)
 
-    def relations(self):
-        for a, b in itertools.product(self.carriers(), repeat=2):
-            for x in self.relations_between(a, b):
-                yield a, b, x
-
     def relations_between(self, a: FiniteSet, b: FiniteSet):
         for m in self.stack("relations", a, b):
             yield Rel(a, b, m)
@@ -122,7 +116,8 @@ class ProbeUniverse:
 
     @property
     def relation_count(self) -> int:
-        """How many relations `relations` yields, in closed form."""
+        """How many relations `relations_between` yields over every carrier
+        pair, in closed form."""
         sizes = range(self.max_size + 1)
         return sum(self.relation_count_between(a, b) for a in sizes for b in sizes)
 
@@ -150,32 +145,41 @@ def _rel_note(x: Rel) -> str:
     return f"{x.src.name}-|{x.tgt.name} {{{body}}}"
 
 
-@dataclass
+def _component(family, a: FiniteSet):
+    """The component of `family` at `a`, built once per carrier and
+    interned on the family, refused if it is off its carriers."""
+    return intern((a, family), lambda: on_carriers(
+        family.at(a), family.source.carrier(a), family.target.carrier(a),
+        "family %s off its carriers at %s", family.name, a.name))
+
+
+@dataclass(frozen=True, eq=False)
 class IndexedRelation:
-    """Family A ↦ rel(F A, G A)."""
+    """Family A ↦ rel(F A, G A), each component interned on the family."""
 
     name: str
     source: Functor
     target: Functor
     at: "callable[[FiniteSet], Rel]" = field(repr=False, default=None)
+    _memo: dict | None = field(default=None, init=False, repr=False)
 
     def rel_at(self, a: FiniteSet) -> Rel:
-        return on_carriers(self.at(a), self.source.carrier(a), self.target.carrier(a),
-                           "family %s off its carriers at %s", self.name, a.name)
+        return _component(self, a)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IndexedFunction:
-    """Family A ↦ function(F A -> G A)."""
+    """Family A ↦ function(F A -> G A), each component interned on the
+    family."""
 
     name: str
     source: Functor
     target: Functor
     at: "callable[[FiniteSet], FuncTable]" = field(repr=False, default=None)
+    _memo: dict | None = field(default=None, init=False, repr=False)
 
     def func_at(self, a: FiniteSet) -> FuncTable:
-        return on_carriers(self.at(a), self.source.carrier(a), self.target.carrier(a),
-                           "family %s off its carriers at %s", self.name, a.name)
+        return _component(self, a)
 
     def graph_family(self) -> IndexedRelation:
         return IndexedRelation(
@@ -280,10 +284,13 @@ def _blocks(arrows: np.ndarray, *family):
 
 
 def _probe_blocks(probes: ProbeUniverse, mode: str, at):
-    """(a, b, block) per block of the `mode` probe arrows a -> b, in probe order."""
+    """(a, b, at(a), at(b), block) per block of the `mode` probe arrows
+    a -> b, in probe order: each carrier pair's two family components are
+    looked up once for all its blocks."""
     for a, b in itertools.product(probes.carriers(), repeat=2):
-        for x in _blocks(probes.stack(mode, a, b), at(a), at(b)):
-            yield a, b, x
+        ra, rb = at(a), at(b)
+        for x in _blocks(probes.stack(mode, a, b), ra, rb):
+            yield a, b, ra, rb, x
 
 
 def _paths(rho: IndexedRelation, mode: str, side: str, a, b, ra: Rel, rb: Rel, x: np.ndarray):
@@ -317,8 +324,7 @@ def _square_verdicts(rho: IndexedRelation, probes: ProbeUniverse, laws: list[str
     the left and the converse on the right; naturality asks the right
     functions square for the inclusion.  Laws reading one square share its
     walk; a violation is the first failing arrow in probe order, read again
-    as one square for its witness.  Each component is looked up once."""
-    at = functools.cache(rho.rel_at)
+    as one square for its witness."""
     walks = {}
     for law in laws:
         walks.setdefault(_LAWS[law][:2], []).append(law)
@@ -326,8 +332,7 @@ def _square_verdicts(rho: IndexedRelation, probes: ProbeUniverse, laws: list[str
     for (mode, side), todo in walks.items():
         count = probes.function_count if mode == "functions" else probes.relation_count
         _check_squares(probes, count, rho.source, rho.target)
-        for a, b, x in _probe_blocks(probes, mode, at):
-            ra, rb = at(a), at(b)
+        for a, b, ra, rb, x in _probe_blocks(probes, mode, rho.rel_at):
             src, tgt = (ra.src, rb.tgt) if side == "left" else (rb.src, ra.tgt)
             lhs, rhs = _paths(rho, mode, side, a, b, ra, rb, x)
             for law in list(todo):
@@ -387,9 +392,7 @@ def is_natural_transformation(phi: IndexedFunction, probes: ProbeUniverse) -> Ve
     """G f after phi_a equals phi_b after F f for each probe function f:
     a -> b; a violation names the first element where they differ."""
     _check_squares(probes, probes.function_count, phi.source, phi.target)
-    at = functools.cache(phi.func_at)
-    for a, b, x in _probe_blocks(probes, "functions", at):
-        pa, pb = at(a), at(b)
+    for a, b, pa, pb, x in _probe_blocks(probes, "functions", phi.func_at):
         differ = phi.target.fmaps(a, b, x)[2][:, pa.table] != pb.table[phi.source.fmaps(a, b, x)[2]]
         if differ.any():
             i, j = np.argwhere(differ)[0]  # the first arrow, and its first element

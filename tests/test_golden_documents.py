@@ -121,6 +121,9 @@ DOCUMENTS = [
     ("signature-bad-arity", "signature S = mul:x\n"),
     ("signature-no-op", "signature S = :2\n"),
     ("signature-duplicate-op", "signature S = mul:2 mul:1\n"),
+    # an arity is ASCII digits, like every other integer of the format
+    ("signature-arabic-indic-arity", "signature S = f:\u0662 one:0\n"),
+    ("signature-leading-zero-arity", "signature S = f:02 one:0\n"),
     ("unknown-builtin", "hor H = builtin frob\n"),
     ("builtin-missing", "family F = membership\n"),
     ("builtin-name-missing", "family F = builtin\n"),

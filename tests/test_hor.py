@@ -2,6 +2,7 @@ import itertools
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from finrep.hor import (
 from finrep.kleene import ka_hor
 from finrep.morphism import compose_morphisms, morphisms_equal
 from finrep.naturality import (
-    IndexedRelation,
     ProbeUniverse,
     is_natural_relation,
     is_natural_transformation,
@@ -87,19 +87,17 @@ def test_instantiate_frozen_sizes():
 
 
 def _counted(base):
-    """`base` with generators that count their calls, by generator and
-    carrier name."""
+    """`base` with families whose components count their builds, by family
+    and carrier name."""
     calls = Counter()
 
-    def counting(kind, gen):
+    def counting(kind, family):
         def at(a):
             calls[kind, a.name] += 1
-            return gen(a)
-        return at
+            return family.at(a)
+        return replace(family, at=at)
 
-    h = HOR(base.name, base.t_functor, base.e_functor,
-            counting("models", base.models_gen), counting("leq", base.leq_gen))
-    return h, calls
+    return HOR(base.name, counting("models", base.models), counting("leq", base.leq)), calls
 
 
 def _once_each(*names):
@@ -118,14 +116,6 @@ def test_a_hor_arrow_walk_builds_each_instance_once(law_computations, make):
     assert calls == _once_each(*PROBE_NAMES)
 
 
-def _satisfaction(h: HOR) -> IndexedRelation:
-    return IndexedRelation(f"{h.name}-satisfaction", h.t_functor, h.e_functor, h.models_at)
-
-
-def _order(h: HOR) -> IndexedRelation:
-    return IndexedRelation(f"{h.name}-order", h.e_functor, h.e_functor, h.leq_at)
-
-
 @pytest.mark.parametrize("make", [
     lambda: mon_hor(3), lambda: ka_hor(3, 2), lambda: ka_hor(3, 2, "axiomatic"),
 ], ids=["mon", "ka-semantic", "ka-axiomatic"])
@@ -133,14 +123,14 @@ def test_a_builtin_structure_meets_the_structure_laws(law_computations, make):
     # each probe instance validates, satisfaction is right-linear in both
     # readings (a renamed expression is satisfied by the renamed traces,
     # and the lifted relations commute), and the order family is natural;
-    # each generator runs once per carrier, each instance validates once
+    # each component is built once per carrier, each instance validates once
     h, calls = _counted(make())
     probes = ProbeUniverse(2)
     assert all(validate_representation(instantiate(h, a)).passed for a in probes.carriers())
-    linear = linearity_check(_satisfaction(h), probes, side="right", mode="both")
+    linear = linearity_check(h.models, probes, side="right", mode="both")
     assert [(v.law, v.ok) for v in linear.verdicts] == [
         ("right-linear-functions", True), ("right-linear-relations", True)]
-    assert is_natural_relation(_order(h), probes).ok
+    assert is_natural_relation(h.leq, probes).ok
     assert [rep.name for rep in law_computations] == [f"{h.name}({name})" for name in PROBE_NAMES]
     assert calls == _once_each(*PROBE_NAMES)
 
@@ -156,14 +146,12 @@ def test_a_lowered_budget_refuses_a_memoized_instance():
     h, a = mon_hor(3), probe_carrier(2)
     rep = instantiate(h, a)
     with carrier_budget(150):  # 147 expressions pass, their order's cells do not
-        for request in (lambda: instantiate(h, a), lambda: h.leq_at(a)):
-            with pytest.raises(BudgetError, match=r"order of mon\(depth 3\) at probe2 has 147 x 147 = 21609 cells"):
-                request()
-        assert h.models_at(a) is rep.models
+        with pytest.raises(BudgetError, match=r"order of mon\(depth 3\) at probe2 has 147 x 147 = 21609 cells"):
+            instantiate(h, a)
+        assert h.models.rel_at(a) is rep.models
     with carrier_budget(1):
-        for request in (lambda: instantiate(h, a), lambda: h.models_at(a)):
-            with pytest.raises(BudgetError, match="list carrier over 'probe2' up to length 1 has 3 elements, budget 1"):
-                request()
+        with pytest.raises(BudgetError, match="list carrier over 'probe2' up to length 1 has 3 elements, budget 1"):
+            instantiate(h, a)
     assert instantiate(h, a) is rep
 
 
@@ -194,15 +182,15 @@ def test_corrupting_one_order_component_breaks_naturality():
     base = mon_hor(2)
     bad_at = probe_carrier(2)
 
-    def leq_gen(a):
+    def leq(a):
         if a is bad_at:
-            return Rel.identity(base.e_functor.carrier(a))
-        return base.leq_gen(a)
+            return Rel.identity(base.leq.target.carrier(a))
+        return base.leq.at(a)
 
-    h = HOR("dented-mon", base.t_functor, base.e_functor, base.models_gen, leq_gen)
+    h = HOR("dented-mon", base.models, replace(base.leq, at=leq))
     assert all(validate_representation(instantiate(h, a)).passed for a in P2.carriers())
-    assert linearity_check(_satisfaction(h), P2, side="right").passed
-    assert is_natural_relation(_order(h), P2) == Verdict(
+    assert linearity_check(h.models, P2, side="right").passed
+    assert is_natural_relation(h.leq, P2) == Verdict(
         "natural-relation", False, ("one", "mul(one,one)"), "probe0->probe2 []")
 
 
@@ -212,13 +200,13 @@ def test_emptying_one_satisfaction_component_breaks_right_linearity():
     # satisfaction condition fail on that first arrow
     base = mon_hor(2)
 
-    def models_gen(a):
-        m = base.models_gen(a)
+    def models(a):
+        m = base.models.at(a)
         return Rel.empty(m.src, m.tgt) if a is probe_carrier(1) else m
 
-    h = HOR("emptied-mon", base.t_functor, base.e_functor, models_gen, base.leq_gen)
+    h = HOR("emptied-mon", replace(base.models, at=models), base.leq)
     assert all(validate_representation(instantiate(h, a)).passed for a in P2.carriers())
-    assert linearity_check(_satisfaction(h), P2, side="right", mode="both").verdicts == [
+    assert linearity_check(h.models, P2, side="right", mode="both").verdicts == [
         Verdict("right-linear-functions", False, ("[]", "one"), "probe0->probe1 []"),
         Verdict("right-linear-relations", False, ("[]", "one"), "probe0-|probe1 {}"),
     ]
@@ -271,13 +259,13 @@ def _preorders(n: int):
 def _tilde_reference(h: HOR, p: PreorderedSet) -> Representation:
     """The tilde lift's own formula: satisfaction relaxed by the lifted
     preorder, and the order closed under it."""
-    a = p.carrier
+    a, t, e = p.carrier, h.models.source, h.models.target
     return Representation(
         f"{h.name}-over-{a.name}",
-        h.t_functor.carrier(a),
-        h.e_functor.carrier(a),
-        compose(h.t_functor.lift(p.order), h.models_at(a)),
-        star(union(h.e_functor.lift(p.order), h.leq_at(a))),
+        t.carrier(a),
+        e.carrier(a),
+        compose(t.lift(p.order), h.models.rel_at(a)),
+        star(union(e.lift(p.order), h.leq.rel_at(a))),
     )
 
 
@@ -316,7 +304,7 @@ def test_discrete_rule_closure_is_monoid_equality():
     h = mon_hor(2)
     pq = FiniteSet("pq", ["p", "q"])
     lifted = tilde_lift(h, PreorderedSet(pq, Rel.identity(pq)))
-    assert lifted.leq == h.leq_at(pq)
+    assert lifted.leq == h.leq.rel_at(pq)
 
 
 def test_flattening_is_natural_and_linear_at_depth_three():
@@ -327,8 +315,8 @@ def test_flattening_is_natural_and_linear_at_depth_three():
 def test_lifted_list_order_is_same_length_pointwise():
     h = mon_hor(2)
     p = _pq_chain()
-    lifted = h.t_functor.lift(p.order)
-    la = h.t_functor.carrier(p.carrier)
+    lifted = h.models.source.lift(p.order)
+    la = h.models.source.carrier(p.carrier)
     for i, u in enumerate(la.payload):
         for j, v in enumerate(la.payload):
             expect = len(u) == len(v) and all(
@@ -413,13 +401,16 @@ def test_foreign_order_is_a_carrier_mismatch_with_and_without_asserts():
 
 
 def test_structure_off_its_carriers_is_a_carrier_mismatch():
+    # each family is wired to the other's components
     h = mon_hor(2)
-    stray = HOR("stray", h.t_functor, h.e_functor, models_gen=h.leq_gen, leq_gen=h.models_gen)
+    stray = HOR("stray", replace(h.models, name="stray-satisfaction", at=h.leq.rel_at),
+                replace(h.leq, name="stray-order", at=h.models.rel_at))
     a = probe_carrier(1)
-    with pytest.raises(CarrierMismatch, match="satisfaction of stray off its carriers at probe1"):
-        stray.models_at(a)
-    with pytest.raises(CarrierMismatch, match="order of stray off its carriers at probe1"):
-        stray.leq_at(a)
+    for request in (lambda: instantiate(stray, a), lambda: stray.models.rel_at(a)):
+        with pytest.raises(CarrierMismatch, match="^family stray-satisfaction off its carriers at probe1$"):
+            request()
+    with pytest.raises(CarrierMismatch, match="^family stray-order off its carriers at probe1$"):
+        stray.leq.rel_at(a)
 
 
 def test_hat_refuses_an_unsound_parameter():

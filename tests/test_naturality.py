@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -277,20 +279,25 @@ def test_constant_family_is_not_natural_and_names_the_moved_element():
 def test_probe_walks_over_the_cell_budget_are_refused_before_any_square(monkeypatch):
     # 60 probe functions at max 3 through 4 x 4 squares: 960 cells fit a
     # cell budget of 1000 and not one of 900
+    # fresh families, so that no component is served from a memo
     unit = term_unit(Signature.of({"one": 0}), 1)
     looked_up = []
-    fam = IndexedFunction("unit", unit.source, unit.target, lambda a: looked_up.append(a) or unit.at(a))
+
+    def fam():
+        return IndexedFunction("unit", unit.source, unit.target, lambda a: looked_up.append(a) or unit.at(a))
+
     probes = ProbeUniverse(3)
-    assert (probes.function_count, len(fam.target.carrier(probe_carrier(3)))) == (60, 4)
+    assert (probes.function_count, len(unit.target.carrier(probe_carrier(3)))) == (60, 4)
     with carrier_budget(10):
-        assert is_natural_transformation(fam, probes).ok
+        assert is_natural_transformation(fam(), probes).ok
+    assert len(looked_up) == 4
     looked_up.clear()
     monkeypatch.setattr(naturality, "_paths", None)  # is_natural_relation reaches no square
     with carrier_budget(9):
         with pytest.raises(BudgetError, match=r"^probe walk of 60 arrows to 'probe3' has 60 x 16 = 960 cells"):
-            is_natural_transformation(fam, probes)
+            is_natural_transformation(fam(), probes)
         with pytest.raises(BudgetError, match=r"^probe walk of 60 arrows"):
-            is_natural_relation(fam.graph_family(), probes)
+            is_natural_relation(fam().graph_family(), probes)
     assert looked_up == []
 
 
@@ -298,7 +305,8 @@ def test_probe_walks_over_the_cell_budget_are_refused_before_any_square(monkeypa
 def test_closed_form_counts_match_the_walks(max_size, samples):
     probes = ProbeUniverse(max_size, samples, seed=1)
     assert probes.function_count == len(list(probes.functions()))
-    assert probes.relation_count == len(list(probes.relations()))
+    pairs = itertools.product(probes.carriers(), repeat=2)
+    assert probes.relation_count == sum(len(list(probes.relations_between(a, b))) for a, b in pairs)
 
 
 @pytest.mark.parametrize("max_size, samples", [(0, 25), (1, 25), (2, 0), (3, 2), (3, 25)])

@@ -4,6 +4,7 @@ stack drawn once, each square shared by the laws that read it, every
 stacked temporary within the laws' stack budget."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -152,7 +153,8 @@ def test_each_carrier_pair_is_drawn_once(monkeypatch):
 
 def test_relation_and_function_views_read_the_stacks():
     probes = ProbeUniverse(3, 4, seed=9)
-    got = [(a.name, b.name, x.m.tolist()) for a, b, x in probes.relations()]
+    got = [(a.name, b.name, x.m.tolist()) for a, b in itertools.product(probes.carriers(), repeat=2)
+           for x in probes.relations_between(a, b)]
     assert got == [(a.name, b.name, x.m.tolist()) for a, b, x in square_walk.relations(probes)]
     got = [(a.name, b.name, f.table.tolist()) for a, b, f in probes.functions()]
     assert got == [(a.name, b.name, f.table.tolist()) for a, b, f in square_walk.functions(probes)]
@@ -164,24 +166,23 @@ def test_a_classification_lifts_each_pair_once_and_looks_each_component_up_once(
     # membership at max 2: 3 carriers and 9 carrier pairs, 7 of them with
     # functions.  Both relations sides read one lift per pair; the left
     # functions walk stops at its violation in the 5th pair with functions,
-    # and the right functions walk serves naturality too: 5 + 7 fmaps
-    calls = {"lifts": 0, "fmaps": 0, "rel_at": 0}
+    # and the right functions walk serves naturality too: 5 + 7 fmaps.
+    # Each of the 3 components is built once, for every walk
+    calls = {"lifts": 0, "fmaps": 0, "at": 0}
 
-    def counted(owner, name):
-        orig = getattr(owner, name)
-
+    def counting(name, orig):
         def wrapper(*args):
             calls[name] += 1
             return orig(*args)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        return wrapper
 
-    counted(PowersetFunctor, "lifts")
-    counted(PowersetFunctor, "fmaps")
-    counted(naturality.IndexedRelation, "rel_at")
-    report = classify_linearity(membership_family(), ProbeUniverse(2))
+    for name in ("lifts", "fmaps"):
+        monkeypatch.setattr(PowersetFunctor, name, counting(name, getattr(PowersetFunctor, name)))
+    family = membership_family()
+    report = classify_linearity(replace(family, at=counting("at", family.at)), ProbeUniverse(2))
     assert [v.ok for v in report.verdicts] == [False, True, False, True, True, True]
-    assert calls == {"lifts": 9, "fmaps": 12, "rel_at": 3}
+    assert calls == {"lifts": 9, "fmaps": 12, "at": 3}
 
 
 @pytest.mark.parametrize("name", ["term-flatten", "membership", "union"])

@@ -110,7 +110,7 @@ def test_monoid_oracles_match_the_reference(depth, n):
     # the monoid order (same variables, left to right) is the least
     # congruence with associativity and the unit laws, within the carrier
     base = _base(n)
-    leq = mon_hor(depth).leq_at(base)
+    leq = mon_hor(depth).leq.rel_at(base)
     trees = enumerate_term_trees(MON_SIG, depth, n)
     assert leq == reference_congruence(leq.src, trees)
     names = [var_list(t) for t in trees]
@@ -118,7 +118,7 @@ def test_monoid_oracles_match_the_reference(depth, n):
 
 
 def test_monoid_order_relates_the_monoid_laws_both_ways():
-    leq = mon_hor(3).leq_at(FiniteSet("pq", ["p", "q"]))
+    leq = mon_hor(3).leq.rel_at(FiniteSet("pq", ["p", "q"]))
     laws = [
         ("mul(p,mul(q,p))", "mul(mul(p,q),p)"),
         ("mul(p,one)", "p"),
