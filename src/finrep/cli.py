@@ -186,28 +186,23 @@ def _built(builders: dict, grammar: dict, config: dict, cap: int | None):
 
 
 def _scoped(report: LawReport, *sets) -> LawReport:
-    """`report`, scoped to the given declared carriers, each named once,
-    unless its checker set a scope."""
+    """`report`, scoped to the given declared carriers, each named once."""
     inside = ", ".join(f"{len(s)} {s.name}" for s in {id(s): s for s in sets}.values())
-    report.scope = report.scope or f"exhaustive over declared carriers ({inside})"
-    return report
+    return replace(report, scope=f"exhaustive over declared carriers ({inside})")
 
 
 def _exactness(rep, bound: str = "") -> LawReport:
     """Validation, then exactness if the representation is sound."""
     report = _scoped(validate_representation(rep), rep.traces, rep.exprs)
-    report.scope += bound
-    if report.passed:
-        report.add(is_exact(rep))
-    return report
+    exact = [is_exact(rep)] if report.passed else []
+    return replace(report, verdicts=report.verdicts + exact, scope=report.scope + bound)
 
 
 def _with_finding(rep) -> LawReport:
     """Validation, with exactness reported as a finding, never asserted:
     an instance of a structure, or a lift, need not be exact."""
     report = validate_representation(rep)
-    report.add(exactness_finding(rep))
-    return _scoped(report, rep.traces, rep.exprs)
+    return _scoped(replace(report, verdicts=report.verdicts + [exactness_finding(rep)]), rep.traces, rep.exprs)
 
 
 def _cmd_check(args, doc: Document) -> LawReport:
@@ -252,10 +247,11 @@ def _cmd_build(args, doc: Document) -> LawReport:
         report = LawReport("product factors", [v for _, lr in unsound for v in lr.verdicts])
         return _scoped(report, *(s for f, _ in unsound for s in (f.traces, f.exprs)))
     rp, p1, p2 = product(*factors)
-    report = _scoped(validate_representation(rp), rp.traces, rp.exprs)
-    for tag, m in (("left-projection", p1), ("right-projection", p2)):
-        report.verdicts += [replace(v, law=f"{tag}-{v.law}") for v in validate_morphism(m).verdicts]
-    return report
+    report = validate_representation(rp)
+    projections = [replace(v, law=f"{tag}-{v.law}")
+                   for tag, m in (("left-projection", p1), ("right-projection", p2))
+                   for v in validate_morphism(m).verdicts]
+    return _scoped(replace(report, verdicts=report.verdicts + projections), rp.traces, rp.exprs)
 
 
 def _cmd_reduce(args, doc: Document) -> LawReport:

@@ -10,7 +10,7 @@ regular-expression built-in lives in the kleene module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .verdict import LawReport, require
 MON_SIG = Signature.of({"mul": 2, "one": 0})
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreorderedSet:
     carrier: FiniteSet
     order: Rel
@@ -110,21 +110,20 @@ def check_tilde_soundness(h: HOR, p: PreorderedSet) -> LawReport:
     inclusions that drive its soundness argument."""
     rep = tilde_lift(h, p)
     report = validate_representation(rep)
-    report.add(
-        is_included(
-            compose(rep.models, h.models.target.lift(p.order)),
-            rep.models,
-            "absorbs-lifted-order",
-        )
-    )
-    report.add(
-        is_included(
-            compose(rep.models, h.leq.rel_at(p.carrier)),
-            rep.models,
-            "absorbs-base-order",
-        )
-    )
-    return report
+    return replace(report, verdicts=report.verdicts + [
+        is_included(compose(rep.models, _lifted(h.models.target, p.order)), rep.models, "absorbs-lifted-order"),
+        is_included(compose(rep.models, h.leq.rel_at(p.carrier)), rep.models, "absorbs-base-order"),
+    ])
+
+
+def _lifted(e, order: Rel) -> Rel:
+    """`e`'s lift of `order`, as `hat_lift` and `check_tilde_soundness` both
+    read it: built once per order and functor key, so a structure built
+    afresh reads the same lift; its cells are checked on every request,
+    with a syntax functor's lift message."""
+    n = e.size(order.src)
+    check_cells(n, n, "%s lift of a relation %r -> %r", e.name, order.src.name, order.tgt.name)
+    return intern(("lift", *e.key, order), lambda: e.lift(order))
 
 
 def hat_lift(h: HOR, r: Representation) -> Representation:
@@ -139,7 +138,7 @@ def hat_lift(h: HOR, r: Representation) -> Representation:
         exprs=e.carrier(r.exprs),
         models=compose(t.lift(r.models), _checked(h, h.models, r.exprs).rel_at(r.exprs)),
         # the order has the cells of the lift of r.leq, refused there
-        leq=star(union(e.lift(r.leq), h.leq.rel_at(r.exprs))),
+        leq=star(union(_lifted(e, r.leq), h.leq.rel_at(r.exprs))),
     )
     validate_representation(rep)
     return rep
@@ -178,8 +177,6 @@ def tilde_mon_rule_check(p: PreorderedSet, depth: int = 2) -> LawReport:
         if (m == before).all():
             break
 
-    report = LawReport(subject=f"rule closure for the lifted monoid order over {p.carrier.name}")
-    report.add(
-        equal_verdict(Rel(term_carrier, term_carrier, m), lifted, "rule-closure-matches-lifted-order")
-    )
-    return report
+    return LawReport(f"rule closure for the lifted monoid order over {p.carrier.name}", [
+        equal_verdict(Rel(term_carrier, term_carrier, m), lifted, "rule-closure-matches-lifted-order"),
+    ])

@@ -314,19 +314,18 @@ def ka_completeness_report(alphabet: FiniteSet, expr_size_cap: int, word_len_cap
     the first _GAP_SCAN_LIMIT expressions."""
     exprs, words, masks = language_table(alphabet, expr_size_cap, word_len_cap)
     pairs = generate_axiom_instances(alphabet, expr_size_cap)
-    report = LawReport(subject=f"axiomatic order over {len(exprs)} expressions")
-    law = "axiom-instances-sound"
+    law, scope = "axiom-instances-sound", ""
     unsound = np.flatnonzero(masks[pairs[:, 0]] & ~masks[pairs[:, 1]])
     if unsound.size:
         i, j = pairs[unsound[0]]
-        report.add(Verdict(law, False, tuple(exprs.pick([i, j]))))
+        sound = Verdict(law, False, tuple(exprs.pick([i, j])))
     elif len(pairs):
-        report.add(Verdict(law, True, note=(
+        sound = Verdict(law, True, note=(
             f"{len(pairs)} instances semantically valid; the closure stays "
-            "below the semantic order because that order is reflexive and transitive")))
+            "below the semantic order because that order is reflexive and transitive"))
     else:
-        report.add(Verdict(law, True, note="no axiom instances supplied: the generated order is syntactic identity"))
-        report.scope = "degenerate instance list"
+        sound = Verdict(law, True, note="no axiom instances supplied: the generated order is syntactic identity")
+        scope = "degenerate instance list"
 
     order = np.argsort(pairs[:, 0], kind="stable")
     succ = pairs[order, 1]
@@ -336,9 +335,9 @@ def ka_completeness_report(alphabet: FiniteSet, expr_size_cap: int, word_len_cap
         missed = ((masks[i] & ~masks) == 0) & ~_derivable(i, succ, start)
         if missed.any():
             j = int(np.argmax(missed))
-            report.add(Verdict("completeness-gap", True, witness=tuple(exprs.pick([i, j])),
-                               note="true at the bound but not derivable from the instances"))
-            return report
-    report.add(Verdict("completeness-gap", True,
-                       note=f"no gap among the first {scanned} expressions at this bound"))
-    return report
+            gap = Verdict("completeness-gap", True, witness=tuple(exprs.pick([i, j])),
+                          note="true at the bound but not derivable from the instances")
+            break
+    else:
+        gap = Verdict("completeness-gap", True, note=f"no gap among the first {scanned} expressions at this bound")
+    return LawReport(f"axiomatic order over {len(exprs)} expressions", [sound, gap], scope)

@@ -154,7 +154,6 @@ def _by_sizes(law: str, check, sizes, arity: int) -> Verdict:
 
 def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
     """Adjunction and function-residual laws, exhaustive then sampled."""
-    report = LawReport("relation-algebra laws", seed=config.seed)
     # refused before any stack is built, at the first size over the cell
     # budget: the counts grow with the size, so no larger one is counted;
     # a sample counts as one instance, refused before the first draw
@@ -165,8 +164,8 @@ def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
     if config.samples > cell_budget():
         raise BudgetError(f"{_SAMPLED[0]} has {config.samples} instances, budget {cell_budget()}")
     sizes = range(config.exhaustive_max + 1)
-    for law, check, arity in zip(_EXHAUSTIVE, (_adjunction_at, _function_residual_at), (3, 5)):
-        report.add(_by_sizes(law, check, sizes, arity))
+    exhaustive = [_by_sizes(law, check, sizes, arity)
+                  for law, check, arity in zip(_EXHAUSTIVE, (_adjunction_at, _function_residual_at), (3, 5))]
 
     rng = np.random.default_rng(config.seed)
     n = config.sample_size
@@ -183,30 +182,20 @@ def relation_law_suite(config: LawConfig = LawConfig()) -> LawReport:
         for law, ok in zip(_SAMPLED, (_adjunction(x, y, z), _function_residual(f, g, x, y))):
             if not ok.all():
                 witness.setdefault(law, f"sample {lo + np.argmin(ok)}")
-    for law in _SAMPLED:
-        note = witness.get(law, f"{config.samples} samples at size {n}")
-        report.add(Verdict(law, law not in witness, note=note))
-    report.scope = (
-        f"exhaustive to size {config.exhaustive_max}, "
-        f"{config.samples} samples at size {n}, seed {config.seed}"
-    )
-    return report
+    sampled = [Verdict(law, law not in witness, note=witness.get(law, f"{config.samples} samples at size {n}"))
+               for law in _SAMPLED]
+    scope = f"exhaustive to size {config.exhaustive_max}, {config.samples} samples at size {n}, seed {config.seed}"
+    return LawReport("relation-algebra laws", exhaustive + sampled, scope, config.seed)
 
 
 def preorder_characterizations(x: Rel) -> LawReport:
     """Three equivalent readings of 'preorder'; the agreement line is the theorem."""
-    report = LawReport(subject="preorder characterizations")
     direct = is_preorder(x).passed
     closure_fix = x == star(x)
     residual_fix = x == under(x, x)
-    report.add(Verdict("direct-definition", direct))
-    report.add(Verdict("closure-fixpoint", closure_fix))
-    report.add(Verdict("self-residual-fixpoint", residual_fix))
-    report.add(
-        Verdict(
-            "characterizations-agree",
-            direct == closure_fix == residual_fix,
-            note="all three must answer alike",
-        )
-    )
-    return report
+    return LawReport("preorder characterizations", [
+        Verdict("direct-definition", direct),
+        Verdict("closure-fixpoint", closure_fix),
+        Verdict("self-residual-fixpoint", residual_fix),
+        Verdict("characterizations-agree", direct == closure_fix == residual_fix, note="all three must answer alike"),
+    ])

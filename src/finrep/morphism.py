@@ -159,20 +159,10 @@ def product_universal(
     require(validate_morphism(f2))
     rp, p1, p2 = product(f1.target, f2.target)
     g = pairing(f1, f2, rp)
-    report = LawReport(subject=f"universal property at {r.name!r}")
-    report.extend(validate_morphism(g))
-    report.add(
-        Verdict(
-            "factor-first",
-            morphisms_equal(compose_morphisms(g, p1), f1),
-        )
-    )
-    report.add(
-        Verdict(
-            "factor-second",
-            morphisms_equal(compose_morphisms(g, p2), f2),
-        )
-    )
+    laws = validate_morphism(g).verdicts + [
+        Verdict("factor-first", morphisms_equal(compose_morphisms(g, p1), f1)),
+        Verdict("factor-second", morphisms_equal(compose_morphisms(g, p2), f2)),
+    ]
 
     cells = len(rp.traces) * len(r.traces)
     phi_count = len(rp.exprs) ** len(r.exprs)
@@ -203,5 +193,4 @@ def product_universal(
         ok, note = False, "a different mediating morphism satisfies both equations"
     else:
         ok, note = matches == 1, f"searched {total} candidates, {matches} satisfied the equations"
-    report.add(Verdict("uniqueness", ok, note=note))
-    return g, report
+    return g, LawReport(f"universal property at {r.name!r}", [*laws, Verdict("uniqueness", ok, note=note)])

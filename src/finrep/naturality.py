@@ -221,36 +221,12 @@ def _functor_law_walk(probes: ProbeUniverse) -> int:
 
 def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
     _check_squares(probes, _functor_law_walk(probes), fun)
-    report = LawReport(subject=f"functor laws for {fun.name}")
     carriers = probes.carriers()
+    funcs = list(probes.functions())
+    composable = ((f, g) for _, b, f in funcs for b2, _, g in funcs if b2 is b)
 
     def at(a):
         return f"at {a.name}"
-
-    report.add(first_violation(
-        "preserves-identity",
-        ((fun.fmap(FuncTable.identity(a)) == FuncTable.identity(fun.carrier(a)), a) for a in carriers),
-        at,
-    ))
-
-    funcs = list(probes.functions())
-    composable = ((f, g) for _, b, f in funcs for b2, _, g in funcs if b2 is b)
-    report.add(first_violation(
-        "preserves-composition",
-        ((fun.fmap(compose_func(g, f)) == compose_func(fun.fmap(g), fun.fmap(f)), (f, g))
-         for f, g in composable),
-        lambda fg: f"{_func_note(fg[0])} then {_func_note(fg[1])}",
-    ))
-    report.add(first_violation(
-        "lifting-extends-arrows",
-        ((equal_verdict(fun.lift(graph(f)), graph(fun.fmap(f))), f) for _, _, f in funcs),
-        _func_note,
-    ))
-    report.add(first_violation(
-        "lifting-identity",
-        ((fun.lift(Rel.identity(a)) == Rel.identity(fun.carrier(a)), a) for a in carriers),
-        at,
-    ))
 
     def monotone():
         for a, b in itertools.product(carriers, repeat=2):
@@ -259,8 +235,6 @@ def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
                 small = inter(u, v)
                 yield is_included(fun.lift(small), fun.lift(union(u, v))), small
 
-    report.add(first_violation("lifting-monotone", monotone(), _rel_note))
-
     def functorial():
         for a, b, c in itertools.product(carriers, repeat=3):
             xs = list(probes.relations_between(a, b))
@@ -268,11 +242,33 @@ def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
             for x, y in zip(xs, ys):
                 yield equal_verdict(fun.lift(compose(x, y)), compose(fun.lift(x), fun.lift(y))), (x, y)
 
-    report.add(first_violation(
-        "lifting-functorial", functorial(), lambda xy: f"{_rel_note(xy[0])} ; {_rel_note(xy[1])}"
-    ))
-    report.scope = probes.scope
-    return report
+    return LawReport(f"functor laws for {fun.name}", [
+        first_violation(
+            "preserves-identity",
+            ((fun.fmap(FuncTable.identity(a)) == FuncTable.identity(fun.carrier(a)), a) for a in carriers),
+            at,
+        ),
+        first_violation(
+            "preserves-composition",
+            ((fun.fmap(compose_func(g, f)) == compose_func(fun.fmap(g), fun.fmap(f)), (f, g))
+             for f, g in composable),
+            lambda fg: f"{_func_note(fg[0])} then {_func_note(fg[1])}",
+        ),
+        first_violation(
+            "lifting-extends-arrows",
+            ((equal_verdict(fun.lift(graph(f)), graph(fun.fmap(f))), f) for _, _, f in funcs),
+            _func_note,
+        ),
+        first_violation(
+            "lifting-identity",
+            ((fun.lift(Rel.identity(a)) == Rel.identity(fun.carrier(a)), a) for a in carriers),
+            at,
+        ),
+        first_violation("lifting-monotone", monotone(), _rel_note),
+        first_violation(
+            "lifting-functorial", functorial(), lambda xy: f"{_rel_note(xy[0])} ; {_rel_note(xy[1])}"
+        ),
+    ], probes.scope)
 
 
 def _blocks(arrows: np.ndarray, *family):

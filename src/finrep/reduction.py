@@ -128,9 +128,7 @@ def transfer_exactness(r: Reduction) -> LawReport:
         raise ValueError("target representation is not exact")
     residual = replace(is_exact(r.source), law="exactness-residual-route")
     setwise = _setwise_exactness(r.source)
-    report = LawReport(subject=f"exactness transfer onto {r.source.name!r}")
-    report.add(residual)
-    report.add(setwise)
+    report = LawReport(f"exactness transfer onto {r.source.name!r}", [residual, setwise])
     if residual.ok != setwise.ok:
         raise TheoremInconsistencyError(
             "the two exactness routes disagree:\n" + report.describe()
@@ -152,16 +150,10 @@ def validate_syntactic_closure(
         raise CarrierMismatch("closure needs representations over shared carriers")
     if down.src is not r1.exprs or down.tgt is not r1.exprs:
         raise CarrierMismatch("closure map must be square on the expression carrier")
-    report = LawReport(subject=f"closure {r1.name!r} / {r2.name!r}")
-    report.add(
-        is_included(
-            r1.models,
-            compose(r2.models, cograph(down)),
-            "closure-covers-satisfaction",
-        )
-    )
-    report.add(is_included(cograph(down), r1.leq, "closure-within-order"))
-    return report
+    return LawReport(f"closure {r1.name!r} / {r2.name!r}", [
+        is_included(r1.models, compose(r2.models, cograph(down)), "closure-covers-satisfaction"),
+        is_included(cograph(down), r1.leq, "closure-within-order"),
+    ])
 
 
 def closure_hypotheses(r1: Representation, r2: Representation) -> LawReport:
@@ -169,12 +161,12 @@ def closure_hypotheses(r1: Representation, r2: Representation) -> LawReport:
     map necessarily agree."""
     if r1.traces is not r2.traces or r1.exprs is not r2.exprs:
         raise CarrierMismatch("hypotheses compare representations over shared carriers")
-    report = LawReport(subject="closure hypotheses")
-    report.add(is_included(r2.leq, r1.leq, "order-hypothesis"))
-    report.add(is_included(r2.models, r1.models, "satisfaction-hypothesis"))
     exact = is_exact(r2) if validate_representation(r2).passed else Verdict("exactness", False)
-    report.add(replace(exact, law="target-exact-hypothesis"))
-    return report
+    return LawReport("closure hypotheses", [
+        is_included(r2.leq, r1.leq, "order-hypothesis"),
+        is_included(r2.models, r1.models, "satisfaction-hypothesis"),
+        replace(exact, law="target-exact-hypothesis"),
+    ])
 
 
 def closure_reduction_equivalence(
@@ -192,19 +184,10 @@ def closure_reduction_equivalence(
     )
     as_reduction = validate_reduction(red).passed
     as_closure = validate_syntactic_closure(r1, r2, down).passed
-    report = LawReport(subject="closure/reduction equivalence")
-    report.extend(hyp)
-    report.scope = (
+    scope = (
         f"reduction route {'valid' if as_reduction else 'invalid'}, "
         f"closure route {'valid' if as_closure else 'invalid'}"
     )
-    if hyp.passed:
-        report.add(
-            Verdict(
-                "routes-agree",
-                as_reduction == as_closure,
-                note=report.scope,
-            )
-        )
-    return report
+    agree = [Verdict("routes-agree", as_reduction == as_closure, note=scope)] if hyp.passed else []
+    return LawReport("closure/reduction equivalence", hyp.verdicts + agree, scope)
 

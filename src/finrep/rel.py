@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CarrierMismatch
-from .fset import SUBSET_CAP, FiniteSet, intern, membership_matrix, product_of, sum_of
-from .verdict import LawReport, Verdict
+from .fset import SUBSET_CAP, FiniteSet, membership_matrix, product_of, sum_of
+from .verdict import LawReport, Verdict, checked_once
 
 # the cells of one row block of a large product: its rows of the left
 # operand and of the result each take at most this many, 1 MB as float32.
@@ -46,7 +46,7 @@ class Rel:
         self.src = src
         self.tgt = tgt
         self.m = m
-        self._memo = None  # is_preorder's report, see `fset.intern`: m never changes
+        self._memo = None  # is_preorder's verdicts and hor's lift of an order, see `fset.intern`: m never changes
 
     @classmethod
     def empty(cls, src, tgt):
@@ -349,13 +349,11 @@ def equal_verdict(x: Rel, y: Rel, law: str = "equality") -> Verdict:
 
 
 def is_preorder(x: Rel) -> LawReport:
-    """Reflexivity and transitivity, checked once per relation object; each
-    call returns a fresh copy of the report."""
+    """Reflexivity and transitivity, checked once per relation object."""
     if x.src is not x.tgt:
         raise CarrierMismatch("preorder check needs a square relation")
-    laws = intern(("preorder", x), lambda: (is_included(Rel.identity(x.src), x, "reflexivity"),
-                                            is_included(compose(x, x), x, "transitivity")))
-    return LawReport("preorder", list(laws))
+    return checked_once(x, "preorder", lambda x: (is_included(Rel.identity(x.src), x, "reflexivity"),
+                                                  is_included(compose(x, x), x, "transitivity")))
 
 
 def require_preorder(x: Rel) -> Rel:
@@ -389,22 +387,13 @@ def membership_rel(a: FiniteSet, cap: int = SUBSET_CAP) -> Rel:
 def check_coproduct_axioms(a: FiniteSet, b: FiniteSet) -> LawReport:
     """The three relational laws that make the tagged union a coproduct."""
     s, i1, i2 = sum_set(a, b)
-    report = LawReport(subject=f"coproduct {a.name}+{b.name}")
-    report.add(
-        equal_verdict(compose(graph(i1), cograph(i1)), Rel.identity(a), "roundtrip-left")
-    )
-    report.add(
-        equal_verdict(compose(graph(i2), cograph(i2)), Rel.identity(b), "roundtrip-right")
-    )
-    report.add(
-        equal_verdict(compose(graph(i1), cograph(i2)), Rel.empty(a, b), "disjointness")
-    )
-    cover = union(
-        compose(cograph(i1), graph(i1)),
-        compose(cograph(i2), graph(i2)),
-    )
-    report.add(is_included(Rel.identity(s), cover, "joint-cover"))
-    return report
+    cover = union(compose(cograph(i1), graph(i1)), compose(cograph(i2), graph(i2)))
+    return LawReport(f"coproduct {a.name}+{b.name}", [
+        equal_verdict(compose(graph(i1), cograph(i1)), Rel.identity(a), "roundtrip-left"),
+        equal_verdict(compose(graph(i2), cograph(i2)), Rel.identity(b), "roundtrip-right"),
+        equal_verdict(compose(graph(i1), cograph(i2)), Rel.empty(a, b), "disjointness"),
+        is_included(Rel.identity(s), cover, "joint-cover"),
+    ])
 
 
 def _same_carriers(x: Rel, y: Rel) -> None:

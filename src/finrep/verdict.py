@@ -3,7 +3,11 @@
 Every checker in the workbench reports through these two shapes, and a
 law report is also what every command renders: its subject, its verdicts,
 the finite scope they were checked under and, for a sampled scope, the
-seed.  Witnesses always name elements by label, never by index.
+seed.  Witnesses always name elements by label, never by index.  A report
+is built once, in one constructor call, and frozen; a scoped or extended
+report is a new one (`dataclasses.replace`).  Its `verdicts` stay a list,
+because callers concatenate them with their own lists, as the
+benchmark's kleene op does.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ def first_violation(law: str, cases, describe, note: str = "") -> Verdict:
     return Verdict(law, True, note=note)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LawReport:
     subject: str
     verdicts: list[Verdict] = field(default_factory=list)
@@ -65,12 +69,6 @@ class LawReport:
                 return v
         return None
 
-    def add(self, verdict: Verdict) -> None:
-        self.verdicts.append(verdict)
-
-    def extend(self, other: "LawReport") -> None:
-        self.verdicts.extend(other.verdicts)
-
     def describe(self) -> str:
         lines = [f"{self.subject}: {'pass' if self.passed else 'FAIL'}"]
         lines += ["  " + v.describe() for v in self.verdicts]
@@ -83,7 +81,8 @@ def checked_once(obj, subject: str, laws) -> LawReport:
     """The report of `obj`'s laws under `subject`.  `laws(obj)` runs on the
     first call only and its verdicts are interned on `obj`, whose other
     fields are frozen; replacing a field gives a new object, checked
-    afresh.  Each call returns a fresh copy the caller may extend."""
+    afresh.  Each call returns a report with a fresh list of the verdicts,
+    which no later call sees."""
     return LawReport(subject, list(intern(("laws", obj), lambda: tuple(laws(obj)))))
 
 

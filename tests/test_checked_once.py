@@ -31,7 +31,7 @@ def _sound():
 def test_a_report_is_kept_and_copied():
     rep = _sound()
     first = validate_representation(rep)
-    first.add(first.verdicts[0])
+    first.verdicts.append(first.verdicts[0])
     assert [v.law for v in validate_representation(rep).verdicts] == ["reflexivity", "transitivity", "soundness"]
 
 

@@ -2,7 +2,7 @@ import itertools
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,7 @@ def _hat_report(h, r):
     `hor lift-rep` reports it."""
     rep = hat_lift(h, r)
     report = validate_representation(rep)
-    report.add(exactness_finding(rep))
+    report.verdicts.append(exactness_finding(rep))
     return rep, report
 
 
@@ -232,6 +232,29 @@ def test_tilde_soundness_report():
         "absorbs-lifted-order",
         "absorbs-base-order",
     ]
+
+
+def test_tilde_soundness_lifts_the_preorder_once(monkeypatch):
+    # hat_lift's order and the absorbs-lifted-order verdict read one lift
+    h, p = ka_hor(3, 2), _pq_chain()
+    e, lifted = h.models.target, []
+    lift = e.lift
+    monkeypatch.setattr(e, "lift", lambda x: lifted.append(x) or lift(x))
+    report = check_tilde_soundness(h, p)
+    assert len(lifted) == 1 and lifted[0] is p.order
+    assert report.describe() == "\n".join([
+        "representation 'ka(semantic, size 3, words 2)-over-pq': pass",
+        "  reflexivity: ok", "  transitivity: ok", "  soundness: ok",
+        "  absorbs-lifted-order: ok", "  absorbs-base-order: ok",
+    ])
+
+
+def test_the_shared_lift_checks_its_cells_on_every_request():
+    h, p = mon_hor(3), _pq_chain()
+    assert check_tilde_soundness(h, p).passed
+    with carrier_budget(150):  # 147 expressions pass, the lift's cells do not
+        with pytest.raises(BudgetError, match=r"depth 3\) lift of a relation 'pq' -> 'pq' has 147 x 147 = 21609"):
+            check_tilde_soundness(h, p)
 
 
 def test_tilde_discrete_order_equals_instantiate():
@@ -427,3 +450,12 @@ def test_preordered_set_rejects_non_preorder():
     pq = FiniteSet("pq", ["p", "q"])
     with pytest.raises(ValueError, match="preorder"):
         PreorderedSet(pq, Rel.from_pairs(pq, pq, [("p", "q")]))
+
+
+def test_a_preordered_set_is_frozen_once_checked():
+    p = _pq_chain()
+    with pytest.raises(FrozenInstanceError):
+        p.order = Rel(p.carrier, p.carrier, [[False, True], [False, False]])  # not reflexive
+    with pytest.raises(FrozenInstanceError):
+        p.carrier = FiniteSet("r", ["r"])
+    assert p.order.holds("p", "p")

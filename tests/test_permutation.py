@@ -17,7 +17,9 @@ carrier, so that composing with a trace relation is large enough for
   its text, so every witness is a violation there, and every soundness
   link a link.
 - Renaming every label one to one gives the same report bytes once the
-  new labels are mapped back.
+  new labels are mapped back.  That holds too for a report over syntax
+  carriers, whose expression labels are rendered on demand over plain
+  labels and all at once over labels that must be fenced.
 - Commands whose reports list carriers, sets or witnesses print their
   recorded golden bytes in child processes under `PYTHONHASHSEED` 0, 1
   and random, so no report follows the order of a set or dict of labels.
@@ -268,6 +270,26 @@ def test_relabelling_keeps_the_report_bytes(text, command, tmp_path):
     rc2, out2 = run(renamed, tmp_path, command, "text")
     assert rc2 == rc
     assert re.sub(r"<\d{3} x>", lambda m: back[m.group()], out2) == out
+
+
+# documents whose reports come from syntax carriers: over plain labels a
+# syntax carrier renders its labels on demand, over labels that must be
+# fenced it renders them all at once and checks them for duplicates
+SYNTAX_CASES = [
+    pytest.param("set A = a b\nhor K = builtin ka size 3 words 2 mode axiomatic\n", "hor instantiate --set A",
+                 "witness: (0, (<a(>.<a(>))", id="ka-axiomatic-instantiate"),
+    pytest.param("set S = a b\npreorder chain : S = (a, a) (a, b) (b, b)\nhor M = builtin mon depth 2\n",
+                 "hor lift-preorder --preorder chain", "verdict absorbs-lifted-order: ok", id="mon-lift-preorder"),
+]
+
+
+@pytest.mark.parametrize("text,command,line", SYNTAX_CASES)
+def test_renaming_to_fenced_labels_keeps_the_report_bytes(text, command, line, tmp_path):
+    fenced = "\n".join(_relabel_body(row, lambda label: quote_label(label + "(")) for row in text.splitlines())
+    rc, out = run(text, tmp_path, command, "text")
+    rc2, out2 = run(fenced + "\n", tmp_path, command, "text")
+    assert rc == rc2 == 0 and line in out2.splitlines()
+    assert re.sub(r"<(\w+)\(>", r"\1", out2) == out
 
 
 def test_the_cases_reach_violations_and_passes():
