@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import BudgetError
 
-_fresh = itertools.count()
-
 _unanchored: dict[tuple, object] = {}  # memo for recipes naming no carrier
 _budget = 200_000
 _CELLS_PER_ELEMENT = 100  # a generated relation's cells per budgeted element
@@ -46,8 +44,7 @@ class FiniteSet:
     """
 
     # a weak reference can watch a carrier being freed with its base
-    __slots__ = ("name", "_elements", "payload", "uid", "_size", "_render", "_index", "_where", "_memo",
-                 "__weakref__")
+    __slots__ = ("name", "_elements", "payload", "_size", "_render", "_index", "_memo", "__weakref__")
 
     def __init__(self, name, elements, payload=None):
         elements = tuple(elements)
@@ -80,10 +77,8 @@ class FiniteSet:
 
     def _start(self, name, size, render):
         self.name = name
-        self.uid = next(_fresh)
         self._size = size
         self._render = render
-        self._where = None   # payload -> index, built on first `locate`
         self._memo = None    # recipe -> derived value, see `intern`
 
     def _render_all(self):
@@ -126,11 +121,11 @@ class FiniteSet:
             raise KeyError(f"{label!r} is not an element of carrier {self.name!r}") from None
 
     def locate(self, payload, default=_MISSING):
-        """Index of the element with this payload, else `default` if given."""
-        if self._where is None:
-            self._where = {p: i for i, p in enumerate(self.payload or ())}
+        """Index of the element with this payload, else `default` if given.
+        The payload index is built on the first call, through `intern`."""
+        where = intern(("where", self), lambda: {p: i for i, p in enumerate(self.payload or ())})
         try:
-            return self._where[payload]
+            return where[payload]
         except KeyError:
             if default is _MISSING:
                 raise KeyError(f"{payload!r} is not a payload of carrier {self.name!r}") from None

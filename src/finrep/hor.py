@@ -16,7 +16,7 @@ import numpy as np
 
 from .fset import FiniteSet, check_cells, intern
 from .functors import Signature
-from .morphism import Morphism, validate_morphism
+from .morphism import Morphism
 from .naturality import IndexedRelation, samevars_family, varlist_family
 from .rel import (
     FuncTable,
@@ -25,9 +25,9 @@ from .rel import (
     compose,
     equal_verdict,
     is_included,
+    is_preorder,
     on_carriers,
     product,
-    require_preorder,
     star,
     union,
 )
@@ -44,7 +44,7 @@ class PreorderedSet:
 
     def __post_init__(self):
         on_carriers(self.order, self.carrier, self.carrier, "order off its carrier %s", self.carrier.name)
-        require_preorder(self.order)
+        require(is_preorder(self.order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,30 +71,24 @@ def _checked(h: HOR, family: IndexedRelation, a: FiniteSet) -> IndexedRelation:
 
 
 def instantiate(h: HOR, a: FiniteSet) -> Representation:
-    """The representation of `h` at `a`, validated, built once per carrier."""
+    """The representation of `h` at `a`, built once per carrier; its laws
+    are checked on demand, as every representation's are."""
     models, leq = _checked(h, h.models, a), _checked(h, h.leq, a)
-
-    def build():
-        rep = Representation(f"{h.name}({a.name})", models.source.carrier(a), models.target.carrier(a),
-                             models.rel_at(a), leq.rel_at(a))
-        validate_representation(rep)
-        return rep
-
     # ends in the structure, not the carrier: probe carriers are interned
     # module-wide and would keep every structure alive
-    return intern(("instance", a, h), build)
+    return intern(("instance", a, h), lambda: Representation(
+        f"{h.name}({a.name})", models.source.carrier(a), models.target.carrier(a),
+        models.rel_at(a), leq.rel_at(a)))
 
 
 def hor_arrow(h: HOR, f: FuncTable) -> Morphism:
     """Action on a function: rename expressions forward, pull traces back."""
-    m = Morphism(
+    return Morphism(
         source=instantiate(h, f.src),
         target=instantiate(h, f.tgt),
         phi=h.models.target.fmap(f),
         psi=cograph(h.models.source.fmap(f)),
     )
-    validate_morphism(m)
-    return m
 
 
 def tilde_lift(h: HOR, p: PreorderedSet) -> Representation:
@@ -132,7 +126,7 @@ def hat_lift(h: HOR, r: Representation) -> Representation:
     validation."""
     require(validate_representation(r))
     t, e = h.models.source, h.models.target
-    rep = Representation(
+    return Representation(
         name=f"{h.name}-over-{r.name}",
         traces=t.carrier(r.traces),
         exprs=e.carrier(r.exprs),
@@ -140,8 +134,6 @@ def hat_lift(h: HOR, r: Representation) -> Representation:
         # the order has the cells of the lift of r.leq, refused there
         leq=star(union(_lifted(e, r.leq), h.leq.rel_at(r.exprs))),
     )
-    validate_representation(rep)
-    return rep
 
 
 # ----------------------------------------------------------- monoid terms

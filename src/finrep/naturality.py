@@ -268,7 +268,7 @@ def check_functor_laws(fun: Functor, probes: ProbeUniverse) -> LawReport:
         first_violation(
             "lifting-functorial", functorial(), lambda xy: f"{_rel_note(xy[0])} ; {_rel_note(xy[1])}"
         ),
-    ], probes.scope)
+    ], probes.scope, probes.seed)
 
 
 def _blocks(arrows: np.ndarray, *family):

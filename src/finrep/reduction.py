@@ -120,12 +120,12 @@ def _setwise_exactness(rep: Representation) -> Verdict:
 
 def transfer_exactness(r: Reduction) -> LawReport:
     """Exactness of the target forces exactness of the source; checked by
-    two independent routes that must also agree with each other.  Refuses
-    a reduction, or either end, that fails validation, and an inexact
-    target."""
+    two independent routes that must also agree with each other.  Refuses,
+    through `verdict.require`, a reduction, or either end, that fails
+    validation, and an inexact target, naming the expression pair its
+    order misses."""
     require(validate_reduction(r))
-    if not is_exact(r.target).ok:
-        raise ValueError("target representation is not exact")
+    require(LawReport(f"target representation {r.target.name!r}", [is_exact(r.target)]))
     residual = replace(is_exact(r.source), law="exactness-residual-route")
     setwise = _setwise_exactness(r.source)
     report = LawReport(f"exactness transfer onto {r.source.name!r}", [residual, setwise])

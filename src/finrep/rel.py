@@ -356,14 +356,6 @@ def is_preorder(x: Rel) -> LawReport:
                                                   is_included(compose(x, x), x, "transitivity")))
 
 
-def require_preorder(x: Rel) -> Rel:
-    """`x` itself, refused with its first failing law unless it is a preorder."""
-    bad = is_preorder(x).first_failure
-    if bad is not None:
-        raise ValueError(f"order is not a preorder: {bad.describe()}")
-    return x
-
-
 def sum_set(a: FiniteSet, b: FiniteSet) -> tuple[FiniteSet, FuncTable, FuncTable]:
     s = sum_of(a, b)
     i1 = FuncTable(a, s, np.arange(len(a)))

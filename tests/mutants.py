@@ -7,14 +7,18 @@ For one mutant the runner copies `src/` to a temporary directory, replaces
 the snippet there (a snippet that does not occur exactly once is an
 error), and runs the named tests with the copy first on `PYTHONPATH`.  The
 mutant is killed when a named test fails and survives when they all pass.
+A mutant that changes no behaviour carries `"equivalent": "<one-line
+reason>"`: it must survive, and it is counted apart from the survivors.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py ID ...     # the named ones
 
-It prints one line per mutant and then the survivors, and exits 1 if any
-mutant survived, 2 on a snippet that does not match or a test run that
-neither passed nor failed.  It is not part of tier-1: each mutant costs one
-pytest process.
+It prints one line per mutant (an equivalent one with its reason), the
+killed, survived and equivalent counts per module of `src/finrep`, and the
+survivors.  It exits 1 if any mutant survived, 2 on a snippet that does
+not match, a test run that neither passed nor failed, or an equivalent
+mutant that its tests kill.  It is not part of tier-1: each mutant costs
+one pytest process.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +72,19 @@ def survives(mutant: dict, timeout: float = 600) -> bool:
     return run.returncode == 0
 
 
+OUTCOMES = ("killed", "survived", "equivalent")
+
+
+def outcome(mutant: dict, alive: bool) -> str:
+    """One of `OUTCOMES` for a mutant that did or did not survive its
+    tests; a mutant listed as equivalent must survive."""
+    if "equivalent" not in mutant:
+        return "survived" if alive else "killed"
+    if not alive:
+        raise MutantError(f"{mutant['id']}: listed as equivalent, yet its tests kill it")
+    return "equivalent"
+
+
 def main(argv: list[str]) -> int:
     mutants = load()
     known = {m["id"] for m in mutants}
@@ -74,18 +92,25 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown mutant ids: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    survivors = []
+    counts, survivors = defaultdict(Counter), []
     for mutant in mutants:
         if argv and mutant["id"] not in argv:
             continue
         try:
-            alive = survives(mutant)
+            got = outcome(mutant, survives(mutant))
         except (MutantError, subprocess.TimeoutExpired) as err:
-            print(f"error    {mutant['id']}: {err}", file=sys.stderr)
+            print(f"error      {mutant['id']}: {err}", file=sys.stderr)
             return 2
-        print(f"{'SURVIVED' if alive else 'killed  '} {mutant['id']}", flush=True)
-        if alive:
+        reason = f" ({mutant['equivalent']})" if got == "equivalent" else ""
+        print(f"{got.upper() if got == 'survived' else got:<10} {mutant['id']}{reason}", flush=True)
+        counts[Path(mutant["file"]).stem][got] += 1
+        if got == "survived":
             survivors.append(mutant["id"])
+    print("per module, " + "/".join(OUTCOMES) + ":")
+    for module, c in sorted(counts.items(), key=lambda mc: (-mc[1].total(), mc[0])):
+        print(f"  {module} " + "/".join(str(c[o]) for o in OUTCOMES))
+    total = sum(counts.values(), Counter())
+    print("total " + "/".join(str(total[o]) for o in OUTCOMES))
     print(f"survivors: {', '.join(survivors) if survivors else 'none'}")
     return 1 if survivors else 0
 

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from finrep import fset
 from finrep.errors import BudgetError
 from finrep.fset import (
     FiniteSet,
@@ -39,7 +40,6 @@ def test_identity_not_structural():
     a1 = FiniteSet("A", ["a", "b"])
     a2 = FiniteSet("A", ["a", "b"])
     assert a1 is not a2
-    assert a1.uid != a2.uid
 
 
 def test_empty_carrier_is_legal():
@@ -103,6 +103,20 @@ def test_locate_finds_payloads_and_names_the_carrier():
         p.locate(1 << 5)
     with pytest.raises(KeyError, match="carrier 'A'"):
         a.locate(0)
+
+
+def test_locate_builds_its_payload_index_once_per_carrier_through_intern(monkeypatch):
+    built = []
+
+    def counting(recipe, build, real=fset.intern):
+        return real(recipe, lambda: built.append(recipe) or build())
+
+    monkeypatch.setattr(fset, "intern", counting)
+    a, b = FiniteSet("A", ["x", "y"]), FiniteSet("B", ["u", "v"])
+    s = sum_of(a, b)
+    assert [s.locate((1, 0)), s.locate((0, 1)), s.locate((2, 0), None), s.locate((0, 0))] == [2, 1, None, 0]
+    assert built == [("sum", a, b), ("where", s)]
+    assert s._memo == {("where",): {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}}
 
 
 def test_derived_carriers_live_on_their_base():

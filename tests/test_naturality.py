@@ -118,6 +118,81 @@ def test_identity_laws_report_the_first_failing_carrier():
     assert verdicts["lifting-identity"].describe() == "lifting-identity: VIOLATION  [at probe1]"
 
 
+class _ConstantArrows(ListFunctor):
+    # every arrow maps every list to the empty list
+    def fmaps(self, a, b, tables):
+        fa, fb, out = super().fmaps(a, b, tables)
+        return fa, fb, np.zeros_like(out)
+
+
+class _ConstantBetweenCarriers(ListFunctor):
+    # an arrow between two carriers maps every list to the empty list, an
+    # arrow on one carrier maps as it should: identities are kept
+    def fmaps(self, a, b, tables):
+        fa, fb, out = super().fmaps(a, b, tables)
+        return fa, fb, out if a is b else np.zeros_like(out)
+
+
+class _ComplementedLifts(ListFunctor):
+    # every relation lifts to the complement of its lift
+    def lifts(self, a, b, xs):
+        fa, fb, out = super().lifts(a, b, xs)
+        return fa, fb, ~out
+
+
+_P2_SCOPE = ("  scope: probe carriers of sizes 0..2, all functions, "
+             "relations exhaustive up to 6 cells then 25 samples (seed 0)")
+
+# the dents are on the stacked maps `fmaps` and `lifts`, which the one-arrow
+# `fmap` and `lift` call, so a walk of either kind sees them; each of the
+# six laws fails on at least one dented functor
+DENTED_REPORTS = {
+    "constant-arrows": (_ConstantArrows, [
+        "preserves-identity: VIOLATION  [at probe1]",
+        "preserves-composition: ok",
+        "lifting-extends-arrows: VIOLATION at ([x0], [x0])  [probe1->probe1 [x0>x0]]",
+        "lifting-identity: ok",
+        "lifting-monotone: ok",
+        "lifting-functorial: ok",
+    ]),
+    "constant-between-carriers": (_ConstantBetweenCarriers, [
+        "preserves-identity: ok",
+        "preserves-composition: VIOLATION  [probe1->probe2 [x0>x0] then probe2->probe1 [x0>x0,x1>x0]]",
+        "lifting-extends-arrows: VIOLATION at ([x0], [x0])  [probe1->probe2 [x0>x0]]",
+        "lifting-identity: ok",
+        "lifting-monotone: ok",
+        "lifting-functorial: ok",
+    ]),
+    "complemented-lifts": (_ComplementedLifts, [
+        "preserves-identity: ok",
+        "preserves-composition: ok",
+        "lifting-extends-arrows: VIOLATION at ([], [])  [probe0->probe0 []]",
+        "lifting-identity: VIOLATION  [at probe0]",
+        "lifting-monotone: VIOLATION at ([x0], [x0])  [probe1-|probe1 {}]",
+        "lifting-functorial: VIOLATION at ([], [x0])  [probe0-|probe0 {} ; probe0-|probe1 {}]",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", DENTED_REPORTS)
+def test_a_dented_functor_fails_its_laws_with_these_witnesses(name):
+    dented, verdicts = DENTED_REPORTS[name]
+    report = check_functor_laws(dented(2), P2)
+    assert report.describe().splitlines() == [
+        "functor laws for list(len 2): FAIL", *("  " + v for v in verdicts), _P2_SCOPE]
+
+
+def test_every_functor_law_fails_on_a_dented_functor():
+    failing = {line.split(":")[0] for _, verdicts in DENTED_REPORTS.values()
+               for line in verdicts if "VIOLATION" in line}
+    assert failing == {"preserves-identity", "preserves-composition", "lifting-extends-arrows",
+                       "lifting-identity", "lifting-monotone", "lifting-functorial"}
+
+
+def test_the_functor_law_report_keeps_the_seed_of_its_samples():
+    assert check_functor_laws(ListFunctor(2), ProbeUniverse(2, 25, 7)).seed == 7
+
+
 # ------------------------------------------------------- linearity verdicts
 
 def test_membership_is_right_but_not_left_linear():
@@ -387,10 +462,10 @@ def test_modes_agree_for_sampled_random_families():
         tables = {}
         for a in P2.carriers():
             pa = pf.carrier(a)
-            tables[a.uid] = rng.random((len(a), len(pa))) < 0.5
+            tables[a] = rng.random((len(a), len(pa))) < 0.5
 
         def at(a, tables=tables):
-            return Rel(a, pf.carrier(a), tables[a.uid])
+            return Rel(a, pf.carrier(a), tables[a])
 
         report = classify_linearity(IndexedRelation(f"rand{trial}", ident, pf, at), P2)
         assert _oks(report)["modes-agree"], report.describe()

@@ -219,7 +219,8 @@ def test_transfer_preconditions_are_named():
         inexact, inexact, FuncTable.identity(e), FuncTable.identity(e), Rel.identity(t)
     )
     assert red2.validated
-    with pytest.raises(ValueError, match="not exact"):
+    with pytest.raises(ValueError, match=r"^target representation 'inexact-target' fails exactness: "
+                                         r"VIOLATION at \(e0, e1\)$"):
         transfer_exactness(red2)
 
 
