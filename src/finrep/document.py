@@ -72,7 +72,7 @@ _ESCAPE = re.compile(r"\\(.)")
 _INTEGER = re.compile("-?[0-9]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     text: str
     quoted: bool

@@ -4,15 +4,19 @@ The public operator set is negation-free; complement shows up only as an
 internal bit trick (the residual is the complement of a product with a
 complement).  The dense formulas also take stacks of matrices, so the law
 suite checks many relations per call through the same code.  Matrices are
-immutable after construction.  Every relational product goes through the
-one boolean product `product`, a float32 BLAS product that stays exact
-at every size.  The operators `compose` and `under` choose their route
+immutable after construction; an operator's fresh result is held as it
+is, without a copy (`Rel._adopt`).  A relational product is the boolean
+product `product`, a float32 BLAS product that stays exact at every
+size, or, for a large and sparse left operand, a union of packed rows
+(`_packed`).  The operators `compose` and `under` choose their route
 from the matrices.  A composition of at least BLOCK_CELLS multiply-adds
 with a map (at most one cell per row of the left operand) or with the
 converse of one (at most one cell per column of the right operand) is an
-index gather.  Any other product runs in blocks of rows against one
-float32 copy of its right operand, so it never holds float32 copies of
-both operands and the result at once.
+index gather.  Any other product of at least BLOCK_CELLS multiply-adds
+whose left operand holds at most one cell in 32 ORs the rows of the
+right operand packed into uint64 words; the rest run in blocks of rows
+against one float32 copy of the right operand, so they never hold
+float32 copies of both operands and the result at once.
 """
 
 from __future__ import annotations
@@ -47,6 +51,18 @@ class Rel:
         self.tgt = tgt
         self.m = m
         self._memo = None  # is_preorder's verdicts and hor's lift of an order, see `fset.intern`: m never changes
+
+    @classmethod
+    def _adopt(cls, src, tgt, m: np.ndarray) -> Rel:
+        """The relation that holds the bool matrix m itself, not a copy: an
+        operator's fresh result of shape (|src|, |tgt|), which nothing else
+        holds.  m and every array it views become read-only."""
+        rel = cls.__new__(cls)
+        rel.src, rel.tgt, rel.m, rel._memo = src, tgt, m, None
+        while isinstance(m, np.ndarray):
+            m.setflags(write=False)
+            m = m.base
+        return rel
 
     @classmethod
     def empty(cls, src, tgt):
@@ -195,7 +211,8 @@ def column_classes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the operators below call them on plain 2-D matrices.
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product a ; b, the kernel's only one.
+    """Boolean matrix product a ; b, the kernel's general one; the operators
+    multiply a large, sparse left operand on packed rows instead (`_packed`).
 
     Each cell of the float32 product is a sum of 0/1 terms, which is zero
     only when every term is: nonnegative terms cannot cancel and float32
@@ -248,18 +265,49 @@ def _lone_cells(m: np.ndarray, axis: int) -> np.ndarray | None:
     return held if np.count_nonzero(held) == cells else None
 
 
-def _blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`product` of 2-D a and b in blocks of rows of a, each block and its
-    rows of the result at most BLOCK_CELLS cells, against one float32 copy
-    of b; one call when a fits in one block."""
+def _blocked(a: np.ndarray, b: np.ndarray, complement: bool = False) -> np.ndarray:
+    """`product` of 2-D a and b, or with `complement` the complement of
+    a ; ~b (the residual aᵀ\\b).  From BLOCK_CELLS multiply-adds on, a
+    left operand with at most one cell in 32 runs `_packed`.  Any other product
+    runs in blocks of rows of a, each block and its rows of the result at
+    most BLOCK_CELLS cells, against one float32 copy of b (or ~b); one call
+    when a fits in one block."""
+    if len(a) * a.shape[1] * b.shape[1] >= BLOCK_CELLS and np.count_nonzero(a) * 32 <= a.size:
+        return _packed(a, b, complement)
+    if complement:
+        b = ~b
     step = max(1, BLOCK_CELLS // max(a.shape[1], b.shape[1], 1))
     if len(a) <= step:
-        return product(a, b)
-    right = b.astype(np.float32)
-    out = np.empty((len(a), b.shape[1]), dtype=bool)
-    for lo in range(0, len(a), step):
-        out[lo:lo + step] = product(a[lo:lo + step], right)
+        out = product(a, b)
+    else:
+        right = b.astype(np.float32)
+        out = np.empty((len(a), b.shape[1]), dtype=bool)
+        for lo in range(0, len(a), step):
+            out[lo:lo + step] = product(a[lo:lo + step], right)
+    if complement:
+        np.invert(out, out=out)
     return out
+
+
+def _packed(a: np.ndarray, b: np.ndarray, complement: bool) -> np.ndarray:
+    """`product` of 2-D a and b as Gustavson's row-wise product read as a
+    boolean one: row i of a ; b is the union of the rows of b that the
+    cells of row i of a select, ORed over b's rows packed into uint64
+    words, and a row of a with no cell gives an empty row.  With
+    `complement`, b's words and the result's are complemented, which gives
+    the complement of a ; ~b.  It holds b and the result as words, one
+    row of b's words per cell of a, and the bool result."""
+    words = np.zeros((len(b), -(-b.shape[1] // 64)), dtype=np.uint64)  # C-ordered, whatever b's order
+    words.view(np.uint8)[:, :-(-b.shape[1] // 8)] = np.packbits(b, axis=1, bitorder="little")
+    if complement:
+        np.invert(words, out=words)
+    rows, cols = np.nonzero(a)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))  # the first cell of each row that holds one
+    out = np.zeros((len(a), words.shape[1]), dtype=np.uint64)
+    out[rows[starts]] = np.bitwise_or.reduceat(words[cols], starts, axis=0)
+    if complement:
+        np.invert(out, out=out)
+    return np.unpackbits(out.view(np.uint8), axis=1, count=b.shape[1], bitorder="little").view(bool)
 
 
 # ------------------------------------------------------------- operators
@@ -268,7 +316,8 @@ def compose(x: Rel, y: Rel) -> Rel:
     """x ; y.  Past BLOCK_CELLS multiply-adds, row i of x ; y is the row
     of y that x's one cell in row i points to, when no row of x has two;
     else column j is the column of x that y's one cell in column j points
-    to, when no column of y has two; else the `product`, in row blocks.  A
+    to, when no column of y has two; else the `product`, on packed rows
+    when x holds at most one cell in 32, else in row blocks.  A
     row or column with no cell gives an empty one."""
     if x.tgt is not y.src:
         raise CarrierMismatch(
@@ -285,7 +334,7 @@ def compose(x: Rel, y: Rel) -> Rel:
         out &= cols
     else:
         out = _blocked(a, b)
-    return Rel(x.src, y.tgt, out)
+    return Rel._adopt(x.src, y.tgt, out)
 
 
 def converse(x: Rel) -> Rel:
@@ -294,23 +343,23 @@ def converse(x: Rel) -> Rel:
 
 def union(x: Rel, y: Rel) -> Rel:
     _same_carriers(x, y)
-    return Rel(x.src, x.tgt, x.m | y.m)
+    return Rel._adopt(x.src, x.tgt, x.m | y.m)
 
 
 def inter(x: Rel, y: Rel) -> Rel:
     _same_carriers(x, y)
-    return Rel(x.src, x.tgt, x.m & y.m)
+    return Rel._adopt(x.src, x.tgt, x.m & y.m)
 
 
 def under(x: Rel, z: Rel) -> Rel:
     """Left residual: largest y with x;y included in z.
 
     (b, c) holds iff every a with x(a, b) also has z(a, c).  The formula
-    of `residual`, with its product in row blocks.
+    of `residual`, with its product on packed rows or in row blocks.
     """
     if x.src is not z.src:
         raise CarrierMismatch("residual under(x, z) needs a shared source carrier")
-    return Rel(x.tgt, z.tgt, ~_blocked(x.m.T, ~z.m))
+    return Rel._adopt(x.tgt, z.tgt, _blocked(x.m.T, z.m, complement=True))
 
 
 def star(x: Rel) -> Rel:
@@ -324,7 +373,7 @@ def star(x: Rel) -> Rel:
         col[k] = False
         if col.any():
             m[col] |= m[k]
-    return Rel(x.src, x.tgt, m)
+    return Rel._adopt(x.src, x.tgt, m)
 
 
 def is_included(x: Rel, y: Rel, law: str = "inclusion") -> Verdict:

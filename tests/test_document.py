@@ -289,6 +289,15 @@ def test_lexer_matches_the_character_loop(line):
     assert _lexed(_lex_line, line) == _lexed(reference_lex_line, line)
 
 
+def test_a_token_has_slots_and_no_dict():
+    # a long pair line holds every one of its tokens at once
+    token = _lex_line("a (b, c)", 1)[0]
+    assert token == Token("a", False, 1, 1)
+    assert not hasattr(token, "__dict__")
+    with pytest.raises(AttributeError):
+        token.text = "b"
+
+
 @given(st.text().filter(lambda name: _one_line(name) and name != "F"))  # F names the family
 @example("3")
 @example("-3")
